@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import HypKind, Label, PairRecord
+from .dataset_io import _read_text, _write_text
 from .errors import ConstraintError, DataFormatError
 
 _SWAP_BUDGET = 10_000
@@ -281,13 +282,8 @@ def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 
     "entailment"; the not-entailed class is the caller's choice."""
     if ne_label not in _NE_TRAINING_LABELS:
         raise ValueError(f"ne_label must be one of {_NE_TRAINING_LABELS}")
-    if hasattr(base_source, "read"):
-        text = base_source.read()
-    else:
-        with open(base_source, "r", encoding="utf-8") as handle:
-            text = handle.read()
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(base_source).splitlines(), start=1):
         if not line:
             continue
         fields = line.split("\t")
@@ -309,10 +305,4 @@ def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 
 
 def write_training_rows(rows, dest) -> int:
     """Write merged training rows as a headerless TSV; returns bytes written."""
-    text = "".join("\t".join(row) + "\n" for row in rows)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    return len(text.encode("utf-8"))
+    return _write_text(dest, "".join("\t".join(row) + "\n" for row in rows))

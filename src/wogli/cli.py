@@ -57,8 +57,7 @@ def cli():
 @click.option("--per-pattern", type=int, default=None,
               help="Premises per pattern (default depends on the set).")
 @click.option("--lexicon", "lexicon_path", type=click.Path(exists=True, dir_okay=False),
-              envvar="WOGLI_LEXICON", default=None,
-              help="Lexicon file (JSON or TSV); defaults to the bundled one.")
+              help="Lexicon file (JSON or TSV); defaults to WOGLI_LEXICON or the bundled one.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 @click.option("--format", "fmt", type=click.Choice(["rows", "tsv"]), default="rows",
               show_default=True)
@@ -66,23 +65,19 @@ def cli():
               help="Sample with replacement, then drop duplicate premises.")
 @click.option("--spaced-period", is_flag=True,
               help="Emit the final period as its own token.")
-@click.option("--workers", type=int, default=1, show_default=True)
 def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
-             with_replacement_dedup, spaced_period, workers):
+             with_replacement_dedup, spaced_period):
     """Generate one challenge set and write it to a pair file."""
     name = GenerationSet(setname)
     if per_pattern is None:
         per_pattern = _DEFAULT_PER_PATTERN[name]
     if per_pattern < 1:
         raise click.UsageError("--per-pattern must be positive")
-    if workers < 1:
-        raise click.UsageError("--workers must be positive")
     lex = _load_checked_lexicon(lexicon_path)
     records = generate_set(
         name, lex, seed, per_pattern,
         with_replacement=with_replacement_dedup,
         spaced_period=spaced_period,
-        workers=workers,
     )
     size = write_pairs(records, out, fmt)
     click.echo(f"wrote {len(records)} pairs ({size} bytes) to {out}")
@@ -93,8 +88,7 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
 @click.option("--from", "source", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Pair file of accusative premises (row format).")
-@click.option("--lexicon", "lexicon_path", type=click.Path(exists=True, dir_okay=False),
-              envvar="WOGLI_LEXICON", default=None)
+@click.option("--lexicon", "lexicon_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 @click.option("--format", "fmt", type=click.Choice(["rows", "tsv"]), default="rows",
               show_default=True)

@@ -8,7 +8,6 @@ line breaks, and writers refuse records that would violate that.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 from .core import HypKind, Label, PairRecord
@@ -104,7 +103,7 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
 
 def _record_from_row(obj: dict, where: str) -> PairRecord:
     try:
-        return PairRecord(
+        record = PairRecord(
             id=obj["id"],
             subset=obj["subset"],
             premise=obj["premise"],
@@ -118,6 +117,12 @@ def _record_from_row(obj: dict, where: str) -> PairRecord:
         raise DataFormatError(f"{where}: missing field {exc.args[0]!r}") from None
     except ValueError as exc:
         raise DataFormatError(f"{where}: {exc}") from None
+    if record.label is not record.hyp_kind.label:
+        raise DataFormatError(
+            f"{where}: label {record.label.value!r} contradicts hyp_kind "
+            f"{record.hyp_kind.value!r}, which is {record.hyp_kind.label.value!r}"
+        )
+    return record
 
 
 def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:

@@ -2,8 +2,8 @@
 
 Sampling is deterministic: every pattern owns an independent RNG stream
 derived from (seed, government, pattern index), so identical inputs give
-byte-identical datasets regardless of worker count, and the pronoun-subject
-set sees exactly the same premise draws as the base accusative set.
+byte-identical datasets, and the pronoun-subject set sees exactly the same
+premise draws as the base accusative set.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import enum
 import itertools
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -21,8 +20,6 @@ from .core import (
     Gender,
     Government,
     HypKind,
-    NounEntry,
-    NounKind,
     Number,
     PairRecord,
     ThingNounEntry,
@@ -275,7 +272,6 @@ def sample_premises(
     seed: int,
     per_pattern: int,
     with_replacement: bool = False,
-    workers: int = 1,
 ) -> list[PremiseInstance]:
     """Draw premises for every pattern of the set, pattern-major order.
 
@@ -283,23 +279,12 @@ def sample_premises(
     collapsed later (keeping the first), matching the construction that gives
     slightly fewer premises than patterns x per_pattern.
     """
-    patterns = _patterns_for(name)
     compat = _compatible_things(lex)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _sample_pattern, p, i, lex, seed, per_pattern, with_replacement, compat
-                )
-                for i, p in enumerate(patterns)
-            ]
-            per_pattern_lists = [f.result() for f in futures]
-    else:
-        per_pattern_lists = [
-            _sample_pattern(p, i, lex, seed, per_pattern, with_replacement, compat)
-            for i, p in enumerate(patterns)
-        ]
-    return [inst for lst in per_pattern_lists for inst in lst]
+    return [
+        inst
+        for i, p in enumerate(_patterns_for(name))
+        for inst in _sample_pattern(p, i, lex, seed, per_pattern, with_replacement, compat)
+    ]
 
 
 def _dedup_by_premise(instances, spaced_period=False):
@@ -379,7 +364,6 @@ def generate_set(
     per_pattern: int,
     with_replacement: bool = False,
     spaced_period: bool = False,
-    workers: int = 1,
 ) -> list[PairRecord]:
     """Generate one challenge set as pair records.
 
@@ -390,7 +374,7 @@ def generate_set(
     reordered hypothesis only.
     """
     source = GenerationSet.WOGLI if name in (GenerationSet.P_SUBJECT, GenerationSet.OS_HARD) else name
-    instances = sample_premises(source, lex, seed, per_pattern, with_replacement, workers)
+    instances = sample_premises(source, lex, seed, per_pattern, with_replacement)
     if with_replacement:
         instances = _dedup_by_premise(instances, spaced_period)
     if name is GenerationSet.P_SUBJECT:
@@ -410,6 +394,10 @@ def generate_set(
 
 
 _PREMISE_ID_RE = re.compile(r"-p(\d+)-d(\d+)-premise$")
+_SUBSET_GOVERNMENT = {
+    GenerationSet.DATIVE.subset_label: Government.DATIVE,
+    GenerationSet.DITRANSITIVE.subset_label: Government.DITRANSITIVE,
+}
 
 
 def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
@@ -419,11 +407,11 @@ def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
         raise DataFormatError(
             f"record {record.id}: instance reconstruction needs row metadata"
         )
-    government = Government.ACCUSATIVE if record.hyp_kind in (
-        HypKind.H1_SO, HypKind.H2_OS, HypKind.H3_OS
-    ) else Government.DITRANSITIVE
+    government = _SUBSET_GOVERNMENT.get(record.subset, Government.ACCUSATIVE)
     if government is Government.DITRANSITIVE or "direct_object_lemma" in meta:
-        raise DataFormatError(f"record {record.id}: only accusative records are supported")
+        raise DataFormatError(
+            f"record {record.id}: only accusative and dative records are supported"
+        )
     pattern = parse_pattern_name(record.pattern_name, government)
 
     def np(prefix):
@@ -464,6 +452,11 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
         if key in seen:
             continue
         seen.add(key)
+        if record.subset in _SUBSET_GOVERNMENT:
+            raise DataFormatError(
+                f"record {record.id}: os-hard derivation needs accusative records, "
+                f"not subset {record.subset!r}"
+            )
         inst = instance_from_record(record, lex)
         if not _PREMISE_ID_RE.search(record.metadata.get("premise_id", "")):
             inst = replace(inst, seed_path=(0, fallback))

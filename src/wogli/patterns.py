@@ -13,7 +13,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .core import ArticleKind, Case, Gender, Government, NounKind, Number
+from .core import ArticleKind, Case, Gender, Government, Number
 from .lexicon import Lexicon
 from .morphology import NPSpec, agree_verb, render_np
 
@@ -85,26 +85,8 @@ def parse_pattern_name(name: str, government: Government) -> Pattern:
     return Pattern(_FRAGMENTS[subject_name], _FRAGMENTS[object_name], government)
 
 
-_WOGLI_NAMES = (
-    "pnoun_v_sing_masc",
-    "pnoun_v_plural_masc",
-    "pnoun_v_plural_fem",
-    "plural_masc_v_pnoun",
-    "plural_masc_v_sing_masc",
-    "plural_masc_v_sing_fem",
-    "plural_fem_v_sing_masc",
-    "plural_fem_v_sing_fem",
-    "plural_fem_v_pnoun",
-    "sing_masc_v_sing_masc",
-    "sing_masc_v_plural_masc",
-    "sing_masc_v_plural_fem",
-    "sing_masc_v_sing_fem",
-    "sing_masc_v_pnoun",
-    "sing_fem_v_sing_masc",
-    "sing_fem_v_plural_fem",
-    "sing_fem_v_plural_masc",
-)
-
+# Order is part of the output: a pattern's index seeds its RNG stream and
+# appears in record ids. wogli_patterns() keeps this order for accusatives.
 _EXTENDED_NAMES = (
     "pnoun_v_sing_masc",
     "pnoun_v_plural_masc",
@@ -145,8 +127,10 @@ _EXCLUDED_NAMES = (
 
 
 def wogli_patterns() -> list[Pattern]:
-    """The 17 unambiguous accusative patterns, in inventory order."""
-    return [parse_pattern_name(n, Government.ACCUSATIVE) for n in _WOGLI_NAMES]
+    """The 17 unambiguous accusative patterns: the extended inventory, in its
+    order, filtered by the closed-form ambiguity rule."""
+    patterns = (parse_pattern_name(n, Government.ACCUSATIVE) for n in _EXTENDED_NAMES)
+    return [p for p in patterns if not ambiguity_rule(p)]
 
 
 def extended_patterns(government: Government) -> list[Pattern]:

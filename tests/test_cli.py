@@ -59,6 +59,19 @@ class TestGenerate:
         assert code == 0
         assert read_pairs(out) == generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=2)
 
+    def test_missing_lexicon_from_environment(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "no-such-lexicon.json"
+        monkeypatch.setenv("WOGLI_LEXICON", str(missing))
+        code = run(["generate", "wogli", "--seed", "3", "--per-pattern", "2",
+                    "--out", str(tmp_path / "env.jsonl")])
+        assert code == 2
+        assert f"error[lexicon] cannot read lexicon {missing}" in capsys.readouterr().err
+
+    def test_workers_is_not_an_option(self, toy_path, tmp_path, capsys):
+        code, _ = _generate(toy_path, tmp_path, "--workers", "2")
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+
     def test_per_pattern_must_be_positive(self, toy_path, tmp_path):
         code, _ = _generate(toy_path, tmp_path, per="0")
         assert code == 1
@@ -100,6 +113,15 @@ class TestDerive:
         assert code == 0
         want = generate_set(GenerationSet.OS_HARD, toy_lex, seed=3, per_pattern=2)
         assert read_pairs(out) == want
+
+    def test_dative_source_is_rejected(self, toy_path, tmp_path, capsys):
+        _, base = _generate(toy_path, tmp_path, setname="dative")
+        code = run(["derive", "os-hard", "--from", str(base),
+                    "--lexicon", toy_path, "--out", str(tmp_path / "hard.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err
+        assert "needs accusative records, not subset 'wogli-dative'" in err
 
     def test_tsv_source_lacks_metadata(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, "--format", "tsv")

@@ -91,6 +91,12 @@ class TestRowFormat:
         with pytest.raises(DataFormatError, match="line 1"):
             read_pairs(io.StringIO(json.dumps(obj) + "\n"))
 
+    def test_label_must_follow_hyp_kind(self):
+        obj = {"id": "a", "subset": "wogli", "premise": "P.", "hypothesis": "H.",
+               "label": "entailed", "hyp_kind": "h1_so", "pattern": "sing_masc_v_sing_fem"}
+        with pytest.raises(DataFormatError, match="line 1: label 'entailed'.*'h1_so'"):
+            read_pairs(io.StringIO(json.dumps(obj) + "\n"))
+
 
 class TestTsvFormat:
     def test_round_trip_drops_metadata_only(self, records, tmp_path):
@@ -125,6 +131,12 @@ class TestTsvFormat:
     def test_field_count_checked(self):
         text = "id\tsubset\tpremise\thypothesis\tlabel\thyp_kind\tpattern\na\tb\tc\n"
         with pytest.raises(DataFormatError, match="line 2"):
+            read_pairs(io.StringIO(text), fmt="tsv")
+
+    def test_label_must_follow_hyp_kind(self):
+        text = ("id\tsubset\tpremise\thypothesis\tlabel\thyp_kind\tpattern\n"
+                "a\twogli\tP.\tH.\tnon-entailed\th2_os\tsing_masc_v_sing_fem\n")
+        with pytest.raises(DataFormatError, match="line 2: label 'non-entailed'.*'h2_os'"):
             read_pairs(io.StringIO(text), fmt="tsv")
 
     @pytest.mark.parametrize("sep", ["\t", "\n"])
