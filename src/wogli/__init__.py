@@ -60,7 +60,6 @@ from .generator import (
     pronominalize,
     realize_premise,
     sample_premises,
-    swap_arguments,
 )
 from .lexicon import (
     Lexicon,

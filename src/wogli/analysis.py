@@ -18,7 +18,7 @@ from .dataset_io import PredictionSet
 from .errors import ConstraintError, DataFormatError, PredictionJoinError
 from .patterns import NumberClass, classify_number, parse_pattern_name
 
-# hypothesis kinds whose surface starts with the premise object
+# argument swaps in base order (H1)
 _SWAP_KINDS = (HypKind.H1_SO, HypKind.H1_SIO)
 
 
@@ -280,6 +280,12 @@ def build_report(
     gold = list(gold)
     if groups not in ("all", "gender", "definiteness", "number"):
         raise ValueError(f"unknown group family {groups!r}")
+    gold_ids = {r.id for r in gold}
+    unknown = [rid for rid in preds.labels if rid not in gold_ids]
+    if unknown:
+        raise PredictionJoinError(
+            f"{len(unknown)} prediction id(s) not in the gold file, first {unknown[0]!r}"
+        )
     results = [accuracy(gold, preds, None, sample_sd)]
     for kind in HypKind:
         spec = GroupSpec(kind.value, lambda r, k=kind: r.hyp_kind is k)
@@ -317,9 +323,6 @@ def build_report(
             continue
         if voted is None:
             voted = majority_vote(preds, tie_break_not_entailed)
-            for record in gold:
-                if record.id not in voted.labels:
-                    raise PredictionJoinError(f"no prediction for record {record.id!r}")
         k1, n1 = _ensemble_counts(records_a, voted)
         k2, n2 = _ensemble_counts(records_b, voted)
         test = two_proportion_ztest(k1, n1, k2, n2)

@@ -14,12 +14,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import HypKind, Label, PairRecord
+from .core import Label, PairRecord
 from .dataset_io import _read_text, _write_text
 from .errors import ConstraintError, DataFormatError
 
 _SWAP_BUDGET = 10_000
-_SWAP_KINDS = (HypKind.H1_SO, HypKind.H1_SIO)
 
 
 @dataclass(frozen=True)
@@ -66,25 +65,26 @@ def _two_np_forms(text: str, meta: dict, first: str, second: str) -> list[str]:
     role each corresponds to (bare heads are one token, articled ones two)."""
     tokens = _strip_period(text)
     w1 = _np_width(meta, first)
-    first_form = tokens[w1 - 1]
-    second_start = w1 + 1
-    return [first_form, tokens[second_start + _np_width(meta, second) - 1]]
+    # the second NP starts after the verb, at index w1 + 1
+    return [tokens[w1 - 1], tokens[w1 + _np_width(meta, second)]]
 
 
 @dataclass(frozen=True)
 class _PremiseGroup:
     key: str
-    order: int
     pattern: str
     verb: str
     forms: frozenset[str]
     records: tuple[PairRecord, ...]
 
 
-def _group_forms(premise: str, swap_hypothesis: str | None, meta: dict) -> frozenset[str]:
+def _group_forms(premise: str, swap: PairRecord | None, meta: dict) -> frozenset[str]:
+    """Argument head forms of the premise and of one argument swap, which
+    marks each argument with the case it lacks in the premise."""
     forms = _two_np_forms(premise, meta, "subject", "object")
-    if swap_hypothesis is not None:
-        forms += _two_np_forms(swap_hypothesis, meta, "object", "subject")
+    if swap is not None:
+        roles = ("subject", "object") if swap.hyp_kind.subject_first else ("object", "subject")
+        forms += _two_np_forms(swap.hypothesis, meta, *roles)
     return frozenset(forms)
 
 
@@ -97,15 +97,12 @@ def _build_groups(records) -> list[_PremiseGroup]:
             )
         by_key.setdefault(record.metadata["premise_id"], []).append(record)
     groups = []
-    for order, (key, members) in enumerate(by_key.items()):
+    for key, members in by_key.items():
         meta = members[0].metadata
-        swap = next((r.hypothesis for r in members if r.hyp_kind in _SWAP_KINDS), None)
-        if swap is None:
-            swap = next((r.hypothesis for r in members if r.hyp_kind is HypKind.H3_OS), None)
+        swap = next((r for r in members if not r.hyp_kind.subject_nominative), None)
         groups.append(
             _PremiseGroup(
                 key=key,
-                order=order,
                 pattern=members[0].pattern_name,
                 verb=meta["verb_lemma"],
                 forms=_group_forms(members[0].premise, swap, meta),

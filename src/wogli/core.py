@@ -99,7 +99,8 @@ class Label(enum.Enum):
 
 class HypKind(enum.Enum):
     """Hypothesis construction: H1 swaps the arguments, H2 reorders the surface,
-    H3 does both; SIO/IOS are the ditransitive variants."""
+    H3 does both; SIO/IOS are the ditransitive variants. Each lays out the
+    premise's NPs by whether its subject comes first and stays nominative."""
 
     H1_SO = "h1_so"
     H2_OS = "h2_os"
@@ -108,10 +109,17 @@ class HypKind(enum.Enum):
     H2_IOS = "h2_ios"
 
     @property
+    def subject_first(self) -> bool:
+        return self is HypKind.H3_OS
+
+    @property
+    def subject_nominative(self) -> bool:
+        return self in (HypKind.H2_OS, HypKind.H2_IOS)
+
+    @property
     def label(self) -> Label:
-        if self in (HypKind.H2_OS, HypKind.H2_IOS):
-            return Label.ENTAILED
-        return Label.NOT_ENTAILED
+        # the roles survive exactly when the premise subject stays nominative
+        return Label.ENTAILED if self.subject_nominative else Label.NOT_ENTAILED
 
 
 @dataclass(frozen=True)

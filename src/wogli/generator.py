@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
-from .morphology import NPSpec, PRONOUN, agree_verb, inflect_pronoun, render_np
+from .morphology import NPSpec, PRONOUN, clause, inflect_pronoun, render_np
 from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
@@ -66,16 +66,15 @@ class PremiseInstance:
     seed_path: tuple[int, int] = (0, 0)
 
 
-def _sentence(tokens, spaced_period: bool) -> str:
-    words = list(tokens)
-    words[0] = words[0][0].upper() + words[0][1:]
-    return " ".join(words) + (" ." if spaced_period else ".")
+def _sentence(tokens: list[str], spaced_period: bool) -> str:
+    tokens[0] = tokens[0][0].upper() + tokens[0][1:]
+    return " ".join(tokens) + (" ." if spaced_period else ".")
 
 
-def _premise_tokens(inst: PremiseInstance) -> list[str]:
-    tokens = render_np(inst.subject, Case.NOM)
-    tokens.append(agree_verb(inst.verb, inst.subject.number))
-    tokens.extend(render_np(inst.object, inst.pattern.government.object_case))
+def _tokens(inst: PremiseInstance, kind: HypKind | None = None) -> list[str]:
+    """The premise (kind None) or one hypothesis as tokens: the argument
+    layout of the kind, plus the accusative direct object of ditransitives."""
+    tokens = clause(inst.subject, inst.object, inst.verb, inst.pattern.government.object_case, kind)
     if inst.direct_object is not None:
         tokens.extend(render_np(inst.direct_object, Case.ACC))
     return tokens
@@ -84,36 +83,25 @@ def _premise_tokens(inst: PremiseInstance) -> list[str]:
 def realize_premise(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Subject, agreeing verb, object in the governed case, capitalized and
     terminated (ditransitives append the accusative direct object)."""
-    return _sentence(_premise_tokens(inst), spaced_period)
-
-
-def swap_arguments(inst: PremiseInstance) -> PremiseInstance:
-    """Exchange the argument NPs (heads keep their own article kinds)."""
-    swapped_pattern = Pattern(inst.pattern.object, inst.pattern.subject, inst.pattern.government)
-    return replace(inst, pattern=swapped_pattern, subject=inst.object, object=inst.subject)
+    return _sentence(_tokens(inst), spaced_period)
 
 
 def derive_h1(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Argument swap in base order (not entailed): the old object becomes the
     nominative subject, the verb re-agrees, the old subject takes the object case."""
-    return realize_premise(swap_arguments(inst), spaced_period)
+    return _sentence(_tokens(inst, HypKind.H1_SO), spaced_period)
 
 
 def derive_h2(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Surface reorder (entailed): object first, everything keeps its marking."""
-    tokens = render_np(inst.object, inst.pattern.government.object_case)
-    tokens.append(agree_verb(inst.verb, inst.subject.number))
-    tokens.extend(render_np(inst.subject, Case.NOM))
-    if inst.direct_object is not None:
-        tokens.extend(render_np(inst.direct_object, Case.ACC))
-    return _sentence(tokens, spaced_period)
+    return _sentence(_tokens(inst, HypKind.H2_OS), spaced_period)
 
 
 def derive_h3(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Argument swap presented in object-first order (not entailed)."""
     if inst.pattern.government is not Government.ACCUSATIVE:
         raise ValueError("the object-first swap is defined for accusative premises")
-    return derive_h2(swap_arguments(inst), spaced_period)
+    return _sentence(_tokens(inst, HypKind.H3_OS), spaced_period)
 
 
 def pronominalize(inst: PremiseInstance) -> PremiseInstance:
@@ -227,10 +215,7 @@ def _sample_pattern(pattern, pattern_index, lex, seed, per_pattern, with_replace
             f"lexicalization space holds {space}"
         )
     if space <= _ENUMERATION_CUTOFF or per_pattern * 3 >= space:
-        by_text = {}
-        for inst in _enumerate_instances(pattern, lex, compat):
-            by_text.setdefault(realize_premise(inst), inst)
-        distinct = list(by_text.values())
+        distinct = _dedup_by_premise(_enumerate_instances(pattern, lex, compat))
         if per_pattern > len(distinct):
             raise ExhaustionError(
                 f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
@@ -332,13 +317,6 @@ def _records_for(inst, name, hyp_kinds, spaced_period) -> list[PairRecord]:
         metadata["direct_object_lemma"] = inst.direct_object.head.lemma
         metadata["direct_object_gender"] = inst.direct_object.gender.value
         metadata["direct_object_number"] = inst.direct_object.number.value
-    derivations = {
-        HypKind.H1_SO: derive_h1,
-        HypKind.H2_OS: derive_h2,
-        HypKind.H3_OS: derive_h3,
-        HypKind.H1_SIO: derive_h1,
-        HypKind.H2_IOS: derive_h2,
-    }
     records = []
     for kind in hyp_kinds:
         suffix = kind.value.split("_")[0]
@@ -347,7 +325,7 @@ def _records_for(inst, name, hyp_kinds, spaced_period) -> list[PairRecord]:
                 id=f"{stem}-{suffix}",
                 subset=subset,
                 premise=premise,
-                hypothesis=derivations[kind](inst, spaced_period),
+                hypothesis=_sentence(_tokens(inst, kind), spaced_period),
                 label=kind.label,
                 hyp_kind=kind,
                 pattern_name=inst.pattern.name,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ArticleKind, Case, Gender, NounEntry, NounKind, Number, ThingNounEntry, VerbEntry
+from .core import ArticleKind, Case, Gender, HypKind, NounEntry, NounKind, Number, ThingNounEntry, VerbEntry
 from .errors import MorphologyError
 
 
@@ -129,6 +129,21 @@ def render_np(spec: NPSpec, case: Case) -> list[str]:
     article = inflect_article(spec.article, spec.gender, spec.number, case)
     noun = inflect_noun(spec.head, spec.number, case)
     return [article, noun] if article is not None else [noun]
+
+
+def clause(
+    subject: NPSpec, obj: NPSpec, verb: VerbEntry, object_case: Case, kind: HypKind | None = None
+) -> list[str]:
+    """Tokens of the premise's two arguments and verb in the layout of the
+    hypothesis kind (the premise itself when kind is None). The nominative
+    argument sets the verb's agreement; the other one takes object_case."""
+    subject_nominative = kind is None or kind.subject_nominative
+    subject_tokens = render_np(subject, Case.NOM if subject_nominative else object_case)
+    object_tokens = render_np(obj, object_case if subject_nominative else Case.NOM)
+    verb_form = agree_verb(verb, (subject if subject_nominative else obj).number)
+    if kind is None or kind.subject_first:
+        return [*subject_tokens, verb_form, *object_tokens]
+    return [*object_tokens, verb_form, *subject_tokens]
 
 
 def article_paradigm() -> list[dict]:

@@ -13,9 +13,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .core import ArticleKind, Case, Gender, Government, Number
+from .core import ArticleKind, Gender, Government, HypKind, Number
 from .lexicon import Lexicon
-from .morphology import NPSpec, agree_verb, render_np
+from .morphology import NPSpec, clause
 
 
 class NPClass(enum.Enum):
@@ -212,9 +212,8 @@ def is_ambiguous(pattern: Pattern, lex: Lexicon) -> bool:
     for subj, verb, obj in itertools.product(subjects, verbs, objects):
         if subj.head.lemma == obj.head.lemma:
             continue
-        # H1 swaps the arguments; H2 reorders the premise surface
-        h1 = (*render_np(obj, Case.NOM), agree_verb(verb, obj.number), *render_np(subj, object_case))
-        h2 = (*render_np(obj, object_case), agree_verb(verb, subj.number), *render_np(subj, Case.NOM))
+        h1 = clause(subj, obj, verb, object_case, HypKind.H1_SO)
+        h2 = clause(subj, obj, verb, object_case, HypKind.H2_OS)
         outcomes.add(h1 == h2)
     return outcomes == {True}
 

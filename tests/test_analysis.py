@@ -392,6 +392,18 @@ class TestBuildReport:
         text, rows = build_report(gold, preds, groups="number", tie_break_not_entailed=True)
         assert any(r["kind"] == "ztest" for r in rows)
 
+    def test_prediction_ids_outside_gold_rejected_before_voting(self):
+        gold = [
+            _rec("a", pattern="sing_masc_v_sing_fem"),
+            _rec("b", pattern="sing_masc_v_plural_fem"),
+        ]
+        # voting would otherwise stop at the tie on "x", an id gold lacks
+        preds = PredictionSet(runs=2, labels={
+            "a": (NE, NE), "x": (E, NE), "b": (NE, NE), "y": (NE, NE),
+        })
+        with pytest.raises(PredictionJoinError, match=r"^2 prediction id\(s\) .* first 'x'$"):
+            build_report(gold, preds, groups="number")
+
     def test_unknown_family_rejected(self, small_gold):
         preds = PredictionSet(runs=1, labels={r.id: (NE,) for r in small_gold})
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from wogli import (
     write_pairs,
     write_training_rows,
 )
+from wogli.augment import _build_groups
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def _noun_forms(records):
         forms.add(prem[-1])
         if r.hyp_kind in (HypKind.H1_SO, HypKind.H1_SIO, HypKind.H3_OS):
             hyp = r.hypothesis.rstrip(" .").split()
-            forms.add(hyp[obj_w - 1])
+            forms.add(hyp[(subj_w if r.hyp_kind is HypKind.H3_OS else obj_w) - 1])
             forms.add(hyp[-1])
     return forms
 
@@ -198,6 +199,18 @@ class TestNounFormCoverage:
         aug, _ = sample_augmentation(base, plan)
         # nothing to assert about forms; the call simply must not repair
         assert len(_premise_ids(aug)) == 17
+
+    def test_os_hard_groups_read_the_same_forms_as_wogli(self, lex):
+        # H3 puts the premise subject first, unlike H1; both carry the same
+        # four head forms, so a premise's group must not depend on the set
+        def forms_by_premise(name):
+            records = generate_set(name, lex, seed=0, per_pattern=50)
+            return {g.records[0].premise: g.forms for g in _build_groups(records)}
+
+        os_hard = forms_by_premise(GenerationSet.OS_HARD)
+        wogli = forms_by_premise(GenerationSet.WOGLI)
+        assert len(os_hard) == 850
+        assert os_hard == {premise: wogli[premise] for premise in os_hard}
 
     def test_impossible_coverage_is_reported(self):
         # the verb band pins one "b" premise plus one "a" premise, so the

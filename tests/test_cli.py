@@ -247,6 +247,19 @@ class TestAnalyze:
         assert code == 2
         assert "error[predictions]" in capsys.readouterr().err
 
+    def test_prediction_ids_outside_gold_fail_the_join(self, toy_path, tmp_path, capsys):
+        _, gold = _generate(toy_path, tmp_path)
+        records = read_pairs(gold)
+        preds = tmp_path / "preds.tsv"
+        _write_predictions(preds, records)
+        with preds.open("a", encoding="utf-8") as fh:
+            fh.write("not-a-gold-id\t0\tentailed\n")
+        code = run(["analyze", "--gold", str(gold), "--predictions", str(preds),
+                    "--runs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[predictions]" in err and "not-a-gold-id" in err
+
     def test_runs_validated(self, toy_path, tmp_path):
         _, gold = _generate(toy_path, tmp_path)
         preds = tmp_path / "preds.tsv"

@@ -9,6 +9,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogli import (
     ArticleKind,
@@ -35,8 +37,8 @@ from wogli import (
     pronominalize,
     realize_premise,
     sample_premises,
-    swap_arguments,
 )
+from wogli.generator import _sentence, _tokens
 from wogli.morphology import PRONOUN
 
 
@@ -140,10 +142,17 @@ class TestGoldens:
 
 
 class TestDerivations:
-    def test_swap_is_an_involution(self, lex):
-        inst = _inst(lex, "warnen", _np(lex, "Arzt"), _np(lex, "Autorin", Number.PL))
-        assert swap_arguments(swap_arguments(inst)) == inst
-        assert swap_arguments(inst).pattern.name == "plural_fem_v_sing_masc"
+    @pytest.mark.parametrize("kind, subject_first, subject_nominative, label", [
+        (HypKind.H1_SO, False, False, Label.NOT_ENTAILED),
+        (HypKind.H2_OS, False, True, Label.ENTAILED),
+        (HypKind.H3_OS, True, False, Label.NOT_ENTAILED),
+        (HypKind.H1_SIO, False, False, Label.NOT_ENTAILED),
+        (HypKind.H2_IOS, False, True, Label.ENTAILED),
+    ])
+    def test_hyp_kind_layout_table(self, kind, subject_first, subject_nominative, label):
+        assert kind.subject_first is subject_first
+        assert kind.subject_nominative is subject_nominative
+        assert kind.label is label
 
     def test_h3_rejects_non_accusative(self, lex):
         inst = _inst(lex, "gratulieren", _np(lex, "Arzt"), _np(lex, "Kunde"), Government.DATIVE)
@@ -365,6 +374,17 @@ class TestRecordRoundTrip:
             assert inst.pattern.government is Government.DATIVE
             assert realize_premise(inst) == record.premise
             assert derivations[record.hyp_kind](inst) == record.hypothesis
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_every_record_is_rederivable(self, toy_lex_module, seed):
+        for name in (GenerationSet.WOGLI, GenerationSet.P_SUBJECT,
+                     GenerationSet.DATIVE, GenerationSet.OS_HARD):
+            for r in generate_set(name, toy_lex_module, seed=seed, per_pattern=2):
+                inst = instance_from_record(r, toy_lex_module)
+                assert realize_premise(inst) == r.premise, r.id
+                assert _sentence(_tokens(inst, r.hyp_kind), False) == r.hypothesis, r.id
+                assert r.label is r.hyp_kind.label, r.id
 
     def test_ditransitive_records_not_reconstructible(self, toy_lex):
         record = generate_set(GenerationSet.DITRANSITIVE, toy_lex, seed=1, per_pattern=1)[0]
