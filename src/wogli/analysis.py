@@ -73,7 +73,10 @@ def number_groups() -> tuple[GroupSpec, GroupSpec]:
     (all-singular patterns keep the verb form unchanged under the swap)."""
 
     def all_singular(record: PairRecord) -> bool:
-        pattern = parse_pattern_name(record.pattern_name, Government.ACCUSATIVE)
+        try:
+            pattern = parse_pattern_name(record.pattern_name, Government.ACCUSATIVE)
+        except ValueError as exc:
+            raise DataFormatError(f"record {record.id}: {exc}") from None
         return classify_number(pattern) is NumberClass.ALL_SINGULAR
 
     return (

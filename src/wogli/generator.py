@@ -45,13 +45,12 @@ class GenerationSet(enum.Enum):
 
     @property
     def subset_label(self) -> str:
-        return {
-            GenerationSet.WOGLI: "wogli",
-            GenerationSet.P_SUBJECT: "wogli-p-subject",
-            GenerationSet.DATIVE: "wogli-dative",
-            GenerationSet.DITRANSITIVE: "wogli-ditransitive",
-            GenerationSet.OS_HARD: "wogli-os-hard",
-        }[self]
+        return _SUBSET_LABELS[self]
+
+
+# one shared label string per set, as every record of the set carries it
+_SUBSET_LABELS = {s: f"wogli-{s.value}" for s in GenerationSet}
+_SUBSET_LABELS[GenerationSet.WOGLI] = "wogli"
 
 
 @dataclass(frozen=True)
@@ -201,13 +200,16 @@ def _enumerate_instances(pattern, lex, compat):
         yield PremiseInstance(pattern, subject, obj, verb, thing)
 
 
-def _sample_pattern(pattern, pattern_index, lex, seed, per_pattern, with_replacement, compat):
+def _sample_pattern(pattern, pattern_index, lex, seed, per_pattern, with_replacement, compat,
+                    spaced_period=False):
+    """Yield (premise, instance) for one pattern; premises are distinct
+    unless drawn with replacement. Each premise is realized once, here."""
     rng = random.Random(f"{seed}:{pattern.government.value}:{pattern_index}")
     if with_replacement:
-        return [
-            _draw_instance(rng, pattern, lex, compat, (pattern_index, i))
-            for i in range(per_pattern)
-        ]
+        for i in range(per_pattern):
+            inst = _draw_instance(rng, pattern, lex, compat, (pattern_index, i))
+            yield realize_premise(inst, spaced_period), inst
+        return
     space = _space_size(pattern, lex, compat)
     if per_pattern > space:
         raise ExhaustionError(
@@ -215,32 +217,32 @@ def _sample_pattern(pattern, pattern_index, lex, seed, per_pattern, with_replace
             f"lexicalization space holds {space}"
         )
     if space <= _ENUMERATION_CUTOFF or per_pattern * 3 >= space:
-        distinct = _dedup_by_premise(_enumerate_instances(pattern, lex, compat))
+        distinct = {}
+        for inst in _enumerate_instances(pattern, lex, compat):
+            distinct.setdefault(realize_premise(inst, spaced_period), inst)
         if per_pattern > len(distinct):
             raise ExhaustionError(
                 f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
                 f"only {len(distinct)} distinct surfaces exist"
             )
-        chosen = rng.sample(distinct, per_pattern)
-        return [
-            replace(inst, seed_path=(pattern_index, i)) for i, inst in enumerate(chosen)
-        ]
+        chosen = rng.sample(list(distinct.items()), per_pattern)
+        for i, (premise, inst) in enumerate(chosen):
+            yield premise, replace(inst, seed_path=(pattern_index, i))
+        return
     seen = set()
-    out = []
     misses = 0
-    while len(out) < per_pattern:
-        inst = _draw_instance(rng, pattern, lex, compat, (pattern_index, len(out)))
-        text = realize_premise(inst)
-        if text in seen:
+    while len(seen) < per_pattern:
+        inst = _draw_instance(rng, pattern, lex, compat, (pattern_index, len(seen)))
+        premise = realize_premise(inst, spaced_period)
+        if premise in seen:
             misses += 1
             if misses > _REJECTION_MISS_BUDGET:
                 raise ExhaustionError(
                     f"pattern {pattern.name}: could not find {per_pattern} distinct premises"
                 )
             continue
-        seen.add(text)
-        out.append(inst)
-    return out
+        seen.add(premise)
+        yield premise, inst
 
 
 def _patterns_for(name: GenerationSet) -> list[Pattern]:
@@ -268,19 +270,8 @@ def sample_premises(
     return [
         inst
         for i, p in enumerate(_patterns_for(name))
-        for inst in _sample_pattern(p, i, lex, seed, per_pattern, with_replacement, compat)
+        for _, inst in _sample_pattern(p, i, lex, seed, per_pattern, with_replacement, compat)
     ]
-
-
-def _dedup_by_premise(instances, spaced_period=False):
-    seen = set()
-    kept = []
-    for inst in instances:
-        text = realize_premise(inst, spaced_period)
-        if text not in seen:
-            seen.add(text)
-            kept.append(inst)
-    return kept
 
 
 def _np_metadata(prefix: str, spec: NPSpec) -> dict:
@@ -304,11 +295,18 @@ def _np_metadata(prefix: str, spec: NPSpec) -> dict:
     }
 
 
-def _records_for(inst, name, hyp_kinds, spaced_period) -> list[PairRecord]:
+# hypotheses per premise; the other sets take the argument swap and the reorder
+_HYP_KINDS = {
+    GenerationSet.OS_HARD: (HypKind.H3_OS,),
+    GenerationSet.DITRANSITIVE: (HypKind.H1_SIO, HypKind.H2_IOS),
+}
+
+
+def _records_for(inst, premise, name, hyp_kinds, spaced_period) -> list[PairRecord]:
+    """The set's records of one premise instance, given its realized premise."""
     subset = name.subset_label
     pattern_index, draw_index = inst.seed_path
     stem = f"{subset}-p{pattern_index:02d}-d{draw_index:05d}"
-    premise = realize_premise(inst, spaced_period)
     metadata = {"premise_id": f"{stem}-premise"}
     metadata.update(_np_metadata("subject", inst.subject))
     metadata.update(_np_metadata("object", inst.object))
@@ -351,24 +349,28 @@ def generate_set(
     reorder set re-derives the base premises and emits the swapped-and-
     reordered hypothesis only.
     """
-    source = GenerationSet.WOGLI if name in (GenerationSet.P_SUBJECT, GenerationSet.OS_HARD) else name
-    instances = sample_premises(source, lex, seed, per_pattern, with_replacement)
-    if with_replacement:
-        instances = _dedup_by_premise(instances, spaced_period)
-    if name is GenerationSet.P_SUBJECT:
-        instances = _dedup_by_premise([pronominalize(i) for i in instances], spaced_period)
-
-    if name is GenerationSet.OS_HARD:
-        hyp_kinds = (HypKind.H3_OS,)
-    elif name is GenerationSet.DITRANSITIVE:
-        hyp_kinds = (HypKind.H1_SIO, HypKind.H2_IOS)
-    else:
-        hyp_kinds = (HypKind.H1_SO, HypKind.H2_OS)
-    return [
-        record
-        for inst in instances
-        for record in _records_for(inst, name, hyp_kinds, spaced_period)
-    ]
+    hyp_kinds = _HYP_KINDS.get(name, (HypKind.H1_SO, HypKind.H2_OS))
+    compat = _compatible_things(lex)
+    drawn = set()  # base premises seen so far, when drawing with replacement
+    seen = set()  # pronoun-subject premises seen so far
+    records = []
+    for i, pattern in enumerate(_patterns_for(name)):
+        pairs = _sample_pattern(
+            pattern, i, lex, seed, per_pattern, with_replacement, compat, spaced_period
+        )
+        for premise, inst in pairs:
+            if with_replacement:
+                if premise in drawn:
+                    continue
+                drawn.add(premise)
+            if name is GenerationSet.P_SUBJECT:
+                inst = pronominalize(inst)
+                premise = realize_premise(inst, spaced_period)
+                if premise in seen:
+                    continue
+                seen.add(premise)
+            records.extend(_records_for(inst, premise, name, hyp_kinds, spaced_period))
+    return records
 
 
 _PREMISE_ID_RE = re.compile(r"-p(\d+)-d(\d+)-premise$")
@@ -390,7 +392,10 @@ def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
         raise DataFormatError(
             f"record {record.id}: only accusative and dative records are supported"
         )
-    pattern = parse_pattern_name(record.pattern_name, government)
+    try:
+        pattern = parse_pattern_name(record.pattern_name, government)
+    except ValueError as exc:
+        raise DataFormatError(f"record {record.id}: {exc}") from None
 
     def np(prefix):
         try:
@@ -402,12 +407,18 @@ def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"record {record.id}: bad metadata ({exc})") from None
         if kind == "pronoun":
-            return NPSpec(PRONOUN, gender, number, article)
-        pool = lex.proper_nouns(gender) if kind == "proper" else lex.common_nouns(gender)
-        for noun in pool:
-            if noun.lemma == lemma:
-                return NPSpec(noun, gender, number, article)
-        raise DataFormatError(f"record {record.id}: noun {lemma!r} not in the lexicon")
+            head = PRONOUN
+        else:
+            pool = lex.proper_nouns(gender) if kind == "proper" else lex.common_nouns(gender)
+            for head in pool:
+                if head.lemma == lemma:
+                    break
+            else:
+                raise DataFormatError(f"record {record.id}: noun {lemma!r} not in the lexicon")
+        try:
+            return NPSpec(head, gender, number, article)
+        except ValueError as exc:
+            raise DataFormatError(f"record {record.id}: {prefix}: {exc}") from None
 
     verb = next((v for v in lex.verbs(government) if v.lemma == meta.get("verb_lemma")), None)
     if verb is None:
@@ -425,6 +436,7 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
     out = []
     seen = set()
     fallback = 0
+    hyp_kinds = _HYP_KINDS[GenerationSet.OS_HARD]
     for record in records:
         key = record.metadata.get("premise_id", record.premise)
         if key in seen:
@@ -439,5 +451,6 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
         if not _PREMISE_ID_RE.search(record.metadata.get("premise_id", "")):
             inst = replace(inst, seed_path=(0, fallback))
             fallback += 1
-        out.extend(_records_for(inst, GenerationSet.OS_HARD, (HypKind.H3_OS,), spaced_period))
+        premise = realize_premise(inst, spaced_period)
+        out.extend(_records_for(inst, premise, GenerationSet.OS_HARD, hyp_kinds, spaced_period))
     return out

@@ -6,9 +6,11 @@ Two on-disk encodings are supported and round-trip losslessly:
 * a line-oriented TSV with a ``class  lemma  form2  form3  attrs...`` header,
   ``#`` comments, and ``-`` for empty cells.
 
-``load_lexicon`` only parses; count and structure checks live in
-``validate_lexicon`` so that deliberately broken toy lexicons can be
-constructed and reported on.
+Both encodings describe an entry by the same JSON form, from which one
+builder makes every entry. Loading rejects what cannot be an entry (missing
+or ill-typed fields, unknown values, misplaced categories, duplicate lemmas);
+rules a well-formed entry can still break live in ``validate_lexicon``, so
+that deliberately broken toy lexicons can be constructed and reported on.
 """
 
 from __future__ import annotations
@@ -52,11 +54,7 @@ class Lexicon:
     thing_nouns: tuple[ThingNounEntry, ...]
 
     def verbs(self, government: Government) -> tuple[VerbEntry, ...]:
-        return {
-            Government.ACCUSATIVE: self.verbs_acc,
-            Government.DATIVE: self.verbs_dat,
-            Government.DITRANSITIVE: self.verbs_ditrans,
-        }[government]
+        return getattr(self, _FIELDS["verb", government])
 
     def common_nouns(self, gender: Gender) -> tuple[NounEntry, ...]:
         return self.masc_common if gender is Gender.MASC else self.fem_common
@@ -65,18 +63,30 @@ class Lexicon:
         return self.masc_proper if gender is Gender.MASC else self.fem_proper
 
 
-_VERB_INVENTORIES = {
-    "verbs_accusative": Government.ACCUSATIVE,
-    "verbs_dative": Government.DATIVE,
-    "verbs_ditransitive": Government.DITRANSITIVE,
+# One row per inventory, in document order: JSON key -> (Lexicon field, TSV
+# class, government or gender). Both encodings read and write through it.
+_INVENTORIES = {
+    "verbs_accusative": ("verbs_acc", "verb", Government.ACCUSATIVE),
+    "verbs_dative": ("verbs_dat", "verb", Government.DATIVE),
+    "verbs_ditransitive": ("verbs_ditrans", "verb", Government.DITRANSITIVE),
+    "masc_common": ("masc_common", "noun", Gender.MASC),
+    "fem_common": ("fem_common", "noun", Gender.FEM),
+    "masc_proper": ("masc_proper", "pnoun", Gender.MASC),
+    "fem_proper": ("fem_proper", "pnoun", Gender.FEM),
+    "thing_nouns": ("thing_nouns", "thing", None),
+}
+_TSV_KEYS = {(cls, tag): key for key, (_, cls, tag) in _INVENTORIES.items()}
+_FIELDS = {(cls, tag): field for field, cls, tag in _INVENTORIES.values()}
+# the TSV government cell is written as the tag; either spelling reads back
+_GOVERNMENT_TAGS = {
+    Government.ACCUSATIVE: "ACC",
+    Government.DATIVE: "DAT",
+    Government.DITRANSITIVE: "DITRANS",
 }
 _GOVERNMENT_ALIASES = {
-    "acc": Government.ACCUSATIVE,
-    "accusative": Government.ACCUSATIVE,
-    "dat": Government.DATIVE,
-    "dative": Government.DATIVE,
-    "ditrans": Government.DITRANSITIVE,
-    "ditransitive": Government.DITRANSITIVE,
+    alias: government
+    for government, tag in _GOVERNMENT_TAGS.items()
+    for alias in (tag.lower(), government.value)
 }
 _TSV_HEADER = "class\tlemma\tform2\tform3\tattrs"
 
@@ -97,9 +107,16 @@ def load_lexicon(source) -> Lexicon:
 
 
 def lexicon_from_text(text: str, name: str = "<string>") -> Lexicon:
-    if text.lstrip()[:1] == "{":
-        return _parse_json(text, name)
-    return _parse_tsv(text, name)
+    rows = _json_rows(text, name) if text.lstrip()[:1] in ("{", "[") else _tsv_rows(text, name)
+    inventories = {key: {} for key in _INVENTORIES}
+    for key, fields, where in rows:
+        entry = _entry(key, fields, where)
+        if entry.lemma in inventories[key]:
+            raise LexiconError(f"{where}: duplicate lemma {entry.lemma!r} in {key}")
+        inventories[key][entry.lemma] = entry
+    return Lexicon(
+        **{field: tuple(inventories[key].values()) for key, (field, _, _) in _INVENTORIES.items()}
+    )
 
 
 def _bool(value, where: str) -> bool:
@@ -117,148 +134,74 @@ def _category(value, where: str) -> SemanticCategory:
         raise LexiconError(f"{where}: unknown semantic category {value!r}") from None
 
 
-def _check_category(government: Government, category, where: str):
-    if government is Government.DITRANSITIVE and category is None:
-        raise LexiconError(f"{where}: ditransitive verb needs a semantic category")
-    if government is not Government.DITRANSITIVE and category is not None:
-        raise LexiconError(f"{where}: only ditransitive verbs carry a semantic category")
+def _field(fields: dict, name: str, where: str, types=str):
+    if name not in fields:
+        raise LexiconError(f"{where}: missing field {name!r}")
+    if not isinstance(fields[name], types):
+        raise LexiconError(f"{where}: unexpected value {fields[name]!r} for field {name!r}")
+    return fields[name]
 
 
-def _no_duplicates(entries, inventory: str, name: str):
-    seen = set()
-    for entry in entries:
-        if entry.lemma in seen:
-            raise LexiconError(f"{name}: duplicate lemma {entry.lemma!r} in {inventory}")
-        seen.add(entry.lemma)
+def _entry(key: str, fields, where: str):
+    """Build one entry of inventory key from its JSON form. Every entry-level
+    check lives here, so both encodings reject the same entries alike."""
+    _, cls, tag = _INVENTORIES[key]
+    if cls == "pnoun":
+        if not isinstance(fields, str):
+            raise LexiconError(f"{where}: proper names are plain strings")
+        return NounEntry(fields, tag, None, False, NounKind.PROPER)
+    if not isinstance(fields, dict):
+        raise LexiconError(f"{where}: expected an object")
+    lemma = _field(fields, "lemma", where)
+    if cls == "noun":
+        plural = _field(fields, "plural_nom", where, (str, type(None)))
+        weak = _bool(fields.get("weak", False), where)
+        return NounEntry(lemma, tag, plural, weak, NounKind.COMMON)
+    if cls == "verb":
+        form_3sg = _field(fields, "form_3sg", where)
+        form_3pl = _field(fields, "form_3pl", where)
+        category = fields.get("category")
+        if category is not None:
+            category = _category(category, where)
+        if tag is Government.DITRANSITIVE and category is None:
+            raise LexiconError(f"{where}: ditransitive verb needs a semantic category")
+        if tag is not Government.DITRANSITIVE and category is not None:
+            raise LexiconError(f"{where}: only ditransitive verbs carry a semantic category")
+        symmetric = _bool(fields.get("symmetric", False), where)
+        return VerbEntry(lemma, form_3sg, form_3pl, tag, category, symmetric)
+    try:
+        gender = Gender(_field(fields, "gender", where))
+        number = Number(_field(fields, "number", where))
+    except ValueError as exc:
+        raise LexiconError(f"{where}: {exc}") from None
+    categories = _field(fields, "categories", where, list)
+    return ThingNounEntry(lemma, gender, number, frozenset(_category(c, where) for c in categories))
 
 
-def _parse_json(text: str, name: str) -> Lexicon:
+def _json_rows(text: str, name: str):
+    """The document's entries as (inventory key, JSON form, location)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LexiconError(f"{name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise LexiconError(f"{name}: expected a JSON object at top level")
-    known = set(_VERB_INVENTORIES) | {
-        "masc_common",
-        "fem_common",
-        "masc_proper",
-        "fem_proper",
-        "thing_nouns",
-    }
     for key in doc:
-        if key not in known:
+        if key not in _INVENTORIES:
             raise LexiconError(f"{name}: unknown inventory {key!r}")
-
-    def verb(entry, government, where):
-        if not isinstance(entry, dict):
-            raise LexiconError(f"{where}: expected an object")
-        try:
-            lemma = entry["lemma"]
-            form_3sg = entry["form_3sg"]
-            form_3pl = entry["form_3pl"]
-        except KeyError as exc:
-            raise LexiconError(f"{where}: missing field {exc.args[0]!r}") from None
-        category = entry.get("category")
-        if category is not None:
-            category = _category(category, where)
-        _check_category(government, category, where)
-        return VerbEntry(
-            lemma=lemma,
-            form_3sg=form_3sg,
-            form_3pl=form_3pl,
-            government=government,
-            semantic_category=category,
-            symmetric=_bool(entry.get("symmetric", False), where),
-        )
-
-    def common(entry, gender, where):
-        if not isinstance(entry, dict):
-            raise LexiconError(f"{where}: expected an object")
-        try:
-            lemma = entry["lemma"]
-            plural = entry["plural_nom"]
-        except KeyError as exc:
-            raise LexiconError(f"{where}: missing field {exc.args[0]!r}") from None
-        return NounEntry(
-            lemma=lemma,
-            gender=gender,
-            plural_nom=plural,
-            weak_declension=_bool(entry.get("weak", False), where),
-            kind=NounKind.COMMON,
-        )
-
-    def proper(entry, gender, where):
-        if not isinstance(entry, str):
-            raise LexiconError(f"{where}: proper names are plain strings")
-        return NounEntry(
-            lemma=entry, gender=gender, plural_nom=None, weak_declension=False, kind=NounKind.PROPER
-        )
-
-    def thing(entry, where):
-        if not isinstance(entry, dict):
-            raise LexiconError(f"{where}: expected an object")
-        try:
-            lemma = entry["lemma"]
-            gender = entry["gender"]
-            number = entry["number"]
-            categories = entry["categories"]
-        except KeyError as exc:
-            raise LexiconError(f"{where}: missing field {exc.args[0]!r}") from None
-        try:
-            gender = Gender(gender)
-            number = Number(number)
-        except ValueError as exc:
-            raise LexiconError(f"{where}: {exc}") from None
-        return ThingNounEntry(
-            lemma=lemma,
-            gender=gender,
-            number=number,
-            compatible_categories=frozenset(_category(c, where) for c in categories),
-        )
-
-    inventories = {}
-    for key, government in _VERB_INVENTORIES.items():
-        inventories[key] = tuple(
-            verb(e, government, f"{name}: {key}[{i}]") for i, e in enumerate(doc.get(key, []))
-        )
-    for key, gender in (("masc_common", Gender.MASC), ("fem_common", Gender.FEM)):
-        inventories[key] = tuple(
-            common(e, gender, f"{name}: {key}[{i}]") for i, e in enumerate(doc.get(key, []))
-        )
-    for key, gender in (("masc_proper", Gender.MASC), ("fem_proper", Gender.FEM)):
-        inventories[key] = tuple(
-            proper(e, gender, f"{name}: {key}[{i}]") for i, e in enumerate(doc.get(key, []))
-        )
-    inventories["thing_nouns"] = tuple(
-        thing(e, f"{name}: thing_nouns[{i}]") for i, e in enumerate(doc.get("thing_nouns", []))
-    )
-
-    lex = Lexicon(
-        verbs_acc=inventories["verbs_accusative"],
-        verbs_dat=inventories["verbs_dative"],
-        verbs_ditrans=inventories["verbs_ditransitive"],
-        masc_common=inventories["masc_common"],
-        fem_common=inventories["fem_common"],
-        masc_proper=inventories["masc_proper"],
-        fem_proper=inventories["fem_proper"],
-        thing_nouns=inventories["thing_nouns"],
-    )
-    for inventory, entries in inventories.items():
-        _no_duplicates(entries, inventory, name)
-    return lex
+    for key in _INVENTORIES:
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise LexiconError(f"{name}: {key}: expected an array")
+        for i, fields in enumerate(entries):
+            yield key, fields, f"{name}: {key}[{i}]"
 
 
-def _parse_tsv(text: str, name: str) -> Lexicon:
-    buckets = {
-        "verb": {Government.ACCUSATIVE: [], Government.DATIVE: [], Government.DITRANSITIVE: []},
-        "noun": {Gender.MASC: [], Gender.FEM: []},
-        "pnoun": {Gender.MASC: [], Gender.FEM: []},
-        "thing": [],
-    }
+def _tsv_rows(text: str, name: str):
+    """The document's rows as (inventory key, JSON form, location); a cell
+    holding "-" is empty: no plural, no category."""
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         where = f"{name}:{lineno}"
@@ -274,142 +217,89 @@ def _parse_tsv(text: str, name: str) -> Lexicon:
         if cls == "verb":
             if len(attrs) != 3:
                 raise LexiconError(f"{where}: verb rows take government, category, symmetric")
-            gov_text, cat_text, sym_text = attrs
-            government = _GOVERNMENT_ALIASES.get(gov_text.lower())
-            if government is None:
-                raise LexiconError(f"{where}: unknown government {gov_text!r}")
-            category = None if cat_text == "-" else _category(cat_text, where)
-            _check_category(government, category, where)
-            buckets["verb"][government].append(
-                VerbEntry(lemma, form2, form3, government, category, _bool(sym_text, where))
-            )
+            tag = _GOVERNMENT_ALIASES.get(attrs[0].lower())
+            if tag is None:
+                raise LexiconError(f"{where}: unknown government {attrs[0]!r}")
+            form = {"lemma": lemma, "form_3sg": form2, "form_3pl": form3, "symmetric": attrs[2]}
+            if attrs[1] != "-":
+                form["category"] = attrs[1]
         elif cls == "noun":
             if len(attrs) != 2 or attrs[0] not in ("masc", "fem"):
                 raise LexiconError(f"{where}: noun rows take gender, weak|strong")
             if attrs[1] not in ("weak", "strong"):
                 raise LexiconError(f"{where}: noun declension must be weak or strong")
-            gender = Gender(attrs[0])
-            buckets["noun"][gender].append(
-                NounEntry(lemma, gender, form2, attrs[1] == "weak", NounKind.COMMON)
-            )
+            tag = Gender(attrs[0])
+            plural = None if form2 == "-" else form2
+            form = {"lemma": lemma, "plural_nom": plural, "weak": attrs[1] == "weak"}
         elif cls == "pnoun":
             if len(attrs) != 1 or attrs[0] not in ("masc", "fem"):
                 raise LexiconError(f"{where}: pnoun rows take a gender attribute")
-            gender = Gender(attrs[0])
-            buckets["pnoun"][gender].append(NounEntry(lemma, gender, None, False, NounKind.PROPER))
+            tag, form = Gender(attrs[0]), lemma
         elif cls == "thing":
             if len(attrs) != 3:
                 raise LexiconError(f"{where}: thing rows take gender, number, categories")
-            try:
-                gender = Gender(attrs[0])
-                number = Number(attrs[1])
-            except ValueError as exc:
-                raise LexiconError(f"{where}: {exc}") from None
-            categories = frozenset(_category(c, where) for c in attrs[2].split(",") if c)
-            buckets["thing"].append(ThingNounEntry(lemma, gender, number, categories))
+            tag = None
+            gender, number, categories = attrs
+            form = {"lemma": lemma, "gender": gender, "number": number,
+                    "categories": [c for c in categories.split(",") if c]}
         else:
             raise LexiconError(f"{where}: unknown class {cls!r}")
-
+        yield _TSV_KEYS[cls, tag], form, where
     if not header_seen:
         raise LexiconError(f"{name}: empty document, expected header line {_TSV_HEADER!r}")
-    lex = Lexicon(
-        verbs_acc=tuple(buckets["verb"][Government.ACCUSATIVE]),
-        verbs_dat=tuple(buckets["verb"][Government.DATIVE]),
-        verbs_ditrans=tuple(buckets["verb"][Government.DITRANSITIVE]),
-        masc_common=tuple(buckets["noun"][Gender.MASC]),
-        fem_common=tuple(buckets["noun"][Gender.FEM]),
-        masc_proper=tuple(buckets["pnoun"][Gender.MASC]),
-        fem_proper=tuple(buckets["pnoun"][Gender.FEM]),
-        thing_nouns=tuple(buckets["thing"]),
-    )
-    for inventory in (
-        "verbs_acc",
-        "verbs_dat",
-        "verbs_ditrans",
-        "masc_common",
-        "fem_common",
-        "masc_proper",
-        "fem_proper",
-        "thing_nouns",
-    ):
-        _no_duplicates(getattr(lex, inventory), inventory, name)
-    return lex
+
+
+def _json_form(cls: str, entry):
+    """The JSON form of one entry of a class-cls inventory, the inverse of _entry."""
+    if cls == "pnoun":
+        return entry.lemma
+    if cls == "noun":
+        return {"lemma": entry.lemma, "plural_nom": entry.plural_nom, "weak": entry.weak_declension}
+    if cls == "verb":
+        category = entry.semantic_category
+        return {
+            "lemma": entry.lemma,
+            "form_3sg": entry.form_3sg,
+            "form_3pl": entry.form_3pl,
+            **({"category": category.value} if category else {}),
+            "symmetric": entry.symmetric,
+        }
+    return {
+        "lemma": entry.lemma,
+        "gender": entry.gender.value,
+        "number": entry.number.value,
+        "categories": sorted(c.value for c in entry.compatible_categories),
+    }
+
+
+def _tsv_row(key: str, form) -> str:
+    """The TSV row of one JSON form, the inverse of _tsv_rows."""
+    _, cls, tag = _INVENTORIES[key]
+    if cls == "verb":
+        cells = [form["lemma"], form["form_3sg"], form["form_3pl"], _GOVERNMENT_TAGS[tag],
+                 form.get("category", "-"), str(form["symmetric"]).lower()]
+    elif cls == "noun":
+        declension = "weak" if form["weak"] else "strong"
+        cells = [form["lemma"], form["plural_nom"] or "-", "-", tag.value, declension]
+    elif cls == "pnoun":
+        cells = [form, "-", "-", tag.value]
+    else:
+        cells = [form["lemma"], "-", "-", form["gender"], form["number"],
+                 ",".join(form["categories"])]
+    return "\t".join([cls, *cells])
 
 
 def serialize_lexicon(lex: Lexicon, fmt: str = "json") -> str:
     """Render a lexicon back to text; load_lexicon(serialize_lexicon(x)) == x."""
+    forms = {
+        key: [_json_form(cls, entry) for entry in getattr(lex, field)]
+        for key, (field, cls, _) in _INVENTORIES.items()
+    }
     if fmt == "json":
-        doc = {
-            key: [
-                {
-                    "lemma": v.lemma,
-                    "form_3sg": v.form_3sg,
-                    "form_3pl": v.form_3pl,
-                    **({"category": v.semantic_category.value} if v.semantic_category else {}),
-                    "symmetric": v.symmetric,
-                }
-                for v in lex.verbs(government)
-            ]
-            for key, government in _VERB_INVENTORIES.items()
-        }
-        doc["masc_common"] = [
-            {"lemma": n.lemma, "plural_nom": n.plural_nom, "weak": n.weak_declension}
-            for n in lex.masc_common
-        ]
-        doc["fem_common"] = [
-            {"lemma": n.lemma, "plural_nom": n.plural_nom, "weak": n.weak_declension}
-            for n in lex.fem_common
-        ]
-        doc["masc_proper"] = [n.lemma for n in lex.masc_proper]
-        doc["fem_proper"] = [n.lemma for n in lex.fem_proper]
-        doc["thing_nouns"] = [
-            {
-                "lemma": t.lemma,
-                "gender": t.gender.value,
-                "number": t.number.value,
-                "categories": sorted(c.value for c in t.compatible_categories),
-            }
-            for t in lex.thing_nouns
-        ]
-        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(forms, ensure_ascii=False, indent=2) + "\n"
     if fmt == "tsv":
-        gov_tags = {
-            Government.ACCUSATIVE: "ACC",
-            Government.DATIVE: "DAT",
-            Government.DITRANSITIVE: "DITRANS",
-        }
-        lines = [_TSV_HEADER]
-        for verbs in (lex.verbs_acc, lex.verbs_dat, lex.verbs_ditrans):
-            for v in verbs:
-                category = v.semantic_category.value if v.semantic_category else "-"
-                lines.append(
-                    "\t".join(
-                        [
-                            "verb",
-                            v.lemma,
-                            v.form_3sg,
-                            v.form_3pl,
-                            gov_tags[v.government],
-                            category,
-                            str(v.symmetric).lower(),
-                        ]
-                    )
-                )
-        for nouns in (lex.masc_common, lex.fem_common):
-            for n in nouns:
-                declension = "weak" if n.weak_declension else "strong"
-                lines.append(
-                    "\t".join(["noun", n.lemma, n.plural_nom or "-", "-", n.gender.value, declension])
-                )
-        for nouns in (lex.masc_proper, lex.fem_proper):
-            for n in nouns:
-                lines.append("\t".join(["pnoun", n.lemma, "-", "-", n.gender.value]))
-        for t in lex.thing_nouns:
-            categories = ",".join(sorted(c.value for c in t.compatible_categories))
-            lines.append(
-                "\t".join(["thing", t.lemma, "-", "-", t.gender.value, t.number.value, categories])
-            )
-        return "\n".join(lines) + "\n"
+        rows = [_tsv_row(key, form) for key, entries in forms.items() for form in entries]
+        return "\n".join([_TSV_HEADER, *rows]) + "\n"
     raise ValueError(f"unknown lexicon format {fmt!r}")
 
 
@@ -441,6 +331,15 @@ _FULL_COUNTS = (
 )
 
 
+def _tables(lex: Lexicon, cls: str | None = None) -> list[tuple]:
+    """(field, entries, government or gender) of the inventories of one TSV class, or of all."""
+    return [
+        (field, getattr(lex, field), tag)
+        for field, c, tag in _INVENTORIES.values()
+        if cls in (None, c)
+    ]
+
+
 def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfile.FULL) -> list[str]:
     """Return human-readable violation messages; an empty list means valid.
 
@@ -449,7 +348,7 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
     """
     report = []
 
-    for verbs in (lex.verbs_acc, lex.verbs_dat, lex.verbs_ditrans):
+    for _, verbs, _ in _tables(lex, "verb"):
         for v in verbs:
             if v.symmetric:
                 report.append(f"verb {v.lemma!r}: symmetric predicates are excluded")
@@ -459,21 +358,14 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
                 report.append(
                     f"verb {v.lemma!r}: semantic category is required exactly for ditransitives"
                 )
-    by_gov = {
-        "accusative": {v.lemma for v in lex.verbs_acc},
-        "dative": {v.lemma for v in lex.verbs_dat},
-        "ditransitive": {v.lemma for v in lex.verbs_ditrans},
-    }
+    by_gov = {gov.value: {v.lemma for v in verbs} for _, verbs, gov in _tables(lex, "verb")}
     names = sorted(by_gov)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             for lemma in sorted(by_gov[a] & by_gov[b]):
                 report.append(f"verb {lemma!r}: appears in both {a} and {b} inventories")
 
-    for inventory, nouns, gender in (
-        ("masc_common", lex.masc_common, Gender.MASC),
-        ("fem_common", lex.fem_common, Gender.FEM),
-    ):
+    for inventory, nouns, gender in _tables(lex, "noun"):
         for n in nouns:
             if n.kind is not NounKind.COMMON:
                 report.append(f"{inventory}: {n.lemma!r} must be a common noun")
@@ -487,10 +379,7 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
                 )
             if not n.human:
                 report.append(f"{inventory}: {n.lemma!r} must denote a person")
-    for inventory, nouns, gender in (
-        ("masc_proper", lex.masc_proper, Gender.MASC),
-        ("fem_proper", lex.fem_proper, Gender.FEM),
-    ):
+    for inventory, nouns, gender in _tables(lex, "pnoun"):
         for n in nouns:
             if n.kind is not NounKind.PROPER:
                 report.append(f"{inventory}: {n.lemma!r} must be a proper name")
@@ -501,9 +390,7 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
             if n.weak_declension:
                 report.append(f"{inventory}: {n.lemma!r} proper names are not weak")
 
-    for inventory in ("verbs_acc", "verbs_dat", "verbs_ditrans", "masc_common", "fem_common",
-                      "masc_proper", "fem_proper", "thing_nouns"):
-        entries = getattr(lex, inventory)
+    for inventory, entries, _ in _tables(lex):
         seen = set()
         for entry in entries:
             if entry.lemma in seen:
@@ -513,12 +400,11 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
     for t in lex.thing_nouns:
         if not t.compatible_categories:
             report.append(f"thing noun {t.lemma!r}: needs at least one compatible category")
-    if lex.verbs_ditrans:
-        for v in lex.verbs_ditrans:
-            if v.semantic_category is None:
-                continue
-            if not any(v.semantic_category in t.compatible_categories for t in lex.thing_nouns):
-                report.append(f"verb {v.lemma!r}: no direct-object noun matches its category")
+    for v in lex.verbs_ditrans:
+        if v.semantic_category is None:
+            continue
+        if not any(v.semantic_category in t.compatible_categories for t in lex.thing_nouns):
+            report.append(f"verb {v.lemma!r}: no direct-object noun matches its category")
 
     if profile is ValidationProfile.FULL:
         for attr, label, want in _FULL_COUNTS:

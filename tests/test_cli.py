@@ -300,3 +300,50 @@ class TestDispatch:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "wogli:" in capsys.readouterr().err
+
+
+def _rewrite_first(path, pick, change):
+    """Apply change to the first JSON row for which pick holds, in place."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    row = next(r for r in rows if pick(r))
+    change(row)
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                    encoding="utf-8")
+    return row["id"]
+
+
+class TestMalformedRows:
+    def test_derive_rejects_unknown_pattern(self, toy_path, tmp_path, capsys):
+        _, base = _generate(toy_path, tmp_path)
+        bad_id = _rewrite_first(base, lambda r: True, lambda r: r.update(pattern="foo_v_bar"))
+        code = run(["derive", "os-hard", "--from", str(base),
+                    "--lexicon", toy_path, "--out", str(tmp_path / "hard.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err and bad_id in err and "foo_v_bar" in err
+
+    def test_derive_rejects_article_on_proper_name(self, toy_path, tmp_path, capsys):
+        _, base = _generate(toy_path, tmp_path)
+        bad_id = _rewrite_first(
+            base,
+            lambda r: r["metadata"]["subject_kind"] == "proper",
+            lambda r: r["metadata"].update(subject_article="def"),
+        )
+        code = run(["derive", "os-hard", "--from", str(base),
+                    "--lexicon", toy_path, "--out", str(tmp_path / "hard.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err and bad_id in err
+
+    def test_analyze_rejects_unknown_pattern(self, toy_path, tmp_path, capsys):
+        _, gold = _generate(toy_path, tmp_path)
+        bad_id = _rewrite_first(
+            gold, lambda r: r["hyp_kind"] == "h1_so", lambda r: r.update(pattern="foo_v_bar")
+        )
+        preds = tmp_path / "preds.tsv"
+        _write_predictions(preds, read_pairs(gold))
+        code = run(["analyze", "--gold", str(gold), "--predictions", str(preds),
+                    "--runs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err and bad_id in err and "foo_v_bar" in err

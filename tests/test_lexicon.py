@@ -17,7 +17,7 @@ from wogli import (
     surface_forms,
     validate_lexicon,
 )
-from conftest import TOY_LEXICON
+from conftest import TOY_LEXICON, make_toy
 
 TSV_DOC = """\
 # tiny lexicon
@@ -157,3 +157,103 @@ def test_default_lexicon_path_honors_environment(tmp_path, monkeypatch):
     other = tmp_path / "other.json"
     monkeypatch.setenv("WOGLI_LEXICON", str(other))
     assert default_lexicon_path() == other
+
+
+def test_tsv_dash_plural_is_an_empty_cell():
+    doc = TSV_DOC.replace("noun\tAutorin\tAutorinnen", "noun\tAutorin\t-")
+    lex = lexicon_from_text(doc, "doc")
+    assert lex.fem_common[0].plural_nom is None
+    report = validate_lexicon(lex, ValidationProfile.TOY)
+    assert "fem_common: 'Autorin' lacks a plural form" in report
+    assert lexicon_from_text(serialize_lexicon(lex, "tsv"), "again") == lex
+
+
+def _tsv_with(row):
+    return TSV_DOC + row + "\n"
+
+
+def _json_with(**overrides):
+    return json.dumps(dict(TOY_LEXICON, **overrides))
+
+
+_EXTRA_ROW = len(TSV_DOC.splitlines()) + 1
+
+
+@pytest.mark.parametrize("text,where,message", [
+    (_tsv_with("adverb\tgern\t-\t-"), f"doc:{_EXTRA_ROW}", "unknown class 'adverb'"),
+    (_tsv_with("verb\tsehen\tsieht"), f"doc:{_EXTRA_ROW}", "at least 4 tab-separated fields"),
+    (_tsv_with("verb\tsehen\tsieht\tsehen\tACC\t-"), f"doc:{_EXTRA_ROW}",
+     "verb rows take government, category, symmetric"),
+    (_tsv_with("noun\tArzt\tÄrzte\t-\tmasc"), f"doc:{_EXTRA_ROW}",
+     "noun rows take gender, weak|strong"),
+    (_tsv_with("pnoun\tPeter\t-\t-\tmasc\tstrong"), f"doc:{_EXTRA_ROW}",
+     "pnoun rows take a gender attribute"),
+    (_tsv_with("thing\tBuch\t-\t-\tneut\tsg"), f"doc:{_EXTRA_ROW}",
+     "thing rows take gender, number, categories"),
+    (_tsv_with("verb\tsehen\tsieht\tsehen\tGEN\t-\tfalse"), f"doc:{_EXTRA_ROW}",
+     "unknown government 'GEN'"),
+    (_tsv_with("noun\tArzt\tÄrzte\t-\tmasc\tmixed"), f"doc:{_EXTRA_ROW}",
+     "noun declension must be weak or strong"),
+    (_tsv_with("thing\tBuch\t-\t-\tneuter\tsg\tgiving"), f"doc:{_EXTRA_ROW}", "'neuter'"),
+    ("verb\tsehen\tsieht\tsehen\tACC\t-\tfalse\n", "doc:1", "expected header line"),
+    ("[]", "doc", "expected a JSON object at top level"),
+    (_json_with(masc_common={"lemma": "Arzt"}), "doc: masc_common", "expected an array"),
+    (_json_with(masc_common=["Arzt"]), "doc: masc_common[0]", "expected an object"),
+    (_json_with(verbs_dative=[{"lemma": "helfen", "form_3sg": "hilft"}]),
+     "doc: verbs_dative[0]", "missing field 'form_3pl'"),
+    (_json_with(fem_proper=["Anna", 7]), "doc: fem_proper[1]", "proper names are plain strings"),
+    (_json_with(masc_common=[{"lemma": "Arzt", "plural_nom": "Ärzte", "weak": "yes"}]),
+     "doc: masc_common[0]", "expected true/false, got 'yes'"),
+    (_json_with(verbs_ditransitive=[
+        {"lemma": "geben", "form_3sg": "gibt", "form_3pl": "geben", "category": "eating"}]),
+     "doc: verbs_ditransitive[0]", "unknown semantic category 'eating'"),
+    (_json_with(verbs_accusative=[{"lemma": 5, "form_3sg": "sieht", "form_3pl": "sehen"}]),
+     "doc: verbs_accusative[0]", "unexpected value 5 for field 'lemma'"),
+    (_json_with(masc_proper=["Peter", "Peter"]), "doc: masc_proper[1]",
+     "duplicate lemma 'Peter' in masc_proper"),
+    (_tsv_with("verb\twarnen\twarnt\twarnen\tACC\t-\tfalse"), f"doc:{_EXTRA_ROW}",
+     "duplicate lemma 'warnen' in verbs_accusative"),
+], ids=[
+    "tsv-unknown-class",
+    "tsv-short-row",
+    "tsv-verb-attrs",
+    "tsv-noun-attrs",
+    "tsv-pnoun-attrs",
+    "tsv-thing-attrs",
+    "tsv-government",
+    "tsv-declension",
+    "tsv-thing-gender",
+    "tsv-no-header",
+    "json-non-object",
+    "json-inventory-not-array",
+    "json-entry-not-object",
+    "json-missing-field",
+    "json-name-not-string",
+    "json-weak-not-bool",
+    "json-unknown-category",
+    "json-lemma-not-string",
+    "json-duplicate",
+    "tsv-duplicate",
+])
+def test_reader_errors_name_their_place(text, where, message):
+    with pytest.raises(LexiconError) as info:
+        lexicon_from_text(text, "doc")
+    assert str(info.value).startswith(f"{where}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"verbs_accusative": [
+        {"lemma": "treffen", "form_3sg": "trifft", "form_3pl": "treffen", "symmetric": True}]},
+     "verb 'treffen': symmetric predicates are excluded"),
+    ({"verbs_accusative": [{"lemma": "rufen", "form_3sg": "ruft", "form_3pl": "ruft"}]},
+     "verb 'rufen': 3sg and 3pl forms must differ"),
+    ({"verbs_accusative": [{"lemma": "helfen", "form_3sg": "hilft", "form_3pl": "helfen"}]},
+     "verb 'helfen': appears in both accusative and dative inventories"),
+    ({"fem_common": [{"lemma": "Kollegin", "plural_nom": "Kolleginnen", "weak": True}]},
+     "fem_common: 'Kollegin' weak declension is restricted to masculine nouns"),
+    ({"thing_nouns": [{"lemma": "Kuchen", "gender": "masc", "number": "sg", "categories": []}]},
+     "thing noun 'Kuchen': needs at least one compatible category"),
+])
+def test_validation_rules(overrides, message):
+    assert message in validate_lexicon(make_toy(**overrides), ValidationProfile.TOY)
