@@ -14,9 +14,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Label, PairRecord
+from .core import Government, Label, PairRecord
 from .dataset_io import _read_text, _write_text
 from .errors import ConstraintError, DataFormatError
+from .patterns import parse_pattern_name
 
 _SWAP_BUDGET = 10_000
 
@@ -90,11 +91,18 @@ def _group_forms(premise: str, swap: PairRecord | None, meta: dict) -> frozenset
 
 def _build_groups(records) -> list[_PremiseGroup]:
     by_key: dict[str, list[PairRecord]] = {}
+    patterns = set()  # pattern names already checked; each one is a stratum
     for record in records:
         if "premise_id" not in record.metadata or "verb_lemma" not in record.metadata:
             raise DataFormatError(
                 f"record {record.id}: augmentation needs row-format input with metadata"
             )
+        if record.pattern_name not in patterns:
+            try:
+                parse_pattern_name(record.pattern_name, Government.ACCUSATIVE)
+            except ValueError as exc:
+                raise DataFormatError(f"record {record.id}: {exc}") from None
+            patterns.add(record.pattern_name)
         by_key.setdefault(record.metadata["premise_id"], []).append(record)
     groups = []
     for key, members in by_key.items():

@@ -14,6 +14,8 @@ from .core import HypKind, Label, PairRecord
 from .errors import DataFormatError, PredictionJoinError
 
 TSV_HEADER = ("id", "subset", "premise", "hypothesis", "label", "hyp_kind", "pattern")
+# one encoder for every row; json.dumps would build a new one per call
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 # three-way prediction labels collapse onto the binary scheme
 _PREDICTION_LABELS = {
@@ -33,12 +35,13 @@ def _read_text(source) -> str:
 
 
 def _write_text(dest, text: str) -> int:
+    data = text.encode("utf-8")
     if hasattr(dest, "write"):
         dest.write(text)
     else:
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    return len(text.encode("utf-8"))
+        with open(dest, "wb") as handle:
+            handle.write(data)
+    return len(data)
 
 
 def _check_ids(records) -> None:
@@ -89,9 +92,7 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
     records = list(records)
     _check_ids(records)
     if fmt == "rows":
-        text = "".join(
-            json.dumps(_row_object(r), ensure_ascii=False) + "\n" for r in records
-        )
+        text = "".join(_ROW_ENCODER.encode(_row_object(r)) + "\n" for r in records)
     elif fmt == "tsv":
         lines = ["\t".join(TSV_HEADER)]
         lines.extend("\t".join(_tsv_fields(r)) for r in records)

@@ -12,6 +12,7 @@ import enum
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -27,7 +28,7 @@ from .core import (
 )
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
-from .morphology import NPSpec, PRONOUN, clause, inflect_pronoun, render_np
+from .morphology import NPSpec, PRONOUN, clause
 from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
@@ -70,12 +71,21 @@ def _sentence(tokens: list[str], spaced_period: bool) -> str:
     return " ".join(tokens) + (" ." if spaced_period else ".")
 
 
+def _layout(draw, object_case: Case, kind: HypKind | None = None) -> list[str]:
+    """The premise (kind None) or one hypothesis of a draw (subject, object,
+    verb, thing) as tokens: the argument layout of the kind, plus the
+    accusative direct object of ditransitives."""
+    subject, obj, verb, thing = draw
+    tokens = clause(subject.spec, obj.spec, verb, object_case, kind)
+    if thing is not None:
+        tokens.extend(thing.spec.acc)
+    return tokens
+
+
 def _tokens(inst: PremiseInstance, kind: HypKind | None = None) -> list[str]:
-    """The premise (kind None) or one hypothesis as tokens: the argument
-    layout of the kind, plus the accusative direct object of ditransitives."""
     tokens = clause(inst.subject, inst.object, inst.verb, inst.pattern.government.object_case, kind)
     if inst.direct_object is not None:
-        tokens.extend(render_np(inst.direct_object, Case.ACC))
+        tokens.extend(inst.direct_object.acc)
     return tokens
 
 
@@ -116,21 +126,31 @@ _SG_KINDS = (ArticleKind.DEF, ArticleKind.INDEF, ArticleKind.DEM)
 _PL_KINDS = (ArticleKind.DEF, ArticleKind.DEM)
 
 
-def _class_slots(cls, lex: Lexicon) -> list[NPSpec]:
-    """All lexicalizations of one argument slot, in canonical order."""
-    if cls.is_proper:
-        genders = [cls.gender] if cls.gender else [Gender.MASC, Gender.FEM]
-        return [
-            NPSpec(noun, gender, Number.SG, ArticleKind.NONE)
-            for gender in genders
-            for noun in lex.proper_nouns(gender)
-        ]
-    kinds = _SG_KINDS if cls.number is Number.SG else _PL_KINDS
-    return [
-        NPSpec(noun, cls.gender, cls.number, kind)
-        for noun in lex.common_nouns(cls.gender)
-        for kind in kinds
-    ]
+def _np_metadata(prefix: str, spec: NPSpec) -> dict:
+    if isinstance(spec.head, ThingNounEntry):
+        # a direct object is listed with its number and takes no article choice
+        return {
+            f"{prefix}_lemma": spec.lemma,
+            f"{prefix}_gender": spec.gender.value,
+            f"{prefix}_number": spec.number.value,
+        }
+    return {
+        f"{prefix}_lemma": spec.lemma,
+        f"{prefix}_kind": "pronoun" if spec.head is PRONOUN else spec.head.kind.value,
+        f"{prefix}_gender": spec.gender.value,
+        f"{prefix}_number": spec.number.value,
+        f"{prefix}_article": spec.article.value,
+        f"{prefix}_definiteness": "indefinite" if spec.article is ArticleKind.INDEF else "definite",
+    }
+
+
+class _Slot:
+    """One lexicalization of an argument: its spec, which keeps its forms
+    once rendered, and its record metadata under each role it can fill."""
+
+    def __init__(self, spec: NPSpec, roles=("subject", "object")):
+        self.spec = spec
+        self.meta = {role: _np_metadata(role, spec) for role in roles}
 
 
 def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
@@ -140,109 +160,189 @@ def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
     }
 
 
-def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
-    subjects = _class_slots(pattern.subject, lex)
-    objects = _class_slots(pattern.object, lex)
-    pairs = len(subjects) * len(objects)
-    if pattern.subject.name_fragment == pattern.object.name_fragment:
-        by_lemma = {}
-        for spec in subjects:
-            by_lemma.setdefault(spec.head.lemma, 0)
-            by_lemma[spec.head.lemma] += 1
-        for spec in objects:
-            if spec.head.lemma in by_lemma:
-                pairs -= by_lemma[spec.head.lemma]
-    if pattern.government is Government.DITRANSITIVE:
-        return pairs * sum(len(compat[v.lemma]) for v in lex.verbs_ditrans)
-    return pairs * len(lex.verbs(pattern.government))
+# the record metadata that names the slot of one argument
+_META_KEYS = {
+    role: tuple(f"{role}_{field}" for field in ("kind", "lemma", "gender", "number", "article"))
+    for role in ("subject", "object")
+}
 
 
-def _draw_np(rng: random.Random, cls, lex: Lexicon) -> NPSpec:
-    if cls.is_proper:
-        gender = cls.gender or rng.choice((Gender.MASC, Gender.FEM))
-        return NPSpec(rng.choice(lex.proper_nouns(gender)), gender, Number.SG, ArticleKind.NONE)
-    noun = rng.choice(lex.common_nouns(cls.gender))
-    kinds = _SG_KINDS if cls.number is Number.SG else _PL_KINDS
-    return NPSpec(noun, cls.gender, cls.number, rng.choice(kinds))
+class _Tables:
+    """A lexicon compiled into slots: a table per argument class, pronoun
+    and government, each built the first time it is needed, so that every
+    NP form is rendered at most once per set of tables."""
 
+    def __init__(self, lex: Lexicon, compat=None):
+        self.lex = lex
+        self.compat = compat
+        self._memo = {}
 
-def _draw_instance(rng, pattern, lex, compat, seed_path) -> PremiseInstance:
-    same_class = pattern.subject.name_fragment == pattern.object.name_fragment
-    while True:
-        subject = _draw_np(rng, pattern.subject, lex)
-        verb = rng.choice(lex.verbs(pattern.government))
-        obj = _draw_np(rng, pattern.object, lex)
-        if same_class and subject.head.lemma == obj.head.lemma:
-            continue
-        break
-    direct_object = None
-    if pattern.government is Government.DITRANSITIVE:
-        thing = rng.choice(compat[verb.lemma])
-        direct_object = NPSpec(thing, thing.gender, thing.number, ArticleKind.DEF)
-    return PremiseInstance(pattern, subject, obj, verb, direct_object, seed_path)
+    def _cached(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
+    def groups(self, cls) -> tuple[tuple, bool]:
+        """The class's slots as drawn, and whether a second choice picks within
+        the first: an open name by gender then name, a pinned one by name, a
+        common noun by noun then article kind."""
+        def build():
+            if cls.is_proper:
+                genders = [cls.gender] if cls.gender else [Gender.MASC, Gender.FEM]
+                names = tuple(
+                    tuple(_Slot(NPSpec(n, g, Number.SG, ArticleKind.NONE)) for n in self.lex.proper_nouns(g))
+                    for g in genders
+                )
+                return (names[0], False) if cls.gender else (names, True)
+            kinds = _SG_KINDS if cls.number is Number.SG else _PL_KINDS
+            return tuple(
+                tuple(_Slot(NPSpec(noun, cls.gender, cls.number, kind)) for kind in kinds)
+                for noun in self.lex.common_nouns(cls.gender)
+            ), True
+        return self._cached(cls, build)
 
-def _enumerate_instances(pattern, lex, compat):
-    same_class = pattern.subject.name_fragment == pattern.object.name_fragment
-    subjects = _class_slots(pattern.subject, lex)
-    objects = _class_slots(pattern.object, lex)
-    if pattern.government is Government.DITRANSITIVE:
-        verb_things = [
-            (verb, NPSpec(t, t.gender, t.number, ArticleKind.DEF))
-            for verb in lex.verbs_ditrans
-            for t in compat[verb.lemma]
+    def slots(self, cls) -> list[_Slot]:
+        """All lexicalizations of the class, in canonical order."""
+        groups, nested = self.groups(cls)
+        return [slot for group in groups for slot in group] if nested else list(groups)
+
+    def verbs(self, government: Government) -> tuple:
+        """(verb, its compatible thing slots or None) per verb of the government."""
+        def build():
+            if government is not Government.DITRANSITIVE:
+                return tuple((verb, None) for verb in self.lex.verbs(government))
+            compat = self.compat or _compatible_things(self.lex)
+            things = {t: _Slot(NPSpec(t, t.gender, t.number, ArticleKind.DEF), ("direct_object",))
+                      for t in self.lex.thing_nouns}
+            return tuple((v, tuple(things[t] for t in compat[v.lemma])) for v in self.lex.verbs_ditrans)
+        return self._cached(government, build)
+
+    def verb_things(self, government: Government) -> list[tuple]:
+        """(verb, thing slot or None) per verb and direct object, in canonical order."""
+        return [
+            (verb, thing)
+            for verb, things in self.verbs(government)
+            for thing in ((None,) if things is None else things)
         ]
-    else:
-        verb_things = [(verb, None) for verb in lex.verbs(pattern.government)]
-    for subject, (verb, thing), obj in itertools.product(subjects, verb_things, objects):
-        if same_class and subject.head.lemma == obj.head.lemma:
-            continue
-        yield PremiseInstance(pattern, subject, obj, verb, thing)
+
+    def pronoun(self, slot: _Slot) -> _Slot:
+        """The personal pronoun agreeing with slot: one slot per gender and
+        number, looked up by the slot itself, which hashes by identity."""
+        if slot not in self._memo:
+            gender, number = slot.spec.gender, slot.spec.number
+            self._memo[slot] = self._cached((PRONOUN, gender, number), lambda: _Slot(
+                NPSpec(PRONOUN, gender, number, ArticleKind.NONE)
+            ))
+        return self._memo[slot]
+
+    def space(self, pattern: Pattern) -> int:
+        subjects, objects = self.slots(pattern.subject), self.slots(pattern.object)
+        pairs = len(subjects) * len(objects)
+        if pattern.subject.name_fragment == pattern.object.name_fragment:
+            lemmas = Counter(slot.spec.lemma for slot in subjects)
+            pairs -= sum(lemmas[slot.spec.lemma] for slot in objects)
+        return pairs * len(self.verb_things(pattern.government))
+
+    def slot(self, meta: dict, role: str, where: str) -> _Slot:
+        """The slot a record's metadata names for role, validated the first
+        time the same metadata values are seen."""
+        try:
+            key = tuple(map(meta.get, _META_KEYS[role]))
+            return self._cached(key, lambda: _Slot(self._spec(meta, role, where)))
+        except TypeError:  # unhashable metadata values; _spec names the fault
+            return _Slot(self._spec(meta, role, where))
+
+    def _spec(self, meta: dict, role: str, where: str) -> NPSpec:
+        try:
+            kind = meta[f"{role}_kind"]
+            lemma = meta[f"{role}_lemma"]
+            gender = Gender(meta[f"{role}_gender"])
+            number = Number(meta[f"{role}_number"])
+            article = ArticleKind(meta[f"{role}_article"])
+        except (KeyError, ValueError) as exc:
+            raise DataFormatError(f"{where}: bad metadata ({exc})") from None
+        if kind == "pronoun":
+            head = PRONOUN
+        else:
+            head = self.lex.entry("pnoun" if kind == "proper" else "noun", gender, lemma)
+            if head is None:
+                raise DataFormatError(f"{where}: noun {lemma!r} not in the lexicon")
+        try:
+            return NPSpec(head, gender, number, article)
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {role}: {exc}") from None
 
 
-def _sample_pattern(pattern, pattern_index, lex, seed, per_pattern, with_replacement, compat,
+def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
+    return _Tables(lex, compat).space(pattern)
+
+
+def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_replacement,
                     spaced_period=False):
-    """Yield (premise, instance) for one pattern; premises are distinct
-    unless drawn with replacement. Each premise is realized once, here."""
+    """Yield (premise, draw, draw index) for one pattern, a draw being the
+    (subject, object, verb, thing) it lays out; premises are distinct unless
+    drawn with replacement. Each premise is realized once, here."""
     rng = random.Random(f"{seed}:{pattern.government.value}:{pattern_index}")
-    if with_replacement:
-        for i in range(per_pattern):
-            inst = _draw_instance(rng, pattern, lex, compat, (pattern_index, i))
-            yield realize_premise(inst, spaced_period), inst
-        return
-    space = _space_size(pattern, lex, compat)
-    if per_pattern > space:
-        raise ExhaustionError(
-            f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
-            f"lexicalization space holds {space}"
-        )
-    if space <= _ENUMERATION_CUTOFF or per_pattern * 3 >= space:
+    object_case = pattern.government.object_case
+    same_class = pattern.subject.name_fragment == pattern.object.name_fragment
+    enumerate_all = False
+    if not with_replacement:
+        space = tables.space(pattern)
+        if per_pattern > space:
+            raise ExhaustionError(
+                f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
+                f"lexicalization space holds {space}"
+            )
+        enumerate_all = space <= _ENUMERATION_CUTOFF or per_pattern * 3 >= space
+    if enumerate_all:
         distinct = {}
-        for inst in _enumerate_instances(pattern, lex, compat):
-            distinct.setdefault(realize_premise(inst, spaced_period), inst)
+        for subject, (verb, thing), obj in itertools.product(
+            tables.slots(pattern.subject),
+            tables.verb_things(pattern.government),
+            tables.slots(pattern.object),
+        ):
+            if same_class and subject.spec.head.lemma == obj.spec.head.lemma:
+                continue
+            drawn = (subject, obj, verb, thing)
+            distinct.setdefault(_sentence(_layout(drawn, object_case), spaced_period), drawn)
         if per_pattern > len(distinct):
             raise ExhaustionError(
                 f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
                 f"only {len(distinct)} distinct surfaces exist"
             )
         chosen = rng.sample(list(distinct.items()), per_pattern)
-        for i, (premise, inst) in enumerate(chosen):
-            yield premise, replace(inst, seed_path=(pattern_index, i))
+        for i, (premise, drawn) in enumerate(chosen):
+            yield premise, drawn, i
         return
+    # a draw makes the RNG calls of drawing from the lexicon's pools: subject,
+    # verb, object (all again on a same-lemma pair of one class), direct object
+    subjects, subject_nested = tables.groups(pattern.subject)
+    objects, object_nested = tables.groups(pattern.object)
+    verbs = tables.verbs(pattern.government)
     seen = set()
-    misses = 0
-    while len(seen) < per_pattern:
-        inst = _draw_instance(rng, pattern, lex, compat, (pattern_index, len(seen)))
-        premise = realize_premise(inst, spaced_period)
-        if premise in seen:
+    misses = count = 0
+    while count < per_pattern:
+        subject = rng.choice(subjects)
+        if subject_nested:
+            subject = rng.choice(subject)
+        verb, things = rng.choice(verbs)
+        obj = rng.choice(objects)
+        if object_nested:
+            obj = rng.choice(obj)
+        if same_class and subject.spec.head.lemma == obj.spec.head.lemma:
+            continue
+        drawn = (subject, obj, verb, None if things is None else rng.choice(things))
+        premise = _sentence(_layout(drawn, object_case), spaced_period)
+        if not with_replacement and premise in seen:
             misses += 1
             if misses > _REJECTION_MISS_BUDGET:
                 raise ExhaustionError(
                     f"pattern {pattern.name}: could not find {per_pattern} distinct premises"
                 )
             continue
+        yield premise, drawn, count
+        count += 1
         seen.add(premise)
-        yield premise, inst
 
 
 def _patterns_for(name: GenerationSet) -> list[Pattern]:
@@ -266,33 +366,14 @@ def sample_premises(
     collapsed later (keeping the first), matching the construction that gives
     slightly fewer premises than patterns x per_pattern.
     """
-    compat = _compatible_things(lex)
+    tables = _Tables(lex)
     return [
-        inst
+        PremiseInstance(p, subject.spec, obj.spec, verb, thing if thing is None else thing.spec, (i, d))
         for i, p in enumerate(_patterns_for(name))
-        for _, inst in _sample_pattern(p, i, lex, seed, per_pattern, with_replacement, compat)
+        for _, (subject, obj, verb, thing), d in _sample_pattern(
+            p, i, tables, seed, per_pattern, with_replacement
+        )
     ]
-
-
-def _np_metadata(prefix: str, spec: NPSpec) -> dict:
-    if spec.head is PRONOUN:
-        kind = "pronoun"
-        lemma = inflect_pronoun(spec.gender, spec.number, Case.NOM)
-    elif isinstance(spec.head, ThingNounEntry):
-        kind = "thing"
-        lemma = spec.head.lemma
-    else:
-        kind = spec.head.kind.value
-        lemma = spec.head.lemma
-    definiteness = "indefinite" if spec.article is ArticleKind.INDEF else "definite"
-    return {
-        f"{prefix}_lemma": lemma,
-        f"{prefix}_kind": kind,
-        f"{prefix}_gender": spec.gender.value,
-        f"{prefix}_number": spec.number.value,
-        f"{prefix}_article": spec.article.value,
-        f"{prefix}_definiteness": definiteness,
-    }
 
 
 # hypotheses per premise; the other sets take the argument swap and the reorder
@@ -302,35 +383,32 @@ _HYP_KINDS = {
 }
 
 
-def _records_for(inst, premise, name, hyp_kinds, spaced_period) -> list[PairRecord]:
-    """The set's records of one premise instance, given its realized premise."""
-    subset = name.subset_label
-    pattern_index, draw_index = inst.seed_path
-    stem = f"{subset}-p{pattern_index:02d}-d{draw_index:05d}"
-    metadata = {"premise_id": f"{stem}-premise"}
-    metadata.update(_np_metadata("subject", inst.subject))
-    metadata.update(_np_metadata("object", inst.object))
-    metadata["verb_lemma"] = inst.verb.lemma
-    if inst.direct_object is not None:
-        metadata["direct_object_lemma"] = inst.direct_object.head.lemma
-        metadata["direct_object_gender"] = inst.direct_object.gender.value
-        metadata["direct_object_number"] = inst.direct_object.number.value
-    records = []
-    for kind in hyp_kinds:
-        suffix = kind.value.split("_")[0]
-        records.append(
-            PairRecord(
-                id=f"{stem}-{suffix}",
-                subset=subset,
-                premise=premise,
-                hypothesis=_sentence(_tokens(inst, kind), spaced_period),
-                label=kind.label,
-                hyp_kind=kind,
-                pattern_name=inst.pattern.name,
-                metadata=dict(metadata),
-            )
-        )
-    return records
+class _Records:
+    """The set's records of one premise, built from its draw; what the set
+    and the current pattern fix is worked out once."""
+
+    def __init__(self, name: GenerationSet, spaced_period: bool):
+        self.subset, self.spaced_period = name.subset_label, spaced_period
+        kinds = _HYP_KINDS.get(name, (HypKind.H1_SO, HypKind.H2_OS))
+        self.kinds = [(kind, kind.value.split("_")[0], kind.label) for kind in kinds]
+
+    def for_pattern(self, pattern: Pattern, pattern_index: int) -> None:
+        self.pattern_name, self.object_case = pattern.name, pattern.government.object_case
+        self.prefix = f"{self.subset}-p{pattern_index:02d}-d"
+
+    def __call__(self, draw, premise: str, draw_index: int) -> list[PairRecord]:
+        subject, obj, verb, thing = draw
+        stem = f"{self.prefix}{draw_index:05d}"
+        metadata = {"premise_id": f"{stem}-premise", **subject.meta["subject"],
+                    **obj.meta["object"], "verb_lemma": verb.lemma}
+        if thing is not None:
+            metadata.update(thing.meta["direct_object"])
+        return [
+            PairRecord(f"{stem}-{suffix}", self.subset, premise,
+                       _sentence(_layout(draw, self.object_case, kind), self.spaced_period),
+                       label, kind, self.pattern_name, dict(metadata))
+            for kind, suffix, label in self.kinds
+        ]
 
 
 def generate_set(
@@ -349,27 +427,28 @@ def generate_set(
     reorder set re-derives the base premises and emits the swapped-and-
     reordered hypothesis only.
     """
-    hyp_kinds = _HYP_KINDS.get(name, (HypKind.H1_SO, HypKind.H2_OS))
-    compat = _compatible_things(lex)
+    tables = _Tables(lex)
+    build = _Records(name, spaced_period)
     drawn = set()  # base premises seen so far, when drawing with replacement
     seen = set()  # pronoun-subject premises seen so far
     records = []
     for i, pattern in enumerate(_patterns_for(name)):
+        build.for_pattern(pattern, i)
         pairs = _sample_pattern(
-            pattern, i, lex, seed, per_pattern, with_replacement, compat, spaced_period
+            pattern, i, tables, seed, per_pattern, with_replacement, spaced_period
         )
-        for premise, inst in pairs:
+        for premise, draw, d in pairs:
             if with_replacement:
                 if premise in drawn:
                     continue
                 drawn.add(premise)
             if name is GenerationSet.P_SUBJECT:
-                inst = pronominalize(inst)
-                premise = realize_premise(inst, spaced_period)
+                draw = (tables.pronoun(draw[0]), *draw[1:])
+                premise = _sentence(_layout(draw, build.object_case), spaced_period)
                 if premise in seen:
                     continue
                 seen.add(premise)
-            records.extend(_records_for(inst, premise, name, hyp_kinds, spaced_period))
+            records.extend(build(draw, premise, d))
     return records
 
 
@@ -380,63 +459,41 @@ _SUBSET_GOVERNMENT = {
 }
 
 
-def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
-    """Rebuild the premise instance behind a record from its metadata."""
+def _read_record(record: PairRecord, tables: _Tables):
+    """(pattern, draw, seed path or None) behind a record, from its metadata."""
     meta = record.metadata
+    where = f"record {record.id}"
     if not meta:
-        raise DataFormatError(
-            f"record {record.id}: instance reconstruction needs row metadata"
-        )
+        raise DataFormatError(f"{where}: instance reconstruction needs row metadata")
     government = _SUBSET_GOVERNMENT.get(record.subset, Government.ACCUSATIVE)
     if government is Government.DITRANSITIVE or "direct_object_lemma" in meta:
-        raise DataFormatError(
-            f"record {record.id}: only accusative and dative records are supported"
-        )
+        raise DataFormatError(f"{where}: only accusative and dative records are supported")
     try:
         pattern = parse_pattern_name(record.pattern_name, government)
     except ValueError as exc:
-        raise DataFormatError(f"record {record.id}: {exc}") from None
-
-    def np(prefix):
-        try:
-            kind = meta[f"{prefix}_kind"]
-            lemma = meta[f"{prefix}_lemma"]
-            gender = Gender(meta[f"{prefix}_gender"])
-            number = Number(meta[f"{prefix}_number"])
-            article = ArticleKind(meta[f"{prefix}_article"])
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"record {record.id}: bad metadata ({exc})") from None
-        if kind == "pronoun":
-            head = PRONOUN
-        else:
-            pool = lex.proper_nouns(gender) if kind == "proper" else lex.common_nouns(gender)
-            for head in pool:
-                if head.lemma == lemma:
-                    break
-            else:
-                raise DataFormatError(f"record {record.id}: noun {lemma!r} not in the lexicon")
-        try:
-            return NPSpec(head, gender, number, article)
-        except ValueError as exc:
-            raise DataFormatError(f"record {record.id}: {prefix}: {exc}") from None
-
-    verb = next((v for v in lex.verbs(government) if v.lemma == meta.get("verb_lemma")), None)
+        raise DataFormatError(f"{where}: {exc}") from None
+    verb = tables.lex.entry("verb", government, meta.get("verb_lemma"))
     if verb is None:
-        raise DataFormatError(
-            f"record {record.id}: verb {meta.get('verb_lemma')!r} not in the lexicon"
-        )
+        raise DataFormatError(f"{where}: verb {meta.get('verb_lemma')!r} not in the lexicon")
+    draw = (tables.slot(meta, "subject", where), tables.slot(meta, "object", where), verb, None)
     match = _PREMISE_ID_RE.search(meta.get("premise_id", ""))
-    seed_path = (int(match.group(1)), int(match.group(2))) if match else (0, 0)
-    return PremiseInstance(pattern, np("subject"), np("object"), verb, None, seed_path)
+    return pattern, draw, (int(match.group(1)), int(match.group(2))) if match else None
+
+
+def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
+    """Rebuild the premise instance behind a record from its metadata."""
+    pattern, (subject, obj, verb, _), seed_path = _read_record(record, _Tables(lex))
+    return PremiseInstance(pattern, subject.spec, obj.spec, verb, None, seed_path or (0, 0))
 
 
 def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool = False) -> list[PairRecord]:
     """One swapped-and-reordered (not entailed) pair per distinct premise of
     an accusative pair file."""
+    tables = _Tables(lex)
+    build = _Records(GenerationSet.OS_HARD, spaced_period)
     out = []
     seen = set()
     fallback = 0
-    hyp_kinds = _HYP_KINDS[GenerationSet.OS_HARD]
     for record in records:
         key = record.metadata.get("premise_id", record.premise)
         if key in seen:
@@ -447,10 +504,11 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
                 f"record {record.id}: os-hard derivation needs accusative records, "
                 f"not subset {record.subset!r}"
             )
-        inst = instance_from_record(record, lex)
-        if not _PREMISE_ID_RE.search(record.metadata.get("premise_id", "")):
-            inst = replace(inst, seed_path=(0, fallback))
+        pattern, draw, seed_path = _read_record(record, tables)
+        if seed_path is None:
+            seed_path = (0, fallback)
             fallback += 1
-        premise = realize_premise(inst, spaced_period)
-        out.extend(_records_for(inst, premise, GenerationSet.OS_HARD, hyp_kinds, spaced_period))
+        build.for_pattern(pattern, seed_path[0])
+        out.extend(build(draw, _sentence(_layout(draw, build.object_case), spaced_period),
+                         seed_path[1]))
     return out

@@ -62,6 +62,17 @@ class Lexicon:
     def proper_nouns(self, gender: Gender) -> tuple[NounEntry, ...]:
         return self.masc_proper if gender is Gender.MASC else self.fem_proper
 
+    def entry(self, cls: str, tag, lemma):
+        """The entry of TSV class cls ("verb", "noun", "pnoun", "thing") and
+        government or gender tag with this lemma, or None; the first wins."""
+        return self._index.get((cls, tag, lemma)) if isinstance(lemma, str) else None
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        # each inventory reversed, so that of a lemma listed twice the first wins
+        return {(cls, tag, entry.lemma): entry for field, cls, tag in _INVENTORIES.values()
+                for entry in reversed(getattr(self, field))}
+
 
 # One row per inventory, in document order: JSON key -> (Lexicon field, TSV
 # class, government or gender). Both encodings read and write through it.
@@ -214,6 +225,10 @@ def _tsv_rows(text: str, name: str):
         if len(fields) < 4:
             raise LexiconError(f"{where}: expected at least 4 tab-separated fields")
         cls, lemma, form2, form3, *attrs = fields
+        filled = {"noun": 1, "pnoun": 0, "thing": 0}.get(cls, 2)  # form cells the class uses
+        for cell, value in [("form2", form2), ("form3", form3)][filled:]:
+            if value != "-":
+                raise LexiconError(f"{where}: {cls} rows leave {cell} empty ('-'), found {value!r}")
         if cls == "verb":
             if len(attrs) != 3:
                 raise LexiconError(f"{where}: verb rows take government, category, symmetric")

@@ -3,12 +3,14 @@
 Everything here is table-driven: articles come from a fixed paradigm,
 noun forms from the entry plus two closed rules (weak masculine singulars,
 dative-plural -n), verb forms straight from the lexicon entry. All functions
-are pure; the tables are module constants and safe to share across threads.
+are pure and the tables are module constants. An NPSpec keeps each case
+form once it is rendered, and clause lays such forms out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import ArticleKind, Case, Gender, HypKind, NounEntry, NounKind, Number, ThingNounEntry, VerbEntry
 from .errors import MorphologyError
@@ -116,6 +118,19 @@ class NPSpec:
             return inflect_pronoun(self.gender, self.number, Case.NOM)
         return self.head.lemma
 
+    @cached_property
+    def nom(self) -> tuple[str, ...]:
+        """The NP's tokens in the nominative, rendered on first use and kept."""
+        return tuple(render_np(self, Case.NOM))
+
+    @cached_property
+    def acc(self) -> tuple[str, ...]:
+        return tuple(render_np(self, Case.ACC))
+
+    @cached_property
+    def dat(self) -> tuple[str, ...]:
+        return tuple(render_np(self, Case.DAT))
+
 
 def render_np(spec: NPSpec, case: Case) -> list[str]:
     """Tokens of the NP in the given case (article lowercase, nouns as stored)."""
@@ -136,14 +151,15 @@ def clause(
 ) -> list[str]:
     """Tokens of the premise's two arguments and verb in the layout of the
     hypothesis kind (the premise itself when kind is None). The nominative
-    argument sets the verb's agreement; the other one takes object_case."""
+    argument sets the verb's agreement; the other one takes object_case
+    (accusative or dative)."""
     subject_nominative = kind is None or kind.subject_nominative
-    subject_tokens = render_np(subject, Case.NOM if subject_nominative else object_case)
-    object_tokens = render_np(obj, object_case if subject_nominative else Case.NOM)
-    verb_form = agree_verb(verb, (subject if subject_nominative else obj).number)
-    if kind is None or kind.subject_first:
-        return [*subject_tokens, verb_form, *object_tokens]
-    return [*object_tokens, verb_form, *subject_tokens]
+    nominative, other = (subject, obj) if subject_nominative else (obj, subject)
+    other_tokens = other.acc if object_case is Case.ACC else other.dat
+    verb_form = agree_verb(verb, nominative.number)
+    if (kind is None or kind.subject_first) == subject_nominative:
+        return [*nominative.nom, verb_form, *other_tokens]
+    return [*other_tokens, verb_form, *nominative.nom]
 
 
 def article_paradigm() -> list[dict]:

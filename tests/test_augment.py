@@ -2,6 +2,7 @@
 
 import io
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -135,6 +136,12 @@ class TestSampling:
         bare = read_pairs(io.StringIO(buf.getvalue()))
         with pytest.raises(DataFormatError, match="metadata"):
             sample_augmentation(bare, AugmentationPlan(premises_per_pattern=1, seed=5, **WIDE))
+
+    def test_non_canonical_pattern_rejected(self, base):
+        bad = list(base)
+        bad[3] = replace(bad[3], pattern_name="foo_v_bar")
+        with pytest.raises(DataFormatError, match=f"record {bad[3].id}: .*foo_v_bar"):
+            sample_augmentation(bad, AugmentationPlan(premises_per_pattern=1, seed=5, **WIDE))
 
 
 class TestVerbBalance:

@@ -335,6 +335,20 @@ class TestMalformedRows:
         err = capsys.readouterr().err
         assert "error[format]" in err and bad_id in err
 
+    def test_sample_augmentation_rejects_unknown_pattern(self, toy_path, tmp_path, capsys):
+        _, base = _generate(toy_path, tmp_path, per="3")
+        bad_id = _rewrite_first(
+            base, lambda r: r["hyp_kind"] == "h2_os", lambda r: r.update(pattern="foo_v_bar")
+        )
+        code = run(["sample-augmentation", "--plan", "custom", "--seed", "5",
+                    "--in", str(base), "--per-pattern", "1",
+                    "--verb-min", "0", "--verb-max", "100",
+                    "--out-aug", str(tmp_path / "aug.jsonl"),
+                    "--out-rest", str(tmp_path / "rest.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err and bad_id in err and "foo_v_bar" in err
+
     def test_analyze_rejects_unknown_pattern(self, toy_path, tmp_path, capsys):
         _, gold = _generate(toy_path, tmp_path)
         bad_id = _rewrite_first(

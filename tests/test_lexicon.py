@@ -213,6 +213,16 @@ _EXTRA_ROW = len(TSV_DOC.splitlines()) + 1
      "duplicate lemma 'Peter' in masc_proper"),
     (_tsv_with("verb\twarnen\twarnt\twarnen\tACC\t-\tfalse"), f"doc:{_EXTRA_ROW}",
      "duplicate lemma 'warnen' in verbs_accusative"),
+    (_tsv_with("pnoun\tWalter\tPeters\t-\tmasc"), f"doc:{_EXTRA_ROW}",
+     "pnoun rows leave form2 empty ('-'), found 'Peters'"),
+    (_tsv_with("pnoun\tWalter\t-\tX\tmasc"), f"doc:{_EXTRA_ROW}",
+     "pnoun rows leave form3 empty ('-'), found 'X'"),
+    (_tsv_with("noun\tArzt\tÄrzte\tÄrzten\tmasc\tstrong"), f"doc:{_EXTRA_ROW}",
+     "noun rows leave form3 empty ('-'), found 'Ärzten'"),
+    (_tsv_with("thing\tBuch\tBücher\t-\tneut\tsg\tgiving"), f"doc:{_EXTRA_ROW}",
+     "thing rows leave form2 empty ('-'), found 'Bücher'"),
+    (_tsv_with("thing\tBuch\t-\t\tneut\tsg\tgiving"), f"doc:{_EXTRA_ROW}",
+     "thing rows leave form3 empty ('-'), found ''"),
 ], ids=[
     "tsv-unknown-class",
     "tsv-short-row",
@@ -234,6 +244,11 @@ _EXTRA_ROW = len(TSV_DOC.splitlines()) + 1
     "json-lemma-not-string",
     "json-duplicate",
     "tsv-duplicate",
+    "tsv-pnoun-form2",
+    "tsv-pnoun-form3",
+    "tsv-noun-form3",
+    "tsv-thing-form2",
+    "tsv-thing-form3",
 ])
 def test_reader_errors_name_their_place(text, where, message):
     with pytest.raises(LexiconError) as info:
