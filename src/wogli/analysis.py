@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_
 from typing import Callable
 
 from .core import Government, HypKind, Label, PairRecord
@@ -141,21 +145,24 @@ def accuracy(
 ) -> AccuracyResult:
     """Per-run accuracy over the (optionally group-filtered) gold records."""
     records = list(gold) if group is None else group.select(gold)
-    name = group.name if group is not None else "all"
-    n = len(records)
-    if n == 0:
-        return AccuracyResult(name, 0, preds.runs, (), (), float("nan"), float("nan"))
     k = [0] * preds.runs
     for record in records:
         labels = _joined_labels(record, preds)
         for run, label in enumerate(labels):
             if label is record.label:
                 k[run] += 1
+    name = group.name if group is not None else "all"
+    return _accuracy_result(name, len(records), preds.runs, k, sample_sd)
+
+
+def _accuracy_result(name: str, n: int, runs: int, k, sample_sd: bool) -> AccuracyResult:
+    if n == 0:
+        return AccuracyResult(name, 0, runs, (), (), float("nan"), float("nan"))
     per_run = tuple(count / n for count in k)
     return AccuracyResult(
         group=name,
         n=n,
-        runs=preds.runs,
+        runs=runs,
         k=tuple(k),
         per_run=per_run,
         mean=statistics.fmean(per_run),
@@ -251,9 +258,12 @@ def pll_aggregate(scores: dict[str, float], gold, sample_sd: bool = False) -> li
     return stats
 
 
-def _ensemble_counts(records, voted: PredictionSet) -> tuple[int, int]:
-    k = sum(1 for r in records if voted.labels[r.id][0] is r.label)
-    return k, len(records)
+# every metadata field a comparison group's predicate reads: records that agree
+# on these, their hyp_kind and their pattern fall into the same groups
+_GROUP_FIELDS = tuple(
+    f"{role}_{field}" for role in ("subject", "object") for field in ("definiteness", "kind", "gender")
+)
+_ABSENT = (object(),) * len(_GROUP_FIELDS)
 
 
 def _comparisons(groups: str):
@@ -289,45 +299,66 @@ def build_report(
         raise PredictionJoinError(
             f"{len(unknown)} prediction id(s) not in the gold file, first {unknown[0]!r}"
         )
-    results = [accuracy(gold, preds, None, sample_sd)]
-    for kind in HypKind:
-        spec = GroupSpec(kind.value, lambda r, k=kind: r.hyp_kind is k)
-        if any(spec.matches(r) for r in gold):
-            results.append(accuracy(gold, preds, spec, sample_sd))
     pairs = list(_comparisons(groups))
-    for _, (group_a, group_b) in pairs:
-        results.append(accuracy(gold, preds, group_a, sample_sd))
-        results.append(accuracy(gold, preds, group_b, sample_sd))
+    kinds = [GroupSpec(kind.value, lambda r, k=kind: r.hyp_kind is k) for kind in HypKind]
+    specs = [GroupSpec("all", lambda r: True), *kinds, *(s for _, pair in pairs for s in pair)]
+    # one pass: records counted by the specs they match, the runs that got
+    # them right and their gold label; each combination of fields is classified once
+    memo, cells = {}, Counter()
+    try:
+        for record in gold:
+            labels = _joined_labels(record, preds)
+            key = (record.hyp_kind, record.pattern_name,
+                   *map(record.metadata.get, _GROUP_FIELDS, _ABSENT))
+            try:
+                matched = memo[key]
+            except (KeyError, TypeError):  # unseen, or an unhashable metadata value
+                matched = tuple(i for i, spec in enumerate(specs) if spec.matches(record))
+                with suppress(TypeError):
+                    memo[key] = matched
+            cells[matched, tuple(map(is_, labels, repeat(record.label))), record.label] += 1
+    except DataFormatError:
+        # the error the group scans meet first, after every prediction joined
+        accuracy(gold, preds)
+        for spec in specs:
+            spec.select(gold)
+        raise
+    runs = preds.runs
+    n, k, voted = [0] * len(specs), [[0] * runs for _ in specs], [0] * len(specs)
+    for (matched, hits, label), count in cells.items():
+        # the majority vote agrees with gold when most runs do; a tie goes to
+        # not-entailed only when allowed
+        right = sum(hits)
+        vote_hit = 2 * right > runs or (
+            2 * right == runs and tie_break_not_entailed and label is Label.NOT_ENTAILED)
+        for i in matched:
+            n[i] += count
+            voted[i] += count * vote_hit
+            k[i] = [c + count * hit for c, hit in zip(k[i], hits)]
+    tied = not tie_break_not_entailed and any(2 * sum(hits) == runs for _, hits, _ in cells)
 
     rows = []
-    lines = [f"records: {len(gold)}  runs: {preds.runs}"]
-    for result in results:
-        if result.n == 0:
-            rows.append(
-                {"kind": "accuracy", "group": result.group, "n": 0, "runs": result.runs,
-                 "k": [], "accuracy": None, "sd": None}
-            )
-            lines.append(f"{result.group:<36} n=0")
-            continue
+    lines = [f"records: {len(gold)}  runs: {runs}"]
+    for i, spec in enumerate(specs):
+        if spec in kinds and not n[i]:
+            continue  # a hypothesis kind the gold file lacks gets no row
+        result = _accuracy_result(spec.name, n[i], runs, k[i], sample_sd)
+        empty = result.n == 0  # an empty group reports null statistics
         rows.append(
             {"kind": "accuracy", "group": result.group, "n": result.n,
              "runs": result.runs, "k": list(result.k),
-             "accuracy": result.mean, "sd": result.sd}
+             "accuracy": None if empty else result.mean, "sd": None if empty else result.sd}
         )
-        lines.append(
-            f"{result.group:<36} n={result.n:<7} acc={result.mean:.4f} sd={result.sd:.4f}"
-        )
+        lines.append(f"{result.group:<36} n=0" if empty else
+                     f"{result.group:<36} n={result.n:<7} acc={result.mean:.4f} sd={result.sd:.4f}")
 
-    voted = None
     for label, (group_a, group_b) in pairs:
-        records_a = group_a.select(gold)
-        records_b = group_b.select(gold)
-        if not records_a or not records_b:
+        a, b = specs.index(group_a), specs.index(group_b)
+        if not n[a] or not n[b]:
             continue
-        if voted is None:
-            voted = majority_vote(preds, tie_break_not_entailed)
-        k1, n1 = _ensemble_counts(records_a, voted)
-        k2, n2 = _ensemble_counts(records_b, voted)
+        if tied:
+            majority_vote(preds)  # raises the tie error naming the first tied id
+        k1, n1, k2, n2 = voted[a], n[a], voted[b], n[b]
         test = two_proportion_ztest(k1, n1, k2, n2)
         rows.append(
             {"kind": "ztest", "comparison": label,

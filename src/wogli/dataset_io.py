@@ -9,13 +9,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _encode_str
+from json.scanner import make_scanner
+from operator import itemgetter
 
 from .core import HypKind, Label, PairRecord
 from .errors import DataFormatError, PredictionJoinError
 
 TSV_HEADER = ("id", "subset", "premise", "hypothesis", "label", "hyp_kind", "pattern")
-# one encoder for every row; json.dumps would build a new one per call
+# one encoder and one scanner for every row; json.dumps and json.loads add
+# per-call work around them
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_SCAN_ROW = make_scanner(json.JSONDecoder())
+_ROW_FIELDS = itemgetter(*TSV_HEADER)
+_LABELS = {m.value: m for m in Label}
+# hyp_kind value -> (member, the label it implies), so no row calls Enum code
+_HYP_KINDS = {m.value: (m, m.label) for m in HypKind}
+_LABEL_JSON = {m: _encode_str(m.value) for m in Label}
+_HYP_KIND_JSON = {m: _encode_str(m.value) for m in HypKind}
 
 # three-way prediction labels collapse onto the binary scheme
 _PREDICTION_LABELS = {
@@ -70,17 +81,24 @@ def _tsv_fields(record: PairRecord) -> tuple[str, ...]:
     return fields
 
 
-def _row_object(record: PairRecord) -> dict:
-    return {
-        "id": record.id,
-        "subset": record.subset,
-        "premise": record.premise,
-        "hypothesis": record.hypothesis,
-        "label": record.label.value,
-        "hyp_kind": record.hyp_kind.value,
-        "pattern": record.pattern_name,
-        "metadata": record.metadata,
-    }
+def _rows_text(records) -> str:
+    """JSON lines in stable key order, each field encoded as json.dumps would.
+    A run of records with equal all-string metadata in the same key order
+    (a premise's records) shares one encoding of it."""
+    lines = []
+    last = meta = None
+    for r in records:
+        items = tuple(r.metadata.items())
+        if items != last:
+            meta = _ROW_ENCODER.encode(r.metadata)
+            last = items if all(type(v) is str for _, v in items) else None
+        lines.append(
+            f'{{"id": {_encode_str(r.id)}, "subset": {_encode_str(r.subset)}, '
+            f'"premise": {_encode_str(r.premise)}, "hypothesis": {_encode_str(r.hypothesis)}, '
+            f'"label": {_LABEL_JSON[r.label]}, "hyp_kind": {_HYP_KIND_JSON[r.hyp_kind]}, '
+            f'"pattern": {_encode_str(r.pattern_name)}, "metadata": {meta}}}\n'
+        )
+    return "".join(lines)
 
 
 def write_pairs(records, dest, fmt: str = "rows") -> int:
@@ -92,7 +110,7 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
     records = list(records)
     _check_ids(records)
     if fmt == "rows":
-        text = "".join(_ROW_ENCODER.encode(_row_object(r)) + "\n" for r in records)
+        text = _rows_text(records)
     elif fmt == "tsv":
         lines = ["\t".join(TSV_HEADER)]
         lines.extend("\t".join(_tsv_fields(r)) for r in records)
@@ -102,28 +120,59 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
     return _write_text(dest, text)
 
 
-def _record_from_row(obj: dict, where: str) -> PairRecord:
+def _json_row(line: str, lineno: int):
     try:
-        record = PairRecord(
-            id=obj["id"],
-            subset=obj["subset"],
-            premise=obj["premise"],
-            hypothesis=obj["hypothesis"],
-            label=Label(obj["label"]),
-            hyp_kind=HypKind(obj["hyp_kind"]),
-            pattern_name=obj["pattern"],
-            metadata=dict(obj.get("metadata", {})),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"{where}: missing field {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise DataFormatError(f"{where}: {exc}") from None
-    if record.label is not record.hyp_kind.label:
+        obj, end = _SCAN_ROW(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    try:  # whitespace around the object, or the message for a malformed line
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+
+
+def _tsv_row(line: str, lineno: int) -> dict:
+    fields = line.split("\t")
+    if len(fields) != len(TSV_HEADER):
         raise DataFormatError(
-            f"{where}: label {record.label.value!r} contradicts hyp_kind "
-            f"{record.hyp_kind.value!r}, which is {record.hyp_kind.label.value!r}"
+            f"line {lineno}: expected {len(TSV_HEADER)} fields, found {len(fields)}"
         )
-    return record
+    return dict(zip(TSV_HEADER, fields), metadata={})
+
+
+def _record_from_row(obj, lineno: int) -> PairRecord:
+    """The record of one row: an object of string fields whose metadata, if
+    present, is an object and whose label is the one its hyp_kind implies."""
+    if type(obj) is not dict:
+        raise DataFormatError(f"line {lineno}: expected a JSON object, found {json.dumps(obj)[:40]}")
+    try:
+        fields, metadata = _ROW_FIELDS(obj), obj.get("metadata", {})
+    except KeyError as exc:
+        raise DataFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from None
+    try:
+        "".join(fields)  # a TypeError unless every field is a string
+    except TypeError:
+        name, value = next((n, v) for n, v in zip(TSV_HEADER, fields) if type(v) is not str)
+        raise DataFormatError(
+            f"line {lineno}: field {name!r} must be a string, found {json.dumps(value)[:40]}"
+        ) from None
+    if type(metadata) is not dict:
+        raise DataFormatError(
+            f"line {lineno}: metadata must be an object, found {json.dumps(metadata)[:40]}"
+        )
+    label = _LABELS.get(fields[4])
+    kind, implied = _HYP_KINDS.get(fields[5], (None, None))
+    if label is None or kind is None:
+        bad, enum = (fields[4], "Label") if label is None else (fields[5], "HypKind")
+        raise DataFormatError(f"line {lineno}: {bad!r} is not a valid {enum}")
+    if label is not implied:
+        raise DataFormatError(
+            f"line {lineno}: label {label.value!r} contradicts hyp_kind "
+            f"{kind.value!r}, which is {implied.value!r}"
+        )
+    return PairRecord(*fields[:4], label, kind, fields[6], metadata)
 
 
 def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
@@ -133,43 +182,21 @@ def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
         head = text.lstrip()
         if not head:
             return []
-        fmt = "rows" if head.startswith("{") else "tsv"
+        fmt = "rows" if head[0] in "{[" else "tsv"
+    lines = text.splitlines()
     if fmt == "rows":
-        records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            records.append(_record_from_row(obj, f"line {lineno}"))
-        _check_ids(records)
-        return records
-    if fmt == "tsv":
-        lines = text.splitlines()
-        if not lines:
-            return []
-        header = tuple(lines[0].split("\t"))
-        if header != TSV_HEADER:
-            raise DataFormatError(
-                f"bad header: expected {list(TSV_HEADER)}, found {list(header)}"
-            )
-        records = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(TSV_HEADER):
-                raise DataFormatError(
-                    f"line {lineno}: expected {len(TSV_HEADER)} fields, found {len(fields)}"
-                )
-            obj = dict(zip(TSV_HEADER, fields))
-            obj["metadata"] = {}
-            records.append(_record_from_row(obj, f"line {lineno}"))
-        _check_ids(records)
-        return records
-    raise ValueError(f"unknown pair format {fmt!r}")
+        rows = ((n, _json_row(line, n)) for n, line in enumerate(lines, start=1)
+                if line and not line.isspace())
+    elif fmt == "tsv":
+        header = lines[0].split("\t") if lines else list(TSV_HEADER)
+        if tuple(header) != TSV_HEADER:
+            raise DataFormatError(f"bad header: expected {list(TSV_HEADER)}, found {header}")
+        rows = ((n, _tsv_row(line, n)) for n, line in enumerate(lines[1:], start=2) if line)
+    else:
+        raise ValueError(f"unknown pair format {fmt!r}")
+    records = [_record_from_row(obj, lineno) for lineno, obj in rows]
+    _check_ids(records)
+    return records
 
 
 @dataclass(frozen=True)

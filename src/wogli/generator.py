@@ -285,15 +285,15 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
     rng = random.Random(f"{seed}:{pattern.government.value}:{pattern_index}")
     object_case = pattern.government.object_case
     same_class = pattern.subject.name_fragment == pattern.object.name_fragment
-    enumerate_all = False
-    if not with_replacement:
-        space = tables.space(pattern)
-        if per_pattern > space:
-            raise ExhaustionError(
-                f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
-                f"lexicalization space holds {space}"
-            )
-        enumerate_all = space <= _ENUMERATION_CUTOFF or per_pattern * 3 >= space
+    space = tables.space(pattern)
+    # with replacement any non-empty space will do; an empty one would redraw forever
+    if per_pattern > space and (space == 0 or not with_replacement):
+        raise ExhaustionError(
+            f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
+            f"lexicalization space holds {space}"
+        )
+    enumerate_all = not with_replacement and (
+        space <= _ENUMERATION_CUTOFF or per_pattern * 3 >= space)
     if enumerate_all:
         distinct = {}
         for subject, (verb, thing), obj in itertools.product(
@@ -469,7 +469,8 @@ def _read_record(record: PairRecord, tables: _Tables):
     if government is Government.DITRANSITIVE or "direct_object_lemma" in meta:
         raise DataFormatError(f"{where}: only accusative and dative records are supported")
     try:
-        pattern = parse_pattern_name(record.pattern_name, government)
+        name = record.pattern_name
+        pattern = tables._cached((name, government), lambda: parse_pattern_name(name, government))
     except ValueError as exc:
         raise DataFormatError(f"{where}: {exc}") from None
     verb = tables.lex.entry("verb", government, meta.get("verb_lemma"))
@@ -494,6 +495,7 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
     out = []
     seen = set()
     fallback = 0
+    current = None  # the (pattern, index) build was last set up for
     for record in records:
         key = record.metadata.get("premise_id", record.premise)
         if key in seen:
@@ -508,7 +510,9 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
         if seed_path is None:
             seed_path = (0, fallback)
             fallback += 1
-        build.for_pattern(pattern, seed_path[0])
+        if (pattern, seed_path[0]) != current:
+            current = (pattern, seed_path[0])
+            build.for_pattern(*current)
         out.extend(build(draw, _sentence(_layout(draw, build.object_case), spaced_period),
                          seed_path[1]))
     return out

@@ -4,23 +4,27 @@ The statistical functions are checked against hand-computed numbers and an
 independent high-precision reference, not against their own formulas.
 """
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wogli import (
     ConstraintError,
     DataFormatError,
     GenerationSet,
+    GroupSpec,
     HypKind,
     Label,
     PairRecord,
     PredictionJoinError,
     PredictionSet,
+    WogliError,
     accuracy,
     build_report,
     definiteness_groups,
@@ -31,6 +35,8 @@ from wogli import (
     pll_aggregate,
     two_proportion_ztest,
 )
+
+from conftest import make_toy
 
 E = Label.ENTAILED
 NE = Label.NOT_ENTAILED
@@ -421,3 +427,141 @@ class TestBuildReport:
         overall = next(r for r in rows if r["group"] == "all")
         assert overall["n"] == len(gold)
         assert overall["k"][0] == len(gold)  # first run copies gold labels
+
+
+_FAMILIES = {
+    "definiteness": lambda: [("definiteness", definiteness_groups())],
+    "number": lambda: [("number", number_groups())],
+    "gender": lambda: [(f"gender:{role}-{kind}", gender_groups(role, kind))
+                       for role in ("subject", "object") for kind in ("proper", "common")],
+}
+
+
+def _accuracy_row(result):
+    if result.n == 0:
+        return {"kind": "accuracy", "group": result.group, "n": 0, "runs": result.runs,
+                "k": [], "accuracy": None, "sd": None}
+    return {"kind": "accuracy", "group": result.group, "n": result.n, "runs": result.runs,
+            "k": list(result.k), "accuracy": result.mean, "sd": result.sd}
+
+
+def _reference_rows(gold, preds, groups, tie_break, sample_sd):
+    """build_report's rows from the public pieces: one accuracy call per
+    group, the z-test on majority-voted labels, in the report's order."""
+    rows = [_accuracy_row(accuracy(gold, preds, None, sample_sd))]
+    for kind in HypKind:
+        if any(r.hyp_kind is kind for r in gold):
+            spec = GroupSpec(kind.value, lambda r, k=kind: r.hyp_kind is k)
+            rows.append(_accuracy_row(accuracy(gold, preds, spec, sample_sd)))
+    names = ("definiteness", "number", "gender") if groups == "all" else (groups,)
+    pairs = [pair for name in names for pair in _FAMILIES[name]()]
+    for _, (group_a, group_b) in pairs:
+        rows.append(_accuracy_row(accuracy(gold, preds, group_a, sample_sd)))
+        rows.append(_accuracy_row(accuracy(gold, preds, group_b, sample_sd)))
+    for comparison, (group_a, group_b) in pairs:
+        a, b = group_a.select(gold), group_b.select(gold)
+        if not a or not b:
+            continue
+        voted = majority_vote(preds, tie_break).labels
+        k_a = sum(voted[r.id][0] is r.label for r in a)
+        k_b = sum(voted[r.id][0] is r.label for r in b)
+        test = two_proportion_ztest(k_a, len(a), k_b, len(b))
+        rows.append({"kind": "ztest", "comparison": comparison,
+                     "group_a": group_a.name, "group_b": group_b.name,
+                     "k_a": k_a, "n_a": len(a), "k_b": k_b, "n_b": len(b),
+                     "z": test.z, "p_value": test.p_value})
+    return rows
+
+
+def _outcome(call):
+    try:
+        return json.dumps(call())
+    except WogliError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_REPORT_LEX = make_toy()
+_REPORT_GOLD = generate_set(GenerationSet.WOGLI, _REPORT_LEX, seed=2, per_pattern=3)
+
+
+class TestReportAgainstReference:
+    """Every build_report row equals the row rebuilt from accuracy() and
+    majority_vote(): integer counts and floats exactly, errors by type and
+    message."""
+
+    def _check(self, gold, preds, groups, tie_break=False, sample_sd=False):
+        want = _outcome(lambda: _reference_rows(gold, preds, groups, tie_break, sample_sd))
+        got = _outcome(lambda: build_report(gold, preds, groups, tie_break, sample_sd)[1])
+        assert got == want
+        return got
+
+    def _preds(self, gold, runs, seed, hit_rate=0.7):
+        rng = random.Random(seed)
+        flip = {E: NE, NE: E}
+        return PredictionSet(runs=runs, labels={
+            r.id: tuple(r.label if rng.random() < hit_rate else flip[r.label] for _ in range(runs))
+            for r in gold
+        })
+
+    def test_all_groups(self):
+        got = self._check(_REPORT_GOLD, self._preds(_REPORT_GOLD, 3, 1), "all")
+        assert '"kind": "ztest"' in got
+
+    def test_number_groups_with_ties(self):
+        preds = self._preds(_REPORT_GOLD, 2, 2, hit_rate=0.5)
+        self._check(_REPORT_GOLD, preds, "number", tie_break=True, sample_sd=True)
+        assert self._check(_REPORT_GOLD, preds, "number")[0] == "ConstraintError"
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), runs=st.integers(1, 4),
+           groups=st.sampled_from(["all", "definiteness", "number", "gender"]),
+           tie_break=st.booleans(), sample_sd=st.booleans(),
+           damage=st.lists(st.tuples(st.sampled_from(["meta", "pattern", "prediction"]),
+                                     st.integers(0, len(_REPORT_GOLD) - 1),
+                                     st.sampled_from(["subject_kind", "subject_gender",
+                                                      "object_definiteness",
+                                                      "subject_definiteness"])),
+                           max_size=2))
+    def test_random_predictions_and_faults(self, seed, runs, groups, tie_break, sample_sd,
+                                           damage):
+        gold = list(_REPORT_GOLD)
+        preds = self._preds(gold, runs, seed)
+        labels = dict(preds.labels)
+        for fault, i, key in damage:
+            r = gold[i]
+            if fault == "meta":
+                gold[i] = PairRecord(r.id, r.subset, r.premise, r.hypothesis, r.label,
+                                     r.hyp_kind, r.pattern_name,
+                                     {k: v for k, v in r.metadata.items() if k != key})
+            elif fault == "pattern":
+                gold[i] = PairRecord(r.id, r.subset, r.premise, r.hypothesis, r.label,
+                                     r.hyp_kind, "foo_v_bar", r.metadata)
+            else:
+                labels.pop(r.id, None)
+        self._check(gold, PredictionSet(runs, labels), groups, tie_break, sample_sd)
+
+    def test_error_order_follows_the_group_scans(self):
+        # a bad pattern early (number family) and a missing field late
+        # (definiteness family): the definiteness scan runs first
+        late = _rec("b", pattern="sing_masc_v_plural_fem")
+        del late.metadata["object_definiteness"]
+        gold = [_rec("a", pattern="foo_v_bar"), late]
+        both = PredictionSet(runs=1, labels={"a": (NE,), "b": (NE,)})
+        assert "object_definiteness" in self._check(gold, both, "all")[1]
+        # a missing prediction anywhere comes before every grouping error
+        one = PredictionSet(runs=1, labels={"a": (NE,)})
+        assert self._check(gold, one, "all")[0] == "PredictionJoinError"
+
+    def test_ties_break_toward_not_entailed(self):
+        # swap records labelled entailed lose a broken tie, the others win it
+        gold = [_rec("a", label=E), _rec("b", label=NE),
+                _rec("c", label=E, pattern="sing_masc_v_plural_fem"),
+                _rec("d", label=NE, pattern="sing_masc_v_plural_fem")]
+        preds = PredictionSet(runs=2, labels={rid: (E, NE) for rid in "abcd"})
+        got = self._check(gold, preds, "number", tie_break=True)
+        assert '"k_a": 1, "n_a": 2, "k_b": 1, "n_b": 2' in got
+
+    def test_unhashable_metadata_values_are_grouped_as_before(self):
+        gold = [_rec("a", subject_kind=["common"]), _rec("b", pattern="sing_masc_v_plural_fem")]
+        preds = PredictionSet(runs=1, labels={"a": (NE,), "b": (E,)})
+        self._check(gold, preds, "all")

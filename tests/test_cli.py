@@ -361,3 +361,41 @@ class TestMalformedRows:
         assert code == 2
         err = capsys.readouterr().err
         assert "error[format]" in err and bad_id in err and "foo_v_bar" in err
+
+
+class TestWrongJsonTypes:
+    """Rows of the wrong JSON shape are format errors naming the line, in
+    every command that reads pair files."""
+
+    def _argv(self, command, toy_path, tmp_path, path):
+        if command == "derive":
+            return ["derive", "os-hard", "--from", str(path), "--lexicon", toy_path,
+                    "--out", str(tmp_path / "hard.jsonl")]
+        if command == "sample-augmentation":
+            return ["sample-augmentation", "--plan", "custom", "--seed", "5",
+                    "--in", str(path), "--per-pattern", "1", "--verb-min", "0",
+                    "--verb-max", "100", "--out-aug", str(tmp_path / "aug.jsonl"),
+                    "--out-rest", str(tmp_path / "rest.jsonl")]
+        preds = tmp_path / "preds.tsv"
+        _write_predictions(preds, read_pairs(path))
+        return ["analyze", "--gold", str(path), "--predictions", str(preds), "--runs", "1"]
+
+    @pytest.mark.parametrize("command", ["derive", "sample-augmentation", "analyze"])
+    @pytest.mark.parametrize("bad_line,message", [
+        (lambda row: json.dumps(dict(row, pattern=[row["pattern"]])),
+         "line 2: field 'pattern' must be a string"),
+        (lambda row: "[1, 2]", "line 2: expected a JSON object"),
+        (lambda row: "null", "line 2: expected a JSON object"),
+        (lambda row: json.dumps(dict(row, metadata=list(row["metadata"].items()))),
+         "line 2: metadata must be an object"),
+    ], ids=["pattern-array", "array-row", "null-row", "metadata-pairs"])
+    def test_exit_2_with_format_error(self, command, bad_line, message, toy_path, tmp_path,
+                                      capsys):
+        _, path = _generate(toy_path, tmp_path, per="3")
+        argv = self._argv(command, toy_path, tmp_path, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = bad_line(json.loads(lines[1]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err and message in err

@@ -2,8 +2,11 @@
 
 import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogli import (
     DataFormatError,
@@ -17,6 +20,10 @@ from wogli import (
     read_predictions,
     write_pairs,
 )
+
+from conftest import make_toy
+
+_TOY = make_toy()
 
 
 @pytest.fixture
@@ -96,6 +103,99 @@ class TestRowFormat:
                "label": "entailed", "hyp_kind": "h1_so", "pattern": "sing_masc_v_sing_fem"}
         with pytest.raises(DataFormatError, match="line 1: label 'entailed'.*'h1_so'"):
             read_pairs(io.StringIO(json.dumps(obj) + "\n"))
+
+
+def _row(**overrides):
+    obj = {"id": "a", "subset": "wogli", "premise": "P.", "hypothesis": "H.",
+           "label": "non-entailed", "hyp_kind": "h1_so", "pattern": "sing_masc_v_pnoun",
+           "metadata": {"subject_lemma": "Arzt"}}
+    obj.update(overrides)
+    return json.dumps(obj, ensure_ascii=False)
+
+
+class TestRowTypes:
+    @pytest.mark.parametrize("text,message", [
+        (_row(pattern=["sing_masc_v_pnoun"]) + "\n",
+         'line 1: field \'pattern\' must be a string, found ["sing_masc_v_pnoun"]'),
+        (_row(id=7) + "\n", "line 1: field 'id' must be a string, found 7"),
+        (_row(label=None) + "\n", "line 1: field 'label' must be a string, found null"),
+        (_row() + "\n[1, 2]\n", "line 2: expected a JSON object, found [1, 2]"),
+        (_row() + "\nnull\n", "line 2: expected a JSON object, found null"),
+        ("[1, 2]\n" + _row(id="b") + "\n", "line 1: expected a JSON object, found [1, 2]"),
+        (_row(metadata=[["subject_lemma", "Arzt"]]) + "\n",
+         'line 1: metadata must be an object, found [["subject_lemma", "Arzt"]]'),
+        (_row(metadata=None) + "\n", "line 1: metadata must be an object, found null"),
+    ], ids=["pattern-array", "id-number", "label-null", "array-row", "null-row",
+            "leading-array", "metadata-pairs", "metadata-null"])
+    def test_wrong_json_types_rejected(self, text, message):
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            read_pairs(io.StringIO(text))
+
+    def test_whitespace_around_a_row_is_accepted(self):
+        text = _row() + "\n  " + _row(id="b") + " \n"
+        assert [r.id for r in read_pairs(io.StringIO(text))] == ["a", "b"]
+
+    def test_non_string_field_rejected_on_write(self):
+        with pytest.raises(TypeError, match="must be a string"):
+            write_pairs([_rec(7)], io.StringIO(), fmt="rows")
+
+
+def _reference_line(r):
+    return json.dumps({
+        "id": r.id, "subset": r.subset, "premise": r.premise, "hypothesis": r.hypothesis,
+        "label": r.label.value, "hyp_kind": r.hyp_kind.value, "pattern": r.pattern_name,
+        "metadata": r.metadata,
+    }, ensure_ascii=False) + "\n"
+
+
+class TestMetadataRuns:
+    """Records of one premise share one encoding of their metadata; a record
+    whose metadata differs in any way must still be written as its own."""
+
+    @pytest.mark.parametrize("first,second", [
+        ({"subject_lemma": "Arzt", "verb_lemma": "sehen"},
+         {"subject_lemma": "Arzt", "verb_lemma": "hören"}),
+        ({"a": "1", "b": "2"}, {"b": "2", "a": "1"}),
+        ({"n": 1}, {"n": True}),
+        ({"n": 1}, {"n": 1.0}),
+        ({"n": ["x"]}, {"n": ["y"]}),
+    ], ids=["one-value", "key-order", "int-bool", "int-float", "nested"])
+    def test_adjacent_records_keep_their_own_metadata(self, first, second):
+        records = [_rec("a-h1", metadata=first), _rec("a-h2", metadata=second)]
+        buf = io.StringIO()
+        write_pairs(records, buf, fmt="rows")
+        assert buf.getvalue() == "".join(_reference_line(r) for r in records)
+
+    def test_shared_dict_mutated_between_writes(self):
+        shared = {"subject_lemma": "Arzt", "verb_lemma": "sehen"}
+        records = [_rec("a-h1", metadata=shared), _rec("a-h2", metadata=shared)]
+        first = io.StringIO()
+        write_pairs(records, first, fmt="rows")
+        shared["verb_lemma"] = "hören"
+        second = io.StringIO()
+        write_pairs(records, second, fmt="rows")
+        assert second.getvalue() == "".join(_reference_line(r) for r in records)
+        assert second.getvalue() == first.getvalue().replace("sehen", "hören")
+
+
+# lexicons whose names need JSON escapes and characters beyond Latin-1
+_ESCAPED_NAMES = make_toy(masc_proper=['Pe"ter', "Pa\\ul"], fem_proper=["Łucja", "Zoë"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(lex=st.sampled_from(["toy", "escaped"]), name=st.sampled_from(list(GenerationSet)),
+       seed=st.integers(0, 2**32 - 1), with_replacement=st.booleans(), spaced=st.booleans())
+def test_rows_round_trip_byte_for_byte(lex, name, seed, with_replacement, spaced):
+    lexicon = _ESCAPED_NAMES if lex == "escaped" else _TOY
+    records = generate_set(name, lexicon, seed=seed, per_pattern=1,
+                           with_replacement=with_replacement, spaced_period=spaced)
+    buf = io.StringIO()
+    write_pairs(records, buf, fmt="rows")
+    text = buf.getvalue()
+    assert text == "".join(_reference_line(r) for r in records)
+    again = io.StringIO()
+    write_pairs(read_pairs(io.StringIO(text)), again, fmt="rows")
+    assert again.getvalue() == text
 
 
 class TestTsvFormat:

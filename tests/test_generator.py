@@ -6,9 +6,14 @@ run on the small toy lexicon so failures stay readable.
 
 import hashlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,11 +49,12 @@ from wogli import (
     sample_premises,
     write_pairs,
 )
+import wogli
 from wogli import generator
 from wogli.generator import _sentence, _tokens
 from wogli.morphology import PRONOUN
 
-from conftest import make_toy
+from conftest import TOY_LEXICON, make_toy
 
 
 def _noun(lex, lemma):
@@ -221,6 +227,28 @@ class TestSampling:
     def test_exhaustion_names_the_pattern(self, toy_lex):
         with pytest.raises(ExhaustionError, match="pnoun_v_pnoun|sing_masc"):
             sample_premises(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=10_000)
+
+    def test_replacement_mode_exhausts_an_empty_space(self):
+        # one masculine noun leaves sing_masc_v_sing_masc no pair of distinct
+        # lemmas; run apart, so that a redraw loop fails on the timeout
+        data = {k: list(v) for k, v in TOY_LEXICON.items()}
+        data["masc_common"] = [{"lemma": "Arzt", "plural_nom": "Ärzte"}]
+        code = (
+            "import sys\n"
+            "from wogli import ExhaustionError, GenerationSet, generate_set, lexicon_from_text\n"
+            "lex = lexicon_from_text(sys.stdin.read(), 'toy')\n"
+            "try:\n"
+            "    generate_set(GenerationSet.WOGLI, lex, seed=1, per_pattern=1, "
+            "with_replacement=True)\n"
+            "except ExhaustionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(wogli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], input=json.dumps(data), env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert "sing_masc_v_sing_masc" in done.stdout and "holds 0" in done.stdout
 
     def test_replacement_mode_returns_raw_draws(self, toy_lex):
         out = sample_premises(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=60,
