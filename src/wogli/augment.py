@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 
 from .core import Government, Label, PairRecord
-from .dataset_io import _read_text, _write_text
+from .dataset_io import _lines, _write_lines
 from .errors import ConstraintError, DataFormatError
 from .patterns import parse_pattern_name
 
@@ -288,19 +289,20 @@ def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 
     if ne_label not in _NE_TRAINING_LABELS:
         raise ValueError(f"ne_label must be one of {_NE_TRAINING_LABELS}")
     rows = []
-    for lineno, line in enumerate(_read_text(base_source).splitlines(), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3 or not all(fields):
-            raise DataFormatError(
-                f"base line {lineno}: expected premise/hypothesis/label"
-            )
-        if fields[2] not in ("entailment", "neutral", "contradiction"):
-            raise DataFormatError(
-                f"base line {lineno}: unknown training label {fields[2]!r}"
-            )
-        rows.append(tuple(fields))
+    with closing(_lines(base_source)) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3 or not all(fields):
+                raise DataFormatError(
+                    f"base line {lineno}: expected premise/hypothesis/label"
+                )
+            if fields[2] not in ("entailment", "neutral", "contradiction"):
+                raise DataFormatError(
+                    f"base line {lineno}: unknown training label {fields[2]!r}"
+                )
+            rows.append(tuple(fields))
     for record in records:
         label = "entailment" if record.label is Label.ENTAILED else ne_label
         rows.append((record.premise, record.hypothesis, label))
@@ -310,4 +312,4 @@ def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 
 
 def write_training_rows(rows, dest) -> int:
     """Write merged training rows as a headerless TSV; returns bytes written."""
-    return _write_text(dest, "".join("\t".join(row) + "\n" for row in rows))
+    return _write_lines(dest, ["\t".join(row) + "\n" for row in rows])

@@ -8,7 +8,9 @@ line breaks, and writers refuse records that would violate that.
 from __future__ import annotations
 
 import json
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _encode_str
 from json.scanner import make_scanner
 from operator import itemgetter
@@ -27,6 +29,9 @@ _LABELS = {m.value: m for m in Label}
 _HYP_KINDS = {m.value: (m, m.label) for m in HypKind}
 _LABEL_JSON = {m: _encode_str(m.value) for m in Label}
 _HYP_KIND_JSON = {m: _encode_str(m.value) for m in HypKind}
+# write_pairs puts metadata last in every row
+_META_SEP = ', "metadata": '
+_CHUNK_LINES = 2048  # lines per write: about 1.3 MB of wogli rows
 
 # three-way prediction labels collapse onto the binary scheme
 _PREDICTION_LABELS = {
@@ -38,21 +43,30 @@ _PREDICTION_LABELS = {
 }
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _lines(source):
+    """The lines of a path or text stream, without their ends. Lines break
+    only at LF, CRLF and CR, as a text-mode file breaks them; str.splitlines
+    would also break at U+2028, U+0085 or a form feed inside a field."""
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8") as handle:  # translates CRLF and CR
+            yield from map(str.removesuffix, handle, repeat("\n"))
+        return
+    for line in source:  # a stream need not translate line ends
+        yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
 
 
-def _write_text(dest, text: str) -> int:
-    data = text.encode("utf-8")
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "wb") as handle:
-            handle.write(data)
-    return len(data)
+def _write_lines(dest, lines: list[str]) -> int:
+    """Write encoded lines to a path or text stream a bounded chunk at a time;
+    returns bytes written. Callers encode every line before they call it."""
+    stream = hasattr(dest, "write")
+    size = 0
+    with nullcontext(dest) if stream else open(dest, "wb") as handle:
+        for start in range(0, len(lines), _CHUNK_LINES):
+            text = "".join(lines[start:start + _CHUNK_LINES])
+            data = text.encode("utf-8")
+            handle.write(text if stream else data)
+            size += len(data)
+    return size
 
 
 def _check_ids(records) -> None:
@@ -81,7 +95,7 @@ def _tsv_fields(record: PairRecord) -> tuple[str, ...]:
     return fields
 
 
-def _rows_text(records) -> str:
+def _row_lines(records) -> list[str]:
     """JSON lines in stable key order, each field encoded as json.dumps would.
     A run of records with equal all-string metadata in the same key order
     (a premise's records) shares one encoding of it."""
@@ -96,37 +110,43 @@ def _rows_text(records) -> str:
             f'{{"id": {_encode_str(r.id)}, "subset": {_encode_str(r.subset)}, '
             f'"premise": {_encode_str(r.premise)}, "hypothesis": {_encode_str(r.hypothesis)}, '
             f'"label": {_LABEL_JSON[r.label]}, "hyp_kind": {_HYP_KIND_JSON[r.hyp_kind]}, '
-            f'"pattern": {_encode_str(r.pattern_name)}, "metadata": {meta}}}\n'
+            f'"pattern": {_encode_str(r.pattern_name)}{_META_SEP}{meta}}}\n'
         )
-    return "".join(lines)
+    return lines
 
 
 def write_pairs(records, dest, fmt: str = "rows") -> int:
     """Serialize records to a path or file-like object; returns bytes written.
 
     "rows" gives JSON lines in stable key order (an empty record list gives
-    an empty file); "tsv" gives a header plus one row per record.
+    an empty file); "tsv" gives a header plus one row per record. Every
+    record is encoded before the first byte is written, so a record that
+    cannot be written leaves the destination untouched.
     """
     records = list(records)
     _check_ids(records)
     if fmt == "rows":
-        text = _rows_text(records)
+        lines = _row_lines(records)
     elif fmt == "tsv":
-        lines = ["\t".join(TSV_HEADER)]
-        lines.extend("\t".join(_tsv_fields(r)) for r in records)
-        text = "\n".join(lines) + "\n"
+        lines = ["\t".join(TSV_HEADER) + "\n"]
+        lines.extend("\t".join(_tsv_fields(r)) + "\n" for r in records)
     else:
         raise ValueError(f"unknown pair format {fmt!r}")
-    return _write_text(dest, text)
+    return _write_lines(dest, lines)
+
+
+def _scan(text: str, start: int = 0):
+    """(value, end) of the JSON value that starts at text[start], or (None, -1)."""
+    try:
+        return _SCAN_ROW(text, start)
+    except (StopIteration, ValueError):
+        return None, -1
 
 
 def _json_row(line: str, lineno: int):
-    try:
-        obj, end = _SCAN_ROW(line, 0)
-        if end == len(line):
-            return obj
-    except (StopIteration, ValueError):
-        pass
+    obj, end = _scan(line)
+    if end == len(line):
+        return obj
     try:  # whitespace around the object, or the message for a malformed line
         return json.loads(line)
     except json.JSONDecodeError as exc:
@@ -140,6 +160,35 @@ def _tsv_row(line: str, lineno: int) -> dict:
             f"line {lineno}: expected {len(TSV_HEADER)} fields, found {len(fields)}"
         )
     return dict(zip(TSV_HEADER, fields), metadata={})
+
+
+def _row_objects(lines):
+    """(line number, object) of each non-blank row line.
+
+    A line H + _META_SEP + M + "}" in which H + "}" scans exactly as a
+    non-empty object and M scans exactly is that object with M as its
+    metadata, the last duplicate key winning as in json.loads. Such a line
+    is decoded as those two parts, and a run of lines ending in the same
+    _META_SEP + M + "}" (a premise's rows) decodes M once; each object gets
+    its own shallow copy of it. Every other line goes through _json_row.
+    """
+    tail = meta = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        if tail is None or not line.endswith(tail):
+            cut = line.rfind(_META_SEP)
+            meta, end = _scan(line, cut + len(_META_SEP)) if cut >= 0 else (None, -1)
+            tail = line[cut:] if end == len(line) - 1 and line[end] == "}" else None
+        obj = None
+        if tail is not None:
+            head = line[:-len(tail)] + "}"
+            obj, end = _scan(head)
+            if type(obj) is dict and obj and end == len(head):
+                obj["metadata"] = meta.copy() if type(meta) is dict else meta
+            else:
+                obj = None
+        yield lineno, _json_row(line, lineno) if obj is None else obj
 
 
 def _record_from_row(obj, lineno: int) -> PairRecord:
@@ -177,24 +226,28 @@ def _record_from_row(obj, lineno: int) -> PairRecord:
 
 def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
     """Load a pair file written by write_pairs; fmt "auto" sniffs the format."""
-    text = _read_text(source)
-    if fmt == "auto":
-        head = text.lstrip()
-        if not head:
-            return []
-        fmt = "rows" if head[0] in "{[" else "tsv"
-    lines = text.splitlines()
-    if fmt == "rows":
-        rows = ((n, _json_row(line, n)) for n, line in enumerate(lines, start=1)
-                if line and not line.isspace())
-    elif fmt == "tsv":
-        header = lines[0].split("\t") if lines else list(TSV_HEADER)
-        if tuple(header) != TSV_HEADER:
-            raise DataFormatError(f"bad header: expected {list(TSV_HEADER)}, found {header}")
-        rows = ((n, _tsv_row(line, n)) for n, line in enumerate(lines[1:], start=2) if line)
-    else:
-        raise ValueError(f"unknown pair format {fmt!r}")
-    records = [_record_from_row(obj, lineno) for lineno, obj in rows]
+    with closing(_lines(source)) as lines:
+        if fmt == "auto":
+            ahead = []
+            for line in lines:
+                ahead.append(line)
+                if line and not line.isspace():
+                    break
+            else:
+                return []
+            fmt = "rows" if line.lstrip()[0] in "{[" else "tsv"
+            lines = chain(ahead, lines)
+        if fmt == "rows":
+            rows = _row_objects(lines)
+        elif fmt == "tsv":
+            header = next(lines, None)
+            header = list(TSV_HEADER) if header is None else header.split("\t")
+            if tuple(header) != TSV_HEADER:
+                raise DataFormatError(f"bad header: expected {list(TSV_HEADER)}, found {header}")
+            rows = ((n, _tsv_row(line, n)) for n, line in enumerate(lines, start=2) if line)
+        else:
+            raise ValueError(f"unknown pair format {fmt!r}")
+        records = [_record_from_row(obj, lineno) for lineno, obj in rows]
     _check_ids(records)
     return records
 
@@ -218,40 +271,38 @@ def read_predictions(source, runs: int) -> PredictionSet:
     """
     if runs < 1:
         raise ValueError("runs must be positive")
-    text = _read_text(source)
-    lines = text.splitlines()
-    if not lines or tuple(lines[0].split("\t")) != ("id", "run", "label"):
-        raise DataFormatError("prediction file must start with an id/run/label header")
-    table: dict[str, dict[int, Label]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError(f"line {lineno}: expected 3 fields, found {len(fields)}")
-        rid, run_text, label_text = fields
-        try:
-            run = int(run_text)
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: run index {run_text!r} is not an integer") from None
-        if not 0 <= run < runs:
-            raise DataFormatError(
-                f"line {lineno}: run index {run} outside 0..{runs - 1}"
-            )
-        label = _PREDICTION_LABELS.get(label_text.strip())
-        if label is None:
-            raise DataFormatError(f"line {lineno}: unknown label {label_text!r}")
-        per_run = table.setdefault(rid, {})
-        if run in per_run:
-            raise DataFormatError(f"line {lineno}: duplicate prediction for {rid!r} run {run}")
-        per_run[run] = label
+    run_indices = {str(i): i for i in range(runs)}
+    table: dict[str, list] = {}
+    with closing(_lines(source)) as lines:
+        if tuple(next(lines, "").split("\t")) != ("id", "run", "label"):
+            raise DataFormatError("prediction file must start with an id/run/label header")
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise DataFormatError(f"line {lineno}: expected 3 fields, found {len(fields)}")
+            rid, run_text, label_text = fields
+            run = run_indices.get(run_text)
+            if run is None:
+                try:
+                    run = int(run_text)
+                except ValueError:
+                    raise DataFormatError(
+                        f"line {lineno}: run index {run_text!r} is not an integer"
+                    ) from None
+                if not 0 <= run < runs:
+                    raise DataFormatError(f"line {lineno}: run index {run} outside 0..{runs - 1}")
+            label = _PREDICTION_LABELS.get(label_text) or _PREDICTION_LABELS.get(label_text.strip())
+            if label is None:
+                raise DataFormatError(f"line {lineno}: unknown label {label_text!r}")
+            per_run = table.get(rid)
+            if per_run is None:
+                per_run = table[rid] = [None] * runs
+            elif per_run[run] is not None:
+                raise DataFormatError(f"line {lineno}: duplicate prediction for {rid!r} run {run}")
+            per_run[run] = label
     for rid, per_run in table.items():
-        missing = sorted(set(range(runs)) - per_run.keys())
-        if missing:
-            raise PredictionJoinError(
-                f"id {rid!r} has no prediction for run {missing[0]}"
-            )
-    return PredictionSet(
-        runs=runs,
-        labels={rid: tuple(per_run[i] for i in range(runs)) for rid, per_run in table.items()},
-    )
+        if None in per_run:
+            raise PredictionJoinError(f"id {rid!r} has no prediction for run {per_run.index(None)}")
+    return PredictionSet(runs=runs, labels={rid: tuple(per_run) for rid, per_run in table.items()})

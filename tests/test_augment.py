@@ -271,6 +271,12 @@ class TestMergeTraining:
         rows = merge_training(io.StringIO("\n" + BASE_TSV + "\n"), [], seed=0)
         assert len(rows) == 3
 
+    def test_unicode_separators_stay_inside_a_row(self):
+        base = "Ein\u2028Satz.\tNoch\x85ein Satz.\tneutral\nEin\x0cSatz.\tNoch einer.\tentailment\n"
+        rows = merge_training(io.StringIO(base), [], seed=0)
+        assert sorted(rows) == [("Ein\x0cSatz.", "Noch einer.", "entailment"),
+                                ("Ein\u2028Satz.", "Noch\x85ein Satz.", "neutral")]
+
     @pytest.mark.parametrize("bad,complaint", [
         ("nur zwei\tfelder\n", "base line 1"),
         ("a\tb\tentailment\nx\t\tneutral\n", "base line 2"),

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,14 @@ from wogli import (
     Label,
     PairRecord,
     PredictionJoinError,
+    PredictionSet,
     generate_set,
     read_pairs,
     read_predictions,
     write_pairs,
+)
+from wogli.dataset_io import (
+    _CHUNK_LINES, _META_SEP, _PREDICTION_LABELS, _check_ids, _record_from_row,
 )
 
 from conftest import make_toy
@@ -177,6 +182,14 @@ class TestMetadataRuns:
         assert second.getvalue() == "".join(_reference_line(r) for r in records)
         assert second.getvalue() == first.getvalue().replace("sehen", "hören")
 
+    def test_records_read_from_one_premise_own_their_metadata(self):
+        meta = {"subject_lemma": "Arzt", "verb_lemma": "sehen"}
+        buf = io.StringIO()
+        write_pairs([_rec("a-h1", metadata=meta), _rec("a-h2", metadata=meta)], buf, fmt="rows")
+        first, second = read_pairs(io.StringIO(buf.getvalue()))
+        first.metadata["verb_lemma"] = "hören"
+        assert second.metadata == meta
+
 
 # lexicons whose names need JSON escapes and characters beyond Latin-1
 _ESCAPED_NAMES = make_toy(masc_proper=['Pe"ter', "Pa\\ul"], fem_proper=["Łucja", "Zoë"])
@@ -196,6 +209,89 @@ def test_rows_round_trip_byte_for_byte(lex, name, seed, with_replacement, spaced
     again = io.StringIO()
     write_pairs(read_pairs(io.StringIO(text)), again, fmt="rows")
     assert again.getvalue() == text
+
+
+def _reference_rows(text):
+    """read_pairs of a rows text, with one json.loads per line."""
+    records = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        records.append(_record_from_row(obj, lineno))
+    _check_ids(records)
+    return records
+
+
+_HEAD = {"id": "a", "subset": "wogli", "premise": "P.", "hypothesis": "H.",
+         "label": "non-entailed", "hyp_kind": "h1_so", "pattern": "sing_masc_v_pnoun"}
+_METADATA = [{"subject_lemma": "Arzt", "verb_lemma": "sehen"}, {"subject_lemma": "Anna"}, {}]
+_NESTED = [
+    {"subject_lemma": "Arzt", "metadata": {"verb_lemma": "sehen"}},
+    {"metadata": "x", "subject_lemma": "Arzt"},
+    {"subject_lemma": "Arzt", "metadata": None},
+]
+_MUTATIONS = ["none", "spacing", "separator-in-value", "nested-key", "duplicate", "empty-head",
+              "null-or-array", "trailing-space", "not-last", "junk-before", "junk-after",
+              "separator-text"]
+
+
+@st.composite
+def _mutated_rows(draw):
+    """A row line built the way write_pairs builds one, with one mutation."""
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    head = dict(_HEAD, id=draw(st.sampled_from(["a", "b", "c"])))
+    meta = draw(st.sampled_from(_METADATA))
+    seps = [", ", ": "] * 2
+    before = after = ""
+    if mutation == "spacing":
+        seps = draw(st.tuples(*[st.sampled_from([",", ", ", " , ", ",\t"]),
+                                st.sampled_from([":", ": ", " : "])] * 2))
+    elif mutation == "separator-in-value":
+        meta = {"subject_lemma": 'x, "metadata": {"a": "b"}}'}
+    elif mutation == "nested-key":
+        meta = draw(st.sampled_from(_NESTED))
+    elif mutation == "duplicate":
+        head["metadata"] = draw(st.sampled_from(_METADATA + _NESTED + [None]))
+    elif mutation == "null-or-array":
+        meta = draw(st.sampled_from([None, ["subject_lemma", "Arzt"]]))
+    elif mutation == "not-last":
+        head = {"metadata": meta, **head}
+    elif mutation in ("junk-before", "junk-after"):
+        junk = draw(st.sampled_from(["}", "]", ",", "x", " "]))
+        before, after = (junk, "") if mutation == "junk-before" else ("", junk)
+    head_text = json.dumps(head, ensure_ascii=False, separators=tuple(seps[:2]))[:-1]
+    meta_text = json.dumps(meta, ensure_ascii=False, separators=tuple(seps[2:]))
+    if mutation == "empty-head":
+        head_text = "{"
+    line = f'{head_text}{before}{seps[0]}"metadata"{seps[1]}{meta_text}{after}}}'
+    if mutation == "trailing-space":
+        line += draw(st.sampled_from([" ", "\t", " \t"]))
+    elif mutation == "separator-text":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + _META_SEP + line[at:]
+    return line
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_mutated_rows(), min_size=1, max_size=4))
+def test_split_row_decoding_equals_json_loads(lines):
+    """Each line decoded as head and metadata apart, and a run of lines with
+    one metadata text decoded once, gives what json.loads of every line gives."""
+    text = "".join(line + "\n" for line in lines)
+    try:
+        want = _reference_rows(text)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            read_pairs(io.StringIO(text), fmt="rows")
+        assert str(got.value) == str(exc)
+        return
+    got = read_pairs(io.StringIO(text), fmt="rows")
+    assert got == want
+    assert len({id(r.metadata) for r in got}) == len(got)
 
 
 class TestTsvFormat:
@@ -274,6 +370,73 @@ class TestCommon:
         assert read_pairs(io.StringIO(""), fmt="auto") == []
 
 
+# str.splitlines breaks at these, a text-mode file does not; JSON escapes the
+# form feed, so in rows it was never a break
+_SEPARATORS = [("rows", "\u2028"), ("rows", "\x85"),
+               ("tsv", "\u2028"), ("tsv", "\x85"), ("tsv", "\x0c")]
+
+
+def _round_trip(records, fmt, via, tmp_path):
+    if via == "path":
+        write_pairs(records, tmp_path / "pairs", fmt=fmt)
+        return read_pairs(tmp_path / "pairs")
+    buf = io.StringIO()
+    write_pairs(records, buf, fmt=fmt)
+    return read_pairs(io.StringIO(buf.getvalue()))
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("via", ["path", "stream"])
+    @pytest.mark.parametrize("fmt,char", _SEPARATORS,
+                             ids=["rows-u2028", "rows-u0085", "tsv-u2028", "tsv-u0085", "tsv-x0c"])
+    def test_separator_in_a_premise_round_trips(self, fmt, char, via, tmp_path):
+        records = [_rec("a", premise=f"Der Arzt{char}sieht den Kunden.", metadata={"k": "v"}),
+                   _rec("b", metadata={"k": "v"})]
+        want = records if fmt == "rows" else [replace(r, metadata={}) for r in records]
+        assert _round_trip(records, fmt, via, tmp_path) == want
+
+    @pytest.mark.parametrize("via", ["path", "stream"])
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_end_lines(self, records, fmt, end, via, tmp_path):
+        buf = io.StringIO()
+        write_pairs(records, buf, fmt=fmt)
+        text = buf.getvalue().replace("\n", end)
+        if via == "path":
+            (tmp_path / "pairs").write_bytes(text.encode("utf-8"))
+            source = tmp_path / "pairs"
+        else:
+            source = io.StringIO(text, newline="")
+        assert read_pairs(source) == read_pairs(io.StringIO(buf.getvalue()))
+
+
+_FAILED_WRITES = {
+    "rows-non-string-last": ("rows", _rec(7), TypeError),
+    "tsv-tab-last": ("tsv", _rec("z", premise="Der\tArzt sieht den Kunden."), DataFormatError),
+    "duplicate-id": ("rows", _rec("r0"), DataFormatError),
+}
+
+
+class TestAllOrNothingWrites:
+    """More records than one write chunk, the last one faulty: nothing is
+    written, whether the destination exists or not."""
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
+    @pytest.mark.parametrize("fault", list(_FAILED_WRITES))
+    def test_failed_write_leaves_destination_untouched(self, fault, exists, tmp_path):
+        fmt, last, error = _FAILED_WRITES[fault]
+        records = [_rec(f"r{i}") for i in range(_CHUNK_LINES + 1)] + [last]
+        path = tmp_path / "pairs"
+        if exists:
+            path.write_bytes(b"earlier contents\n")
+        with pytest.raises(error):
+            write_pairs(records, path, fmt=fmt)
+        if exists:
+            assert path.read_bytes() == b"earlier contents\n"
+        else:
+            assert not path.exists()
+
+
 def _pred_text(rows):
     return "id\trun\tlabel\n" + "".join(f"{i}\t{r}\t{l}\n" for i, r, l in rows)
 
@@ -340,3 +503,97 @@ class TestPredictions:
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
             read_predictions(io.StringIO("id\trun\tlabel\n"), runs=0)
+
+
+    def test_unicode_separator_in_an_id(self):
+        preds = read_predictions(io.StringIO(_pred_text([("a\u2028b\x85c", 0, "entailed")])), runs=1)
+        assert preds.labels == {"a\u2028b\x85c": (Label.ENTAILED,)}
+
+
+def _reference_predictions(text, runs):
+    """read_predictions as it was before it built each id's labels in one
+    pass: a {run: label} dict per id, every label stripped. (Its
+    str.splitlines is not under test: the files below break only at LF.)"""
+    lines = text.splitlines()
+    if not lines or tuple(lines[0].split("\t")) != ("id", "run", "label"):
+        raise DataFormatError("prediction file must start with an id/run/label header")
+    table = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataFormatError(f"line {lineno}: expected 3 fields, found {len(fields)}")
+        rid, run_text, label_text = fields
+        try:
+            run = int(run_text)
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: run index {run_text!r} is not an integer") from None
+        if not 0 <= run < runs:
+            raise DataFormatError(f"line {lineno}: run index {run} outside 0..{runs - 1}")
+        label = _PREDICTION_LABELS.get(label_text.strip())
+        if label is None:
+            raise DataFormatError(f"line {lineno}: unknown label {label_text!r}")
+        per_run = table.setdefault(rid, {})
+        if run in per_run:
+            raise DataFormatError(f"line {lineno}: duplicate prediction for {rid!r} run {run}")
+        per_run[run] = label
+    for rid, per_run in table.items():
+        missing = sorted(set(range(runs)) - per_run.keys())
+        if missing:
+            raise PredictionJoinError(f"id {rid!r} has no prediction for run {missing[0]}")
+    return PredictionSet(
+        runs=runs,
+        labels={rid: tuple(per_run[i] for i in range(runs)) for rid, per_run in table.items()},
+    )
+
+
+_PLANTED = ["", "a\t0", "a\t0\tentailed\tx", "a\tx\tentailed", "b\t-1\tneutral",
+            "b\t 1\tneutral", "c\t01\tneutral", "c\t+0\tentailed", "c\t1_0\tentailed",
+            "a\t0\tmaybe", "b\t0\t neutral ", "c\t0\tEntailed", "a\t0\t"]
+
+
+@st.composite
+def _prediction_files(draw):
+    """A complete prediction table in random order, then a few planted faults."""
+    runs = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "wogli-p00-d00001-h1", "ä"]),
+                        min_size=1, max_size=4, unique=True))
+    labels = st.sampled_from(list(_PREDICTION_LABELS))
+    lines = [f"{rid}\t{run}\t{draw(labels)}" for rid in ids for run in range(runs)]
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        fault = draw(st.sampled_from(["plant", "drop", "repeat", "out-of-range", "last-run-only",
+                                      "padded-label"]))
+        if fault == "padded-label" and at < len(lines):
+            lines[at] += draw(st.sampled_from([" ", "  ", "\u00a0"]))
+        elif fault == "last-run-only":  # the error names the first of several missing runs
+            rid = draw(st.sampled_from(ids))
+            lines = [x for x in lines if not x.startswith(f"{rid}\t") or x.startswith(f"{rid}\t{runs - 1}\t")]
+        elif fault == "plant":
+            lines.insert(at, draw(st.sampled_from(_PLANTED)))
+        elif fault == "drop" and at < len(lines):
+            del lines[at]
+        elif fault == "repeat" and at < len(lines):
+            lines.insert(at, lines[at])
+        elif fault == "out-of-range":
+            lines.insert(at, f"{draw(st.sampled_from(ids))}\t{runs}\tentailed")
+    header = draw(st.sampled_from(["id\trun\tlabel"] * 6 + ["id\trun", "", "run\tid\tlabel"]))
+    return runs, "".join(line + "\n" for line in [header, *lines])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_prediction_files())
+def test_predictions_equal_the_reference_reader(case):
+    runs, text = case
+    try:
+        want = _reference_predictions(text, runs)
+    except (DataFormatError, PredictionJoinError) as exc:
+        with pytest.raises(type(exc)) as got:
+            read_predictions(io.StringIO(text), runs)
+        assert str(got.value) == str(exc)
+        return
+    got = read_predictions(io.StringIO(text), runs)
+    assert got == want
+    assert list(got.labels) == list(want.labels)
