@@ -122,7 +122,7 @@ class HypKind(enum.Enum):
         return Label.ENTAILED if self.subject_nominative else Label.NOT_ENTAILED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairRecord:
     """One premise/hypothesis pair, the atomic dataset row.
 

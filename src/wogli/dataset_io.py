@@ -11,7 +11,7 @@ import json
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import chain, repeat
-from json.encoder import encode_basestring as _encode_str
+from json.encoder import c_make_encoder as _c_make_encoder, encode_basestring as _encode_str
 from json.scanner import make_scanner
 from operator import itemgetter
 
@@ -27,10 +27,12 @@ _ROW_FIELDS = itemgetter(*TSV_HEADER)
 _LABELS = {m.value: m for m in Label}
 # hyp_kind value -> (member, the label it implies), so no row calls Enum code
 _HYP_KINDS = {m.value: (m, m.label) for m in HypKind}
-_LABEL_JSON = {m: _encode_str(m.value) for m in Label}
-_HYP_KIND_JSON = {m: _encode_str(m.value) for m in HypKind}
+# keyed by member value, as an Enum member hashes through Python code
+_LABEL_JSON = {m.value: _encode_str(m.value) for m in Label}
+_HYP_KIND_JSON = {m.value: _encode_str(m.value) for m in HypKind}
 # write_pairs puts metadata last in every row
 _META_SEP = ', "metadata": '
+_STR = {str}
 _CHUNK_LINES = 2048  # lines per write: about 1.3 MB of wogli rows
 
 # three-way prediction labels collapse onto the binary scheme
@@ -46,13 +48,35 @@ _PREDICTION_LABELS = {
 def _lines(source):
     """The lines of a path or text stream, without their ends. Lines break
     only at LF, CRLF and CR, as a text-mode file breaks them; str.splitlines
-    would also break at U+2028, U+0085 or a form feed inside a field."""
-    if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8") as handle:  # translates CRLF and CR
-            yield from map(str.removesuffix, handle, repeat("\n"))
-        return
-    for line in source:  # a stream need not translate line ends
-        yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    would also break at U+2028, U+0085 or a form feed inside a field. Text
+    that is not UTF-8 is a DataFormatError naming the file (and, for a
+    path, the line) where it starts."""
+    try:
+        if not hasattr(source, "read"):
+            with open(source, "r", encoding="utf-8") as handle:  # translates CRLF and CR
+                yield from map(str.removesuffix, handle, repeat("\n"))
+            return
+        for line in source:  # a stream need not translate line ends
+            yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    except UnicodeDecodeError as exc:
+        if hasattr(source, "read"):
+            raise DataFormatError(
+                f"{getattr(source, 'name', '<stream>')}: not valid UTF-8 ({exc.reason})") from None
+        raise _undecodable(source) from None
+
+
+def _undecodable(path) -> DataFormatError:
+    """The error for a file that is not valid UTF-8: its first bad byte and
+    the line that holds it, counted as _lines counts lines."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return DataFormatError(f"{path}: line {line}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+    return DataFormatError(f"{path}: not valid UTF-8")  # the file changed while it was read
 
 
 def _write_lines(dest, lines: list[str]) -> int:
@@ -95,21 +119,37 @@ def _tsv_fields(record: PairRecord) -> tuple[str, ...]:
     return fields
 
 
+def _metadata_encoder():
+    """A function encoding one record's metadata as _ROW_ENCODER.encode
+    would, for one write. A metadata dict goes through one C encoder made
+    here with a fresh markers dict and the row encoder's default, so
+    circular and unserialisable metadata raise as they would there."""
+    if _c_make_encoder is None:
+        return _ROW_ENCODER.encode
+    e = _ROW_ENCODER
+    encode = _c_make_encoder({}, e.default, _encode_str, e.indent, e.key_separator,
+                             e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda m: "".join(encode(m, 0)) if type(m) is dict else e.encode(m)
+
+
 def _row_lines(records) -> list[str]:
     """JSON lines in stable key order, each field encoded as json.dumps would.
-    A run of records with equal all-string metadata in the same key order
-    (a premise's records) shares one encoding of it."""
+    A run of records with the same metadata dict, or with equal metadata
+    whose keys and values are all strings, in the same key order (a
+    premise's records), shares one encoding of it."""
+    encode_metadata = _metadata_encoder()
     lines = []
-    last = meta = None
+    last = keys = meta = None  # keys: the last metadata's, if all strings
     for r in records:
-        items = tuple(r.metadata.items())
-        if items != last:
-            meta = _ROW_ENCODER.encode(r.metadata)
-            last = items if all(type(v) is str for _, v in items) else None
+        m = r.metadata
+        if m is not last and (keys is None or m != last or list(m) != keys):
+            meta = encode_metadata(m)
+            keys = list(m) if type(m) is dict and {*map(type, m), *map(type, m.values())} <= _STR else None
+            last = m
         lines.append(
             f'{{"id": {_encode_str(r.id)}, "subset": {_encode_str(r.subset)}, '
             f'"premise": {_encode_str(r.premise)}, "hypothesis": {_encode_str(r.hypothesis)}, '
-            f'"label": {_LABEL_JSON[r.label]}, "hyp_kind": {_HYP_KIND_JSON[r.hyp_kind]}, '
+            f'"label": {_LABEL_JSON[r.label._value_]}, "hyp_kind": {_HYP_KIND_JSON[r.hyp_kind._value_]}, '
             f'"pattern": {_encode_str(r.pattern_name)}{_META_SEP}{meta}}}\n'
         )
     return lines

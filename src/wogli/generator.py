@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 from .core import (
     ArticleKind,
-    Case,
     Gender,
     Government,
     HypKind,
@@ -28,7 +27,7 @@ from .core import (
 )
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
-from .morphology import NPSpec, PRONOUN, clause
+from .morphology import NPSpec, PRONOUN, compile_sentence
 from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
@@ -66,51 +65,33 @@ class PremiseInstance:
     seed_path: tuple[int, int] = (0, 0)
 
 
-def _sentence(tokens: list[str], spaced_period: bool) -> str:
-    tokens[0] = tokens[0][0].upper() + tokens[0][1:]
-    return " ".join(tokens) + (" ." if spaced_period else ".")
-
-
-def _layout(draw, object_case: Case, kind: HypKind | None = None) -> list[str]:
-    """The premise (kind None) or one hypothesis of a draw (subject, object,
-    verb, thing) as tokens: the argument layout of the kind, plus the
-    accusative direct object of ditransitives."""
-    subject, obj, verb, thing = draw
-    tokens = clause(subject.spec, obj.spec, verb, object_case, kind)
-    if thing is not None:
-        tokens.extend(thing.spec.acc)
-    return tokens
-
-
-def _tokens(inst: PremiseInstance, kind: HypKind | None = None) -> list[str]:
-    tokens = clause(inst.subject, inst.object, inst.verb, inst.pattern.government.object_case, kind)
-    if inst.direct_object is not None:
-        tokens.extend(inst.direct_object.acc)
-    return tokens
+def _render(inst: PremiseInstance, kind: HypKind | None, spaced_period: bool) -> str:
+    sentence = compile_sentence(inst.pattern.government.object_case, kind, spaced_period)
+    return sentence(inst.subject, inst.object, inst.verb, inst.direct_object)
 
 
 def realize_premise(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Subject, agreeing verb, object in the governed case, capitalized and
     terminated (ditransitives append the accusative direct object)."""
-    return _sentence(_tokens(inst), spaced_period)
+    return _render(inst, None, spaced_period)
 
 
 def derive_h1(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Argument swap in base order (not entailed): the old object becomes the
     nominative subject, the verb re-agrees, the old subject takes the object case."""
-    return _sentence(_tokens(inst, HypKind.H1_SO), spaced_period)
+    return _render(inst, HypKind.H1_SO, spaced_period)
 
 
 def derive_h2(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Surface reorder (entailed): object first, everything keeps its marking."""
-    return _sentence(_tokens(inst, HypKind.H2_OS), spaced_period)
+    return _render(inst, HypKind.H2_OS, spaced_period)
 
 
 def derive_h3(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Argument swap presented in object-first order (not entailed)."""
     if inst.pattern.government is not Government.ACCUSATIVE:
         raise ValueError("the object-first swap is defined for accusative premises")
-    return _sentence(_tokens(inst, HypKind.H3_OS), spaced_period)
+    return _render(inst, HypKind.H3_OS, spaced_period)
 
 
 def pronominalize(inst: PremiseInstance) -> PremiseInstance:
@@ -273,6 +254,12 @@ class _Tables:
             raise DataFormatError(f"{where}: {role}: {exc}") from None
 
 
+def _text(sentence, draw) -> str:
+    """The text of a compiled sentence over a draw (subject, object, verb, thing)."""
+    subject, obj, verb, thing = draw
+    return sentence(subject.spec, obj.spec, verb, None if thing is None else thing.spec)
+
+
 def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
     return _Tables(lex, compat).space(pattern)
 
@@ -283,7 +270,7 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
     (subject, object, verb, thing) it lays out; premises are distinct unless
     drawn with replacement. Each premise is realized once, here."""
     rng = random.Random(f"{seed}:{pattern.government.value}:{pattern_index}")
-    object_case = pattern.government.object_case
+    premise_of = compile_sentence(pattern.government.object_case, None, spaced_period)
     same_class = pattern.subject.name_fragment == pattern.object.name_fragment
     space = tables.space(pattern)
     # with replacement any non-empty space will do; an empty one would redraw forever
@@ -304,7 +291,7 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
             if same_class and subject.spec.head.lemma == obj.spec.head.lemma:
                 continue
             drawn = (subject, obj, verb, thing)
-            distinct.setdefault(_sentence(_layout(drawn, object_case), spaced_period), drawn)
+            distinct.setdefault(_text(premise_of, drawn), drawn)
         if per_pattern > len(distinct):
             raise ExhaustionError(
                 f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
@@ -332,7 +319,7 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
         if same_class and subject.spec.head.lemma == obj.spec.head.lemma:
             continue
         drawn = (subject, obj, verb, None if things is None else rng.choice(things))
-        premise = _sentence(_layout(drawn, object_case), spaced_period)
+        premise = _text(premise_of, drawn)
         if not with_replacement and premise in seen:
             misses += 1
             if misses > _REJECTION_MISS_BUDGET:
@@ -389,12 +376,17 @@ class _Records:
 
     def __init__(self, name: GenerationSet, spaced_period: bool):
         self.subset, self.spaced_period = name.subset_label, spaced_period
-        kinds = _HYP_KINDS.get(name, (HypKind.H1_SO, HypKind.H2_OS))
-        self.kinds = [(kind, kind.value.split("_")[0], kind.label) for kind in kinds]
+        self.kinds = _HYP_KINDS.get(name, (HypKind.H1_SO, HypKind.H2_OS))
 
     def for_pattern(self, pattern: Pattern, pattern_index: int) -> None:
-        self.pattern_name, self.object_case = pattern.name, pattern.government.object_case
+        self.pattern_name = pattern.name
         self.prefix = f"{self.subset}-p{pattern_index:02d}-d"
+        case = pattern.government.object_case
+        self.premise_of = compile_sentence(case, None, self.spaced_period)
+        self.hypotheses = [
+            (kind, kind.value.split("_")[0], kind.label, compile_sentence(case, kind, self.spaced_period))
+            for kind in self.kinds
+        ]
 
     def __call__(self, draw, premise: str, draw_index: int) -> list[PairRecord]:
         subject, obj, verb, thing = draw
@@ -403,11 +395,12 @@ class _Records:
                     **obj.meta["object"], "verb_lemma": verb.lemma}
         if thing is not None:
             metadata.update(thing.meta["direct_object"])
+            thing = thing.spec
+        subject, obj = subject.spec, obj.spec
         return [
-            PairRecord(f"{stem}-{suffix}", self.subset, premise,
-                       _sentence(_layout(draw, self.object_case, kind), self.spaced_period),
+            PairRecord(f"{stem}-{suffix}", self.subset, premise, hypothesis_of(subject, obj, verb, thing),
                        label, kind, self.pattern_name, dict(metadata))
-            for kind, suffix, label in self.kinds
+            for kind, suffix, label, hypothesis_of in self.hypotheses
         ]
 
 
@@ -444,7 +437,7 @@ def generate_set(
                 drawn.add(premise)
             if name is GenerationSet.P_SUBJECT:
                 draw = (tables.pronoun(draw[0]), *draw[1:])
-                premise = _sentence(_layout(draw, build.object_case), spaced_period)
+                premise = _text(build.premise_of, draw)
                 if premise in seen:
                     continue
                 seen.add(premise)
@@ -513,6 +506,5 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
         if (pattern, seed_path[0]) != current:
             current = (pattern, seed_path[0])
             build.for_pattern(*current)
-        out.extend(build(draw, _sentence(_layout(draw, build.object_case), spaced_period),
-                         seed_path[1]))
+        out.extend(build(draw, _text(build.premise_of, draw), seed_path[1]))
     return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import importlib.resources
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .core import (
     ThingNounEntry,
     VerbEntry,
 )
+from .dataset_io import _lines
 from .errors import LexiconError
 from .morphology import Case, inflect_noun
 
@@ -210,9 +212,10 @@ def _json_rows(text: str, name: str):
 
 def _tsv_rows(text: str, name: str):
     """The document's rows as (inventory key, JSON form, location); a cell
-    holding "-" is empty: no plural, no category."""
+    holding "-" is empty: no plural, no category. Lines break as in pair
+    files, so a cell may hold U+0085, U+2028 or a form feed."""
     header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(io.StringIO(text)), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         where = f"{name}:{lineno}"

@@ -3,14 +3,15 @@
 Everything here is table-driven: articles come from a fixed paradigm,
 noun forms from the entry plus two closed rules (weak masculine singulars,
 dative-plural -n), verb forms straight from the lexicon entry. All functions
-are pure and the tables are module constants. An NPSpec keeps each case
-form once it is rendered, and clause lays such forms out.
+are pure and the tables are module constants. An NPSpec keeps the text of
+each case form once it is rendered, and a sentence compiled for a layout
+fills those texts into one format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .core import ArticleKind, Case, Gender, HypKind, NounEntry, NounKind, Number, ThingNounEntry, VerbEntry
 from .errors import MorphologyError
@@ -26,6 +27,7 @@ class _PronounHead:
 PRONOUN = _PronounHead()
 
 _CASES = (Case.NOM, Case.ACC, Case.DAT)
+_CAPITALISED = len(_CASES)
 
 # (nom, acc, dat) per (kind, gender, number); plural forms do not vary by gender.
 _ARTICLES = {
@@ -119,17 +121,15 @@ class NPSpec:
         return self.head.lemma
 
     @cached_property
-    def nom(self) -> tuple[str, ...]:
-        """The NP's tokens in the nominative, rendered on first use and kept."""
-        return tuple(render_np(self, Case.NOM))
-
-    @cached_property
-    def acc(self) -> tuple[str, ...]:
-        return tuple(render_np(self, Case.ACC))
-
-    @cached_property
-    def dat(self) -> tuple[str, ...]:
-        return tuple(render_np(self, Case.DAT))
+    def texts(self) -> tuple[str | None, ...]:
+        """The NP's text in each case of _CASES, then the same three texts
+        with the first letter capitalised; rendered on first use and kept.
+        None stands for the dative of a pronoun, which has no form."""
+        texts = [
+            None if self.head is PRONOUN and case is Case.DAT else " ".join(render_np(self, case))
+            for case in _CASES
+        ]
+        return (*texts, *(text and text[0].upper() + text[1:] for text in texts))
 
 
 def render_np(spec: NPSpec, case: Case) -> list[str]:
@@ -146,20 +146,38 @@ def render_np(spec: NPSpec, case: Case) -> list[str]:
     return [article, noun] if article is not None else [noun]
 
 
-def clause(
-    subject: NPSpec, obj: NPSpec, verb: VerbEntry, object_case: Case, kind: HypKind | None = None
-) -> list[str]:
-    """Tokens of the premise's two arguments and verb in the layout of the
-    hypothesis kind (the premise itself when kind is None). The nominative
-    argument sets the verb's agreement; the other one takes object_case
-    (accusative or dative)."""
+@cache
+def compile_sentence(object_case: Case, kind: HypKind | None = None, spaced_period: bool = False):
+    """The function (subject, obj, verb, direct object or None) -> text of
+    the premise (kind None) or of one hypothesis of it, for premises whose
+    object takes object_case.
+
+    The layout of a kind is worked out here, once: the nominative argument
+    (the premise subject unless the kind swaps the roles) sets the verb's
+    agreement and the other one takes object_case; subject_first says
+    whether the premise subject comes first. A ditransitive's direct object
+    follows in the accusative, and the first letter is capitalised."""
     subject_nominative = kind is None or kind.subject_nominative
-    nominative, other = (subject, obj) if subject_nominative else (obj, subject)
-    other_tokens = other.acc if object_case is Case.ACC else other.dat
-    verb_form = agree_verb(verb, nominative.number)
-    if (kind is None or kind.subject_first) == subject_nominative:
-        return [*nominative.nom, verb_form, *other_tokens]
-    return [*other_tokens, verb_form, *nominative.nom]
+    nominative_first = (kind is None or kind.subject_first) == subject_nominative
+    other_case = _CASES.index(object_case)
+    # positions in NPSpec.texts; the capitalised texts follow the plain ones
+    nominative_at = _CAPITALISED if nominative_first else 0
+    other_at = other_case if nominative_first else other_case + _CAPITALISED
+    thing_at = _CASES.index(Case.ACC)
+    end = " ." if spaced_period else "."
+
+    def sentence(subject: NPSpec, obj: NPSpec, verb: VerbEntry, thing: NPSpec | None = None) -> str:
+        nominative, other = (subject, obj) if subject_nominative else (obj, subject)
+        nominative_text, other_text = nominative.texts[nominative_at], other.texts[other_at]
+        if other_text is None:
+            render_np(other, object_case)  # raises the error that names the missing form
+        first, second = (nominative_text, other_text) if nominative_first else (other_text, nominative_text)
+        verb_form = agree_verb(verb, nominative.number)
+        if thing is None:
+            return f"{first} {verb_form} {second}{end}"
+        return f"{first} {verb_form} {second} {thing.texts[thing_at]}{end}"
+
+    return sentence
 
 
 def article_paradigm() -> list[dict]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import ArticleKind, Gender, Government, HypKind, Number
 from .lexicon import Lexicon
-from .morphology import NPSpec, clause
+from .morphology import NPSpec, compile_sentence
 
 
 class NPClass(enum.Enum):
@@ -195,7 +195,8 @@ def is_ambiguous(pattern: Pattern, lex: Lexicon) -> bool:
     full enumeration; a shared ditransitive direct object could never break a
     tie and is left out.
     """
-    object_case = pattern.government.object_case
+    h1_of = compile_sentence(pattern.government.object_case, HypKind.H1_SO)
+    h2_of = compile_sentence(pattern.government.object_case, HypKind.H2_OS)
     verbs = list(lex.verbs(pattern.government))[:2]
     subjects = _representative_specs(pattern.subject, lex, set())
     if not subjects or not verbs:
@@ -212,9 +213,7 @@ def is_ambiguous(pattern: Pattern, lex: Lexicon) -> bool:
     for subj, verb, obj in itertools.product(subjects, verbs, objects):
         if subj.head.lemma == obj.head.lemma:
             continue
-        h1 = clause(subj, obj, verb, object_case, HypKind.H1_SO)
-        h2 = clause(subj, obj, verb, object_case, HypKind.H2_OS)
-        outcomes.add(h1 == h2)
+        outcomes.add(h1_of(subj, obj, verb) == h2_of(subj, obj, verb))
     return outcomes == {True}
 
 

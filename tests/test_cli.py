@@ -399,3 +399,35 @@ class TestWrongJsonTypes:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "error[format]" in err and message in err
+
+
+class TestUndecodableInput:
+    """A pair, prediction or training file that is not UTF-8 is a format
+    error naming the file and the line of its first bad byte."""
+
+    @pytest.mark.parametrize("command", ["derive", "sample-augmentation", "merge", "analyze"])
+    def test_exit_2_with_format_error(self, command, toy_path, tmp_path, capsys):
+        _, pairs = _generate(toy_path, tmp_path, per="3")
+        head = pairs.read_bytes().split(b"\n")[:2]
+        bad = tmp_path / "bad.txt"
+        if command == "derive":
+            bad.write_bytes(b"\n".join(head) + b"\n\xff\xfe\n")
+            argv = ["derive", "os-hard", "--from", str(bad), "--lexicon", toy_path,
+                    "--out", str(tmp_path / "hard.jsonl")]
+        elif command == "sample-augmentation":
+            bad.write_bytes(b"\n".join(head) + b"\n\xff\xfe\n")
+            argv = ["sample-augmentation", "--plan", "custom", "--seed", "5", "--in", str(bad),
+                    "--per-pattern", "1", "--verb-min", "0", "--verb-max", "100",
+                    "--out-aug", str(tmp_path / "aug.jsonl"),
+                    "--out-rest", str(tmp_path / "rest.jsonl")]
+        elif command == "merge":
+            bad.write_bytes("Er schläft.\tEr ruht.\tentailment\n".encode() + b"Sie l\xe4uft.\tx\tneutral\n")
+            argv = ["merge", "--base", str(bad), "--aug", str(pairs), "--out", str(tmp_path / "t.tsv")]
+        else:
+            _write_predictions(bad, read_pairs(pairs))
+            bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
+            argv = ["analyze", "--gold", str(pairs), "--predictions", str(bad), "--runs", "1"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        line = 2 if command in ("merge", "analyze") else 3
+        assert "error[format]" in err and f"{bad}: line {line}: not valid UTF-8" in err

@@ -22,6 +22,7 @@ from wogli import (
     read_predictions,
     write_pairs,
 )
+from wogli import dataset_io
 from wogli.dataset_io import (
     _CHUNK_LINES, _META_SEP, _PREDICTION_LABELS, _check_ids, _record_from_row,
 )
@@ -153,18 +154,23 @@ def _reference_line(r):
     }, ensure_ascii=False) + "\n"
 
 
+_ADJACENT_METADATA = {
+    "one-value": ({"subject_lemma": "Arzt", "verb_lemma": "sehen"},
+                  {"subject_lemma": "Arzt", "verb_lemma": "hören"}),
+    "key-order": ({"a": "1", "b": "2"}, {"b": "2", "a": "1"}),
+    "int-bool": ({"n": 1}, {"n": True}),
+    "int-float": ({"n": 1}, {"n": 1.0}),
+    "key-int-bool": ({1: "x"}, {True: "x"}),
+    "nested": ({"n": ["x"]}, {"n": ["y"]}),
+}
+
+
 class TestMetadataRuns:
     """Records of one premise share one encoding of their metadata; a record
     whose metadata differs in any way must still be written as its own."""
 
-    @pytest.mark.parametrize("first,second", [
-        ({"subject_lemma": "Arzt", "verb_lemma": "sehen"},
-         {"subject_lemma": "Arzt", "verb_lemma": "hören"}),
-        ({"a": "1", "b": "2"}, {"b": "2", "a": "1"}),
-        ({"n": 1}, {"n": True}),
-        ({"n": 1}, {"n": 1.0}),
-        ({"n": ["x"]}, {"n": ["y"]}),
-    ], ids=["one-value", "key-order", "int-bool", "int-float", "nested"])
+    @pytest.mark.parametrize("first,second", list(_ADJACENT_METADATA.values()),
+                             ids=list(_ADJACENT_METADATA))
     def test_adjacent_records_keep_their_own_metadata(self, first, second):
         records = [_rec("a-h1", metadata=first), _rec("a-h2", metadata=second)]
         buf = io.StringIO()
@@ -181,6 +187,32 @@ class TestMetadataRuns:
         write_pairs(records, second, fmt="rows")
         assert second.getvalue() == "".join(_reference_line(r) for r in records)
         assert second.getvalue() == first.getvalue().replace("sehen", "hören")
+
+    def test_without_the_c_encoder_the_bytes_are_the_same(self, toy_lex, monkeypatch):
+        shared = {"subject_lemma": "Arzt", "verb_lemma": "sehen"}
+        runs = [[_rec("a-h1", metadata=first), _rec("a-h2", metadata=second)]
+                for first, second in _ADJACENT_METADATA.values()]
+        runs.append([_rec("a-h1", metadata=shared), _rec("a-h2", metadata=shared)])
+        runs.append(generate_set(GenerationSet.DITRANSITIVE, toy_lex, seed=2, per_pattern=2))
+        circular = {}
+        circular["self"] = circular
+        faulty = [{"n": object()}, circular]
+
+        def written():
+            texts = []
+            for records in runs:
+                buf = io.StringIO()
+                write_pairs(records, buf, fmt="rows")
+                texts.append(buf.getvalue())
+            for metadata in faulty:
+                with pytest.raises((TypeError, ValueError)) as info:
+                    write_pairs([_rec("a", metadata=metadata)], io.StringIO(), fmt="rows")
+                texts.append((info.type, str(info.value)))
+            return texts
+
+        with_c = written()
+        monkeypatch.setattr(dataset_io, "_c_make_encoder", None)
+        assert written() == with_c
 
     def test_records_read_from_one_premise_own_their_metadata(self):
         meta = {"subject_lemma": "Arzt", "verb_lemma": "sehen"}
@@ -394,6 +426,18 @@ class TestLineBreaks:
                    _rec("b", metadata={"k": "v"})]
         want = records if fmt == "rows" else [replace(r, metadata={}) for r in records]
         assert _round_trip(records, fmt, via, tmp_path) == want
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_line_is_named(self, records, end, tmp_path):
+        buf = io.StringIO()
+        write_pairs(records[:2], buf, fmt="rows")
+        path = tmp_path / "pairs"
+        path.write_bytes(buf.getvalue().replace("\n", end).encode("utf-8") + b"{\"id\": \"\xe4\"}" + end.encode())
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 3: not valid UTF-8"):
+            read_pairs(path)
+        stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8", newline="")
+        with pytest.raises(DataFormatError, match="not valid UTF-8"):
+            read_pairs(stream)
 
     @pytest.mark.parametrize("via", ["path", "stream"])
     @pytest.mark.parametrize("fmt", ["rows", "tsv"])

@@ -35,11 +35,13 @@ from wogli import (
     Number,
     NumberClass,
     PremiseInstance,
+    agree_verb,
     classify_number,
     derive_h1,
     derive_h2,
     derive_h3,
     derive_os_hard,
+    extended_patterns,
     generate_set,
     instance_from_record,
     parse_pattern_name,
@@ -47,12 +49,12 @@ from wogli import (
     realize_premise,
     render_np,
     sample_premises,
+    wogli_patterns,
     write_pairs,
 )
 import wogli
 from wogli import generator
-from wogli.generator import _sentence, _tokens
-from wogli.morphology import PRONOUN
+from wogli.morphology import PRONOUN, compile_sentence
 
 from conftest import TOY_LEXICON, make_toy
 
@@ -423,7 +425,8 @@ class TestRecordRoundTrip:
             for r in records:
                 inst = instance_from_record(r, toy_lex_module)
                 assert realize_premise(inst, spaced) == r.premise, r.id
-                assert _sentence(_tokens(inst, r.hyp_kind), spaced) == r.hypothesis, r.id
+                hypothesis_of = compile_sentence(inst.pattern.government.object_case, r.hyp_kind, spaced)
+                assert hypothesis_of(inst.subject, inst.object, inst.verb) == r.hypothesis, r.id
                 assert r.label is r.hyp_kind.label, r.id
 
     def test_ditransitive_records_not_reconstructible(self, toy_lex):
@@ -469,13 +472,65 @@ def test_compiled_slots_match_render_np(lex):
     assert heads >= {*lex.masc_common, *lex.fem_common, *lex.masc_proper, *lex.fem_proper}
     assert heads >= {*lex.thing_nouns}
     for slot in slots:
-        assert slot.spec.nom == tuple(render_np(slot.spec, Case.NOM))
-        assert slot.spec.acc == tuple(render_np(slot.spec, Case.ACC))
+        want = [
+            None if slot.spec.head is PRONOUN and case is Case.DAT else " ".join(render_np(slot.spec, case))
+            for case in (Case.NOM, Case.ACC, Case.DAT)
+        ]
+        assert slot.spec.texts == (*want, *(w and w[0].upper() + w[1:] for w in want))
         if slot.spec.head is PRONOUN:
             with pytest.raises(MorphologyError):
-                slot.spec.dat
-        else:
-            assert slot.spec.dat == tuple(render_np(slot.spec, Case.DAT))
+                render_np(slot.spec, Case.DAT)
+
+
+def _reference_sentence(subject, obj, verb, object_case, kind, thing, spaced_period):
+    """The token layout the compiled sentences replace: the nominative
+    argument's tokens, the agreeing verb and the other argument's tokens in
+    the kind's order, the direct object's, the first token capitalised."""
+    subject_nominative = kind is None or kind.subject_nominative
+    nominative, other = (subject, obj) if subject_nominative else (obj, subject)
+    nominative_tokens, other_tokens = render_np(nominative, Case.NOM), render_np(other, object_case)
+    verb_form = agree_verb(verb, nominative.number)
+    if (kind is None or kind.subject_first) == subject_nominative:
+        tokens = [*nominative_tokens, verb_form, *other_tokens]
+    else:
+        tokens = [*other_tokens, verb_form, *nominative_tokens]
+    if thing is not None:
+        tokens.extend(render_np(thing, Case.ACC))
+    tokens[0] = tokens[0][0].upper() + tokens[0][1:]
+    return " ".join(tokens) + (" ." if spaced_period else ".")
+
+
+def test_compiled_sentences_match_token_layout(lex):
+    """Every slot of the bundled lexicon, as subject and as object of every
+    accusative, dative and ditransitive pattern, and pronoun subjects, in the
+    premise and every hypothesis kind; a pronoun that would take the dative
+    is an error in both."""
+    tables = generator._Tables(lex)
+    patterns = [*wogli_patterns(), *extended_patterns(Government.DATIVE),
+                *extended_patterns(Government.DITRANSITIVE)]
+    checked = errors = 0
+    for pattern in patterns:
+        case = pattern.government.object_case
+        subjects, objects = tables.slots(pattern.subject), tables.slots(pattern.object)
+        subjects = subjects + [tables.pronoun(slot) for slot in subjects[:8]]
+        verb_things = tables.verb_things(pattern.government)
+        for i in range(max(len(subjects), len(objects), len(verb_things))):
+            subject, obj = subjects[i % len(subjects)].spec, objects[i * 7 % len(objects)].spec
+            verb, thing = verb_things[i % len(verb_things)]
+            thing = None if thing is None else thing.spec
+            for kind in (None, *HypKind):
+                for spaced in (False, True):
+                    args = (subject, obj, verb, case, kind, thing, spaced)
+                    try:
+                        want = _reference_sentence(*args)
+                    except MorphologyError:  # a pronoun has no dative
+                        with pytest.raises(MorphologyError):
+                            compile_sentence(case, kind, spaced)(subject, obj, verb, thing)
+                        errors += 1
+                        continue
+                    assert compile_sentence(case, kind, spaced)(subject, obj, verb, thing) == want
+                    checked += 1
+    assert checked > 20_000 and errors > 0
 
 
 def _digest(records, fmt="rows"):

@@ -72,6 +72,13 @@ def test_tsv_document_parses():
     assert len(lex.thing_nouns[0].compatible_categories) == 2
 
 
+def test_tsv_lines_break_only_at_line_ends():
+    lex = lexicon_from_text(TSV_DOC.replace("Walter", "Wal\x85ter"), "doc")
+    assert lex.masc_proper[0].lemma == "Wal\x85ter"
+    crlf = lexicon_from_text(TSV_DOC.replace("\n", "\r\n"), "doc")
+    assert crlf.masc_proper[0].lemma == "Walter"
+
+
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_serialize_round_trip(lex, fmt):
     text = serialize_lexicon(lex, fmt)
