@@ -16,7 +16,7 @@ from json.scanner import make_scanner
 from operator import itemgetter
 
 from .core import HypKind, Label, PairRecord
-from .errors import DataFormatError, PredictionJoinError
+from .errors import DataFormatError, PredictionJoinError, WogliError
 
 TSV_HEADER = ("id", "subset", "premise", "hypothesis", "label", "hyp_kind", "pattern")
 # one encoder and one scanner for every row; json.dumps and json.loads add
@@ -59,24 +59,24 @@ def _lines(source):
         for line in source:  # a stream need not translate line ends
             yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
     except UnicodeDecodeError as exc:
-        if hasattr(source, "read"):
-            raise DataFormatError(
-                f"{getattr(source, 'name', '<stream>')}: not valid UTF-8 ({exc.reason})") from None
-        raise _undecodable(source) from None
+        raise _undecodable(source, exc) from None
 
 
-def _undecodable(path) -> DataFormatError:
-    """The error for a file that is not valid UTF-8: its first bad byte and
-    the line that holds it, counted as _lines counts lines."""
-    with open(path, "rb") as handle:
+def _undecodable(source, exc: UnicodeDecodeError, error=DataFormatError) -> WogliError:
+    """The error for a path or stream that is not valid UTF-8. For a path,
+    its first bad byte and the line that holds it, counted as _lines counts
+    lines; a stream's decoder reads ahead, so only the reason is known."""
+    if hasattr(source, "read"):
+        return error(f"{getattr(source, 'name', '<stream>')}: not valid UTF-8 ({exc.reason})")
+    with open(source, "rb") as handle:
         data = handle.read()
     try:
         data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
+    except UnicodeDecodeError as first:
+        head = data[:first.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return DataFormatError(f"{path}: line {line}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
-    return DataFormatError(f"{path}: not valid UTF-8")  # the file changed while it was read
+        return error(f"{source}: line {line}: not valid UTF-8 ({first.reason} at byte {first.start})")
+    return error(f"{source}: not valid UTF-8")  # the file changed while it was read
 
 
 def _write_lines(dest, lines: list[str]) -> int:

@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
-from .morphology import NPSpec, PRONOUN, compile_sentence
+from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, PRONOUN, compile_sentence
 from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
@@ -99,39 +99,7 @@ def pronominalize(inst: PremiseInstance) -> PremiseInstance:
     gender and number (accusative premises only)."""
     if inst.pattern.government is not Government.ACCUSATIVE:
         raise ValueError("pronoun subjects are defined for accusative premises")
-    pronoun = NPSpec(PRONOUN, inst.subject.gender, inst.subject.number, ArticleKind.NONE)
-    return replace(inst, subject=pronoun)
-
-
-_SG_KINDS = (ArticleKind.DEF, ArticleKind.INDEF, ArticleKind.DEM)
-_PL_KINDS = (ArticleKind.DEF, ArticleKind.DEM)
-
-
-def _np_metadata(prefix: str, spec: NPSpec) -> dict:
-    if isinstance(spec.head, ThingNounEntry):
-        # a direct object is listed with its number and takes no article choice
-        return {
-            f"{prefix}_lemma": spec.lemma,
-            f"{prefix}_gender": spec.gender.value,
-            f"{prefix}_number": spec.number.value,
-        }
-    return {
-        f"{prefix}_lemma": spec.lemma,
-        f"{prefix}_kind": "pronoun" if spec.head is PRONOUN else spec.head.kind.value,
-        f"{prefix}_gender": spec.gender.value,
-        f"{prefix}_number": spec.number.value,
-        f"{prefix}_article": spec.article.value,
-        f"{prefix}_definiteness": "indefinite" if spec.article is ArticleKind.INDEF else "definite",
-    }
-
-
-class _Slot:
-    """One lexicalization of an argument: its spec, which keeps its forms
-    once rendered, and its record metadata under each role it can fill."""
-
-    def __init__(self, spec: NPSpec, roles=("subject", "object")):
-        self.spec = spec
-        self.meta = {role: _np_metadata(role, spec) for role in roles}
+    return replace(inst, subject=inst.subject.pronoun)
 
 
 def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
@@ -141,17 +109,10 @@ def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
     }
 
 
-# the record metadata that names the slot of one argument
-_META_KEYS = {
-    role: tuple(f"{role}_{field}" for field in ("kind", "lemma", "gender", "number", "article"))
-    for role in ("subject", "object")
-}
-
-
 class _Tables:
-    """A lexicon compiled into slots: a table per argument class, pronoun
-    and government, each built the first time it is needed, so that every
-    NP form is rendered at most once per set of tables."""
+    """A lexicon compiled into specs: a table per argument class and
+    government, each built the first time it is needed, so that every NP
+    form is rendered at most once per set of tables."""
 
     def __init__(self, lex: Lexicon, compat=None):
         self.lex = lex
@@ -164,100 +125,92 @@ class _Tables:
         return self._memo[key]
 
     def groups(self, cls) -> tuple[tuple, bool]:
-        """The class's slots as drawn, and whether a second choice picks within
+        """The class's specs as drawn, and whether a second choice picks within
         the first: an open name by gender then name, a pinned one by name, a
         common noun by noun then article kind."""
         def build():
             if cls.is_proper:
                 genders = [cls.gender] if cls.gender else [Gender.MASC, Gender.FEM]
                 names = tuple(
-                    tuple(_Slot(NPSpec(n, g, Number.SG, ArticleKind.NONE)) for n in self.lex.proper_nouns(g))
+                    tuple(NPSpec(n, g, Number.SG, ArticleKind.NONE) for n in self.lex.proper_nouns(g))
                     for g in genders
                 )
                 return (names[0], False) if cls.gender else (names, True)
-            kinds = _SG_KINDS if cls.number is Number.SG else _PL_KINDS
             return tuple(
-                tuple(_Slot(NPSpec(noun, cls.gender, cls.number, kind)) for kind in kinds)
+                tuple(NPSpec(noun, cls.gender, cls.number, kind) for kind in _ARTICLE_KINDS[cls.number])
                 for noun in self.lex.common_nouns(cls.gender)
             ), True
         return self._cached(cls, build)
 
-    def slots(self, cls) -> list[_Slot]:
+    def slots(self, cls) -> list[NPSpec]:
         """All lexicalizations of the class, in canonical order."""
         groups, nested = self.groups(cls)
-        return [slot for group in groups for slot in group] if nested else list(groups)
+        return [spec for group in groups for spec in group] if nested else list(groups)
 
     def verbs(self, government: Government) -> tuple:
-        """(verb, its compatible thing slots or None) per verb of the government."""
+        """(verb, its compatible thing specs or None) per verb of the government."""
         def build():
             if government is not Government.DITRANSITIVE:
                 return tuple((verb, None) for verb in self.lex.verbs(government))
             compat = self.compat or _compatible_things(self.lex)
-            things = {t: _Slot(NPSpec(t, t.gender, t.number, ArticleKind.DEF), ("direct_object",))
-                      for t in self.lex.thing_nouns}
+            things = {t: NPSpec(t, t.gender, t.number, ArticleKind.DEF) for t in self.lex.thing_nouns}
             return tuple((v, tuple(things[t] for t in compat[v.lemma])) for v in self.lex.verbs_ditrans)
         return self._cached(government, build)
 
     def verb_things(self, government: Government) -> list[tuple]:
-        """(verb, thing slot or None) per verb and direct object, in canonical order."""
+        """(verb, thing spec or None) per verb and direct object, in canonical order."""
         return [
             (verb, thing)
             for verb, things in self.verbs(government)
             for thing in ((None,) if things is None else things)
         ]
 
-    def pronoun(self, slot: _Slot) -> _Slot:
-        """The personal pronoun agreeing with slot: one slot per gender and
-        number, looked up by the slot itself, which hashes by identity."""
-        if slot not in self._memo:
-            gender, number = slot.spec.gender, slot.spec.number
-            self._memo[slot] = self._cached((PRONOUN, gender, number), lambda: _Slot(
-                NPSpec(PRONOUN, gender, number, ArticleKind.NONE)
-            ))
-        return self._memo[slot]
-
     def space(self, pattern: Pattern) -> int:
         subjects, objects = self.slots(pattern.subject), self.slots(pattern.object)
         pairs = len(subjects) * len(objects)
         if pattern.subject.name_fragment == pattern.object.name_fragment:
-            lemmas = Counter(slot.spec.lemma for slot in subjects)
-            pairs -= sum(lemmas[slot.spec.lemma] for slot in objects)
+            lemmas = Counter(spec.lemma for spec in subjects)
+            pairs -= sum(lemmas[spec.lemma] for spec in objects)
         return pairs * len(self.verb_things(pattern.government))
 
-    def slot(self, meta: dict, role: str, where: str) -> _Slot:
-        """The slot a record's metadata names for role, validated the first
-        time the same metadata values are seen."""
+    def slot(self, meta: dict, role: str, where: str) -> NPSpec:
+        """The spec a record's metadata names for role, validated the first
+        time the same metadata values are seen in that role."""
         try:
-            key = tuple(map(meta.get, _META_KEYS[role]))
-            return self._cached(key, lambda: _Slot(self._spec(meta, role, where)))
+            key = (role, *map(meta.get, _META_KEYS[role]))
+            return self._cached(key, lambda: self._spec(meta, role, where))
         except TypeError:  # unhashable metadata values; _spec names the fault
-            return _Slot(self._spec(meta, role, where))
+            return self._spec(meta, role, where)
 
     def _spec(self, meta: dict, role: str, where: str) -> NPSpec:
+        """The spec found in the lexicon for meta's fields of role; meta must
+        hold exactly the metadata that spec writes in that role."""
         try:
-            kind = meta[f"{role}_kind"]
-            lemma = meta[f"{role}_lemma"]
-            gender = Gender(meta[f"{role}_gender"])
-            number = Number(meta[f"{role}_number"])
-            article = ArticleKind(meta[f"{role}_article"])
+            lemma, *fields = map(meta.__getitem__, _META_KEYS[role])
+            if role == "direct_object":
+                head = self.lex.entry("thing", None, lemma)
+                args = head and (head.gender, head.number, ArticleKind.DEF)
+            else:
+                kind, gender, number, article, _ = fields
+                gender = Gender(gender)
+                head = PRONOUN if kind == "pronoun" else self.lex.entry(
+                    "pnoun" if kind == "proper" else "noun", gender, lemma)
+                args = (gender, Number(number), ArticleKind(article))
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"{where}: bad metadata ({exc})") from None
-        if kind == "pronoun":
-            head = PRONOUN
-        else:
-            head = self.lex.entry("pnoun" if kind == "proper" else "noun", gender, lemma)
-            if head is None:
-                raise DataFormatError(f"{where}: noun {lemma!r} not in the lexicon")
+        if head is None:
+            raise DataFormatError(f"{where}: noun {lemma!r} not in the lexicon")
         try:
-            return NPSpec(head, gender, number, article)
+            spec = NPSpec(head, *args)
+            written = spec.metadata.get(role)
         except ValueError as exc:
             raise DataFormatError(f"{where}: {role}: {exc}") from None
-
-
-def _text(sentence, draw) -> str:
-    """The text of a compiled sentence over a draw (subject, object, verb, thing)."""
-    subject, obj, verb, thing = draw
-    return sentence(subject.spec, obj.spec, verb, None if thing is None else thing.spec)
+        if written is None:
+            raise DataFormatError(f"{where}: {role}: only a subject can be a pronoun")
+        for key, value in written.items():
+            if meta[key] != value:
+                raise DataFormatError(f"{where}: {key} is {meta[key]!r}, but its {role} writes {value!r}")
+        return spec
 
 
 def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
@@ -267,8 +220,8 @@ def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
 def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_replacement,
                     spaced_period=False):
     """Yield (premise, draw, draw index) for one pattern, a draw being the
-    (subject, object, verb, thing) it lays out; premises are distinct unless
-    drawn with replacement. Each premise is realized once, here."""
+    (subject, object, verb, thing) its compiled sentence takes; premises are
+    distinct unless drawn with replacement. Each premise is realized once, here."""
     rng = random.Random(f"{seed}:{pattern.government.value}:{pattern_index}")
     premise_of = compile_sentence(pattern.government.object_case, None, spaced_period)
     same_class = pattern.subject.name_fragment == pattern.object.name_fragment
@@ -288,10 +241,10 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
             tables.verb_things(pattern.government),
             tables.slots(pattern.object),
         ):
-            if same_class and subject.spec.head.lemma == obj.spec.head.lemma:
+            if same_class and subject.head.lemma == obj.head.lemma:
                 continue
             drawn = (subject, obj, verb, thing)
-            distinct.setdefault(_text(premise_of, drawn), drawn)
+            distinct.setdefault(premise_of(*drawn), drawn)
         if per_pattern > len(distinct):
             raise ExhaustionError(
                 f"pattern {pattern.name}: {per_pattern} distinct premises requested, "
@@ -316,10 +269,10 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
         obj = rng.choice(objects)
         if object_nested:
             obj = rng.choice(obj)
-        if same_class and subject.spec.head.lemma == obj.spec.head.lemma:
+        if same_class and subject.head.lemma == obj.head.lemma:
             continue
         drawn = (subject, obj, verb, None if things is None else rng.choice(things))
-        premise = _text(premise_of, drawn)
+        premise = premise_of(*drawn)
         if not with_replacement and premise in seen:
             misses += 1
             if misses > _REJECTION_MISS_BUDGET:
@@ -355,11 +308,9 @@ def sample_premises(
     """
     tables = _Tables(lex)
     return [
-        PremiseInstance(p, subject.spec, obj.spec, verb, thing if thing is None else thing.spec, (i, d))
+        PremiseInstance(p, *draw, (i, d))
         for i, p in enumerate(_patterns_for(name))
-        for _, (subject, obj, verb, thing), d in _sample_pattern(
-            p, i, tables, seed, per_pattern, with_replacement
-        )
+        for _, draw, d in _sample_pattern(p, i, tables, seed, per_pattern, with_replacement)
     ]
 
 
@@ -391,14 +342,12 @@ class _Records:
     def __call__(self, draw, premise: str, draw_index: int) -> list[PairRecord]:
         subject, obj, verb, thing = draw
         stem = f"{self.prefix}{draw_index:05d}"
-        metadata = {"premise_id": f"{stem}-premise", **subject.meta["subject"],
-                    **obj.meta["object"], "verb_lemma": verb.lemma}
+        metadata = {"premise_id": f"{stem}-premise", **subject.metadata["subject"],
+                    **obj.metadata["object"], "verb_lemma": verb.lemma}
         if thing is not None:
-            metadata.update(thing.meta["direct_object"])
-            thing = thing.spec
-        subject, obj = subject.spec, obj.spec
+            metadata.update(thing.metadata["direct_object"])
         return [
-            PairRecord(f"{stem}-{suffix}", self.subset, premise, hypothesis_of(subject, obj, verb, thing),
+            PairRecord(f"{stem}-{suffix}", self.subset, premise, hypothesis_of(*draw),
                        label, kind, self.pattern_name, dict(metadata))
             for kind, suffix, label, hypothesis_of in self.hypotheses
         ]
@@ -436,8 +385,8 @@ def generate_set(
                     continue
                 drawn.add(premise)
             if name is GenerationSet.P_SUBJECT:
-                draw = (tables.pronoun(draw[0]), *draw[1:])
-                premise = _text(build.premise_of, draw)
+                draw = (draw[0].pronoun, *draw[1:])
+                premise = build.premise_of(*draw)
                 if premise in seen:
                     continue
                 seen.add(premise)
@@ -459,7 +408,7 @@ def _read_record(record: PairRecord, tables: _Tables):
     if not meta:
         raise DataFormatError(f"{where}: instance reconstruction needs row metadata")
     government = _SUBSET_GOVERNMENT.get(record.subset, Government.ACCUSATIVE)
-    if government is Government.DITRANSITIVE or "direct_object_lemma" in meta:
+    if government is Government.DITRANSITIVE or not meta.keys().isdisjoint(_META_KEYS["direct_object"]):
         raise DataFormatError(f"{where}: only accusative and dative records are supported")
     try:
         name = record.pattern_name
@@ -476,8 +425,8 @@ def _read_record(record: PairRecord, tables: _Tables):
 
 def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
     """Rebuild the premise instance behind a record from its metadata."""
-    pattern, (subject, obj, verb, _), seed_path = _read_record(record, _Tables(lex))
-    return PremiseInstance(pattern, subject.spec, obj.spec, verb, None, seed_path or (0, 0))
+    pattern, draw, seed_path = _read_record(record, _Tables(lex))
+    return PremiseInstance(pattern, *draw, seed_path or (0, 0))
 
 
 def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool = False) -> list[PairRecord]:
@@ -506,5 +455,5 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
         if (pattern, seed_path[0]) != current:
             current = (pattern, seed_path[0])
             build.for_pattern(*current)
-        out.extend(build(draw, _text(build.premise_of, draw), seed_path[1]))
+        out.extend(build(draw, build.premise_of(*draw), seed_path[1]))
     return out

@@ -34,7 +34,7 @@ from .core import (
     ThingNounEntry,
     VerbEntry,
 )
-from .dataset_io import _lines
+from .dataset_io import _lines, _undecodable
 from .errors import LexiconError
 from .morphology import Case, inflect_noun
 
@@ -105,18 +105,16 @@ _TSV_HEADER = "class\tlemma\tform2\tform3\tattrs"
 
 
 def load_lexicon(source) -> Lexicon:
-    """Parse a lexicon document from a path or an open text file."""
-    if hasattr(source, "read"):
-        text = source.read()
-        name = getattr(source, "name", "<stream>")
-    else:
-        path = Path(source)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
-        name = str(path)
-    return lexicon_from_text(text, name=name)
+    """Parse a lexicon document from a path or an open text file; text that
+    is not UTF-8 is a LexiconError naming the file."""
+    stream = hasattr(source, "read")
+    try:
+        text = source.read() if stream else Path(source).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise LexiconError(f"cannot read lexicon {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(source, exc, LexiconError) from None
+    return lexicon_from_text(text, name=getattr(source, "name", "<stream>") if stream else str(Path(source)))
 
 
 def lexicon_from_text(text: str, name: str = "<string>") -> Lexicon:

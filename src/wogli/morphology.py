@@ -5,7 +5,9 @@ noun forms from the entry plus two closed rules (weak masculine singulars,
 dative-plural -n), verb forms straight from the lexicon entry. All functions
 are pure and the tables are module constants. An NPSpec keeps the text of
 each case form once it is rendered, and a sentence compiled for a layout
-fills those texts into one format.
+fills those texts into one format. An NPSpec is also the whole premise
+vocabulary of generation: it keeps the record metadata that names it and
+its agreeing pronoun the same way.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ _ARTICLES = {
     (ArticleKind.DEM, Gender.NEUT, Number.SG): ("dieses", "dieses", "diesem"),
     (ArticleKind.DEM, None, Number.PL): ("diese", "diese", "diesen"),
 }
+# the article kinds a common noun admits in each number, in paradigm order
+_ARTICLE_KINDS = {
+    number: tuple(dict.fromkeys(kind for kind, _, n in _ARTICLES if n is number)) for number in Number
+}
 
 # (nom, acc) per (gender, number); dative pronouns are deliberately not covered.
 _PRONOUNS = {
@@ -51,6 +57,13 @@ _PRONOUNS = {
     (Gender.MASC, Number.PL): ("sie", "sie"),
     (Gender.FEM, Number.PL): ("sie", "sie"),
 }
+
+# The record metadata that names an NP in each role it can fill, in row
+# order. A direct object is listed in its own number with the definite
+# article, so it names neither kind nor article.
+_NP_FIELDS = ("lemma", "kind", "gender", "number", "article", "definiteness")
+_META_KEYS = {role: tuple(f"{role}_{field}" for field in fields) for role, fields in (
+    ("subject", _NP_FIELDS), ("object", _NP_FIELDS), ("direct_object", ("lemma", "gender", "number")))}
 
 
 def inflect_article(kind: ArticleKind, gender: Gender, number: Number, case: Case) -> str | None:
@@ -130,6 +143,31 @@ class NPSpec:
             for case in _CASES
         ]
         return (*texts, *(text and text[0].upper() + text[1:] for text in texts))
+
+    @cached_property
+    def metadata(self) -> dict[str, dict]:
+        """Role -> the record metadata that names this NP in that role, for
+        each role it can fill: a thing only the direct object, a pronoun only
+        the subject; built on first use and kept."""
+        lemma, gender, number = self.lemma, self.gender.value, self.number.value
+        if isinstance(self.head, ThingNounEntry):
+            return {"direct_object": dict(zip(_META_KEYS["direct_object"], (lemma, gender, number)))}
+        kind = "pronoun" if self.head is PRONOUN else self.head.kind.value
+        definiteness = "indefinite" if self.article is ArticleKind.INDEF else "definite"
+        values = (lemma, kind, gender, number, self.article.value, definiteness)
+        roles = ("subject",) if self.head is PRONOUN else ("subject", "object")
+        return {role: dict(zip(_META_KEYS[role], values)) for role in roles}
+
+    @cached_property
+    def pronoun(self) -> NPSpec:
+        """The personal pronoun agreeing with this NP, one spec shared by
+        every NP of its gender and number."""
+        return _pronoun(self.gender, self.number)
+
+
+@cache
+def _pronoun(gender: Gender, number: Number) -> NPSpec:
+    return NPSpec(PRONOUN, gender, number, ArticleKind.NONE)
 
 
 def render_np(spec: NPSpec, case: Case) -> list[str]:

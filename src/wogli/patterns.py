@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import ArticleKind, Gender, Government, HypKind, Number
 from .lexicon import Lexicon
-from .morphology import NPSpec, compile_sentence
+from .morphology import _ARTICLE_KINDS, NPSpec, compile_sentence
 
 
 class NPClass(enum.Enum):
@@ -176,11 +176,8 @@ def _representative_specs(cls: NPClass, lex: Lexicon, skip_lemmas: set[str]) -> 
                 if n.weak_declension == weak and (n.plural_nom == n.lemma) == plural_is_lemma:
                     nouns.append(n)
                     break
-    kinds = [ArticleKind.DEF, ArticleKind.INDEF, ArticleKind.DEM]
-    if cls.number is Number.PL:
-        kinds = [ArticleKind.DEF, ArticleKind.DEM]
     for noun in nouns:
-        for kind in kinds:
+        for kind in _ARTICLE_KINDS[cls.number]:
             specs.append(NPSpec(noun, cls.gender, cls.number, kind))
     return specs
 

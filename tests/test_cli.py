@@ -289,6 +289,24 @@ class TestValidateLexicon:
         assert "lexicon ok" in capsys.readouterr().out
 
 
+class TestUndecodableLexicon:
+    """A lexicon file that is not UTF-8 is a lexicon error naming the file,
+    the line and the byte, whichever command loads it."""
+
+    @pytest.mark.parametrize("command", ["validate-lexicon", "generate"])
+    def test_exit_2_with_lexicon_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "badlex.tsv"
+        bad.write_bytes(b"class\tlemma\tform2\tform3\tattrs\npnoun\tJ\xe4rg\t-\t-\tmasc\n")
+        if command == "validate-lexicon":
+            argv = ["validate-lexicon", "--in", str(bad)]
+        else:
+            argv = ["generate", "wogli", "--seed", "0", "--lexicon", str(bad),
+                    "--out", str(tmp_path / "out.jsonl")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error[lexicon] {bad}: line 2: not valid UTF-8 (invalid continuation byte at byte 37)" in err
+
+
 class TestDispatch:
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"]) == 0
@@ -334,6 +352,21 @@ class TestMalformedRows:
         assert code == 2
         err = capsys.readouterr().err
         assert "error[format]" in err and bad_id in err
+
+    @pytest.mark.parametrize("setname, pick, change, why", [
+        ("p-subject", lambda r: True, {"subject_lemma": "Quatsch"}, "subject_lemma is 'Quatsch'"),
+        ("wogli", lambda r: r["metadata"]["object_kind"] == "proper", {"object_kind": "pronoun"},
+         "object: only a subject can be a pronoun"),
+    ], ids=["pronoun-lemma", "pronoun-object"])
+    def test_derive_rejects_pronoun_metadata(self, toy_path, tmp_path, capsys, setname, pick, change, why):
+        _, base = _generate(toy_path, tmp_path, setname=setname)
+        argv = ["derive", "os-hard", "--from", str(base), "--lexicon", toy_path,
+                "--out", str(tmp_path / "hard.jsonl")]
+        assert run(argv) == 0  # unedited, the file derives
+        bad_id = _rewrite_first(base, pick, lambda r: r["metadata"].update(change))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err and f"record {bad_id}: {why}" in err
 
     def test_sample_augmentation_rejects_unknown_pattern(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, per="3")

@@ -406,6 +406,34 @@ class TestRecordRoundTrip:
         with pytest.raises(DataFormatError, match="Hund"):
             instance_from_record(replace(record, metadata=bad_noun), toy_lex)
 
+    def test_a_pronoun_lemma_must_be_its_pronoun(self, toy_lex):
+        record = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=1, per_pattern=1)[0]
+        assert record.metadata["subject_kind"] == "pronoun"
+        inst = instance_from_record(record, toy_lex)
+        assert inst.subject.lemma == record.metadata["subject_lemma"]
+        quatsch = dict(record.metadata, subject_lemma="Quatsch")
+        with pytest.raises(DataFormatError, match=f"record {record.id}: subject_lemma is 'Quatsch'"):
+            instance_from_record(replace(record, metadata=quatsch), toy_lex)
+
+    def test_only_a_subject_can_be_a_pronoun(self, toy_lex):
+        records = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)
+        record = next(r for r in records if r.metadata["object_kind"] == "proper")
+        as_pronoun = dict(record.metadata, object_kind="pronoun")
+        with pytest.raises(DataFormatError, match=f"record {record.id}: object: only a subject"):
+            instance_from_record(replace(record, metadata=as_pronoun), toy_lex)
+
+    @pytest.mark.parametrize("key, value", [
+        ("subject_definiteness", "indefinite"),
+        ("object_kind", "thing"),
+    ])
+    def test_metadata_must_be_what_its_np_writes(self, toy_lex, key, value):
+        records = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)
+        record = next(r for r in records if r.metadata["subject_article"] == "def"
+                      and r.metadata["object_kind"] == "common")
+        edited = dict(record.metadata, **{key: value})
+        with pytest.raises(DataFormatError, match=f"record {record.id}: {key} is {value!r}"):
+            instance_from_record(replace(record, metadata=edited), toy_lex)
+
     def test_dative_records_round_trip(self, toy_lex):
         derivations = {HypKind.H1_SO: derive_h1, HypKind.H2_OS: derive_h2}
         for record in generate_set(GenerationSet.DATIVE, toy_lex, seed=4, per_pattern=2):
@@ -463,23 +491,48 @@ class TestRecordRoundTrip:
 
 def test_compiled_slots_match_render_np(lex):
     tables = generator._Tables(lex)
-    slots = [slot for cls in NPClass for slot in tables.slots(cls)]
-    pronouns = {tables.pronoun(slot) for slot in slots}  # one slot per gender and number
+    specs = [spec for cls in NPClass for spec in tables.slots(cls)]
+    # one pronoun spec per gender and number, told apart by identity
+    pronouns = list({id(spec.pronoun): spec.pronoun for spec in specs}.values())
     assert len(pronouns) == 4
-    slots += pronouns
-    slots += [thing for _, thing in tables.verb_things(Government.DITRANSITIVE)]
-    heads = {slot.spec.head for slot in slots}
+    specs += pronouns
+    specs += [thing for _, thing in tables.verb_things(Government.DITRANSITIVE)]
+    heads = {spec.head for spec in specs}
     assert heads >= {*lex.masc_common, *lex.fem_common, *lex.masc_proper, *lex.fem_proper}
     assert heads >= {*lex.thing_nouns}
-    for slot in slots:
+    for spec in specs:
         want = [
-            None if slot.spec.head is PRONOUN and case is Case.DAT else " ".join(render_np(slot.spec, case))
+            None if spec.head is PRONOUN and case is Case.DAT else " ".join(render_np(spec, case))
             for case in (Case.NOM, Case.ACC, Case.DAT)
         ]
-        assert slot.spec.texts == (*want, *(w and w[0].upper() + w[1:] for w in want))
-        if slot.spec.head is PRONOUN:
+        assert spec.texts == (*want, *(w and w[0].upper() + w[1:] for w in want))
+        if spec.head is PRONOUN:
             with pytest.raises(MorphologyError):
-                render_np(slot.spec, Case.DAT)
+                render_np(spec, Case.DAT)
+
+
+def test_every_spec_owns_its_metadata_and_pronoun(lex):
+    """Every spec of the bundled lexicon, each class slot, each thing and
+    each pronoun, parses back from its own metadata in every role it lists;
+    the agreeing pronoun is one spec per gender and number, shared."""
+    tables = generator._Tables(lex)
+    slots = [spec for cls in NPClass for spec in tables.slots(cls)]
+    things = [thing for _, thing in tables.verb_things(Government.DITRANSITIVE)]
+    pronouns = {id(spec.pronoun): spec.pronoun for spec in slots}
+    assert len(pronouns) == 4
+    assert {(p.gender, p.number) for p in pronouns.values()} == \
+           {(g, n) for g in (Gender.MASC, Gender.FEM) for n in Number}
+    assert {*lex.thing_nouns} == {thing.head for thing in things}
+    for specs, roles in ((slots, ["subject", "object"]), (things, ["direct_object"]),
+                         (pronouns.values(), ["subject"])):
+        for spec in specs:
+            assert list(spec.metadata) == roles
+            for role, meta in spec.metadata.items():
+                assert generator._Tables(lex).slot(dict(meta), role, "spec") == spec, (spec, role)
+    for pronoun in pronouns.values():
+        assert pronoun.pronoun is pronoun
+    for inst in sample_premises(GenerationSet.WOGLI, lex, seed=0, per_pattern=3):
+        assert pronominalize(inst).subject is inst.subject.pronoun
 
 
 def _reference_sentence(subject, obj, verb, object_case, kind, thing, spaced_period):
@@ -512,12 +565,11 @@ def test_compiled_sentences_match_token_layout(lex):
     for pattern in patterns:
         case = pattern.government.object_case
         subjects, objects = tables.slots(pattern.subject), tables.slots(pattern.object)
-        subjects = subjects + [tables.pronoun(slot) for slot in subjects[:8]]
+        subjects = subjects + [spec.pronoun for spec in subjects[:8]]
         verb_things = tables.verb_things(pattern.government)
         for i in range(max(len(subjects), len(objects), len(verb_things))):
-            subject, obj = subjects[i % len(subjects)].spec, objects[i * 7 % len(objects)].spec
+            subject, obj = subjects[i % len(subjects)], objects[i * 7 % len(objects)]
             verb, thing = verb_things[i % len(verb_things)]
-            thing = None if thing is None else thing.spec
             for kind in (None, *HypKind):
                 for spaced in (False, True):
                     args = (subject, obj, verb, case, kind, thing, spaced)

@@ -1,5 +1,6 @@
 """Lexicon parsing, serialization round-trips, and validation."""
 
+import io
 import json
 
 import pytest
@@ -156,6 +157,31 @@ def test_load_lexicon_from_path(tmp_path):
     target.write_text(json.dumps(TOY_LEXICON), encoding="utf-8")
     lex = load_lexicon(target)
     assert len(lex.verbs_acc) == 2
+
+
+# a TSV lexicon whose second line names J\xe4rg in Latin-1, not UTF-8
+LATIN1_TSV = b"class\tlemma\tform2\tform3\tattrs\npnoun\tJ\xe4rg\t-\t-\tmasc\n"
+
+
+@pytest.mark.parametrize("as_str", [False, True])
+def test_undecodable_lexicon_path_names_line_and_byte(tmp_path, as_str):
+    bad = tmp_path / "badlex.tsv"
+    bad.write_bytes(LATIN1_TSV)
+    want = f"{bad}: line 2: not valid UTF-8 (invalid continuation byte at byte 37)"
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(str(bad) if as_str else bad)
+    assert str(info.value) == want
+
+
+def test_undecodable_lexicon_stream_names_file(tmp_path):
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(io.TextIOWrapper(io.BytesIO(LATIN1_TSV), encoding="utf-8"))
+    assert str(info.value) == "<stream>: not valid UTF-8 (invalid continuation byte)"
+    bad = tmp_path / "badlex.tsv"
+    bad.write_bytes(LATIN1_TSV)
+    with open(bad, encoding="utf-8") as handle, pytest.raises(LexiconError) as info:
+        load_lexicon(handle)
+    assert str(info.value) == f"{bad}: not valid UTF-8 (invalid continuation byte)"
 
 
 def test_default_lexicon_path_honors_environment(tmp_path, monkeypatch):
