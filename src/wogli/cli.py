@@ -96,8 +96,8 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
 def derive(target, source, lexicon_path, out, fmt, spaced_period):
     """Derive the hard reorder set from an existing pair file."""
     lex = _load_checked_lexicon(lexicon_path)
-    records = read_pairs(source)
-    derived = derive_os_hard(records, lex, spaced_period)
+    # the input list is freed before write_pairs encodes the output
+    derived = derive_os_hard(read_pairs(source), lex, spaced_period)
     size = write_pairs(derived, out, fmt)
     click.echo(f"wrote {len(derived)} pairs ({size} bytes) to {out}")
 
@@ -223,3 +223,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

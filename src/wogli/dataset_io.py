@@ -202,7 +202,7 @@ def _tsv_row(line: str, lineno: int) -> dict:
     return dict(zip(TSV_HEADER, fields), metadata={})
 
 
-def _row_objects(lines):
+def _row_objects(lines, share):
     """(line number, object) of each non-blank row line.
 
     A line H + _META_SEP + M + "}" in which H + "}" scans exactly as a
@@ -210,9 +210,11 @@ def _row_objects(lines):
     metadata, the last duplicate key winning as in json.loads. Such a line
     is decoded as those two parts, and a run of lines ending in the same
     _META_SEP + M + "}" (a premise's rows) decodes M once; each object gets
-    its own shallow copy of it. Every other line goes through _json_row.
+    its own shallow copy of it. A decoded M whose values are all strings
+    holds its keys and values through share. Every other line goes through
+    _json_row.
     """
-    tail = meta = None
+    tail = meta = keys = None  # keys: the last shared metadata's, through share
     for lineno, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue
@@ -220,6 +222,10 @@ def _row_objects(lines):
             cut = line.rfind(_META_SEP)
             meta, end = _scan(line, cut + len(_META_SEP)) if cut >= 0 else (None, -1)
             tail = line[cut:] if end == len(line) - 1 and line[end] == "}" else None
+            if type(meta) is dict and set(map(type, vals := meta.values())) <= _STR:
+                if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
+                    keys = tuple(map(share, meta, meta))
+                meta = dict(zip(keys, map(share, vals, vals)))
         obj = None
         if tail is not None:
             head = line[:-len(tail)] + "}"
@@ -231,9 +237,16 @@ def _row_objects(lines):
         yield lineno, _json_row(line, lineno) if obj is None else obj
 
 
-def _record_from_row(obj, lineno: int) -> PairRecord:
+def _own(key: str, value: str) -> str:
+    """The share that shares nothing: every string stays the row's own."""
+    return value
+
+
+def _record_from_row(obj, lineno: int, share=_own) -> PairRecord:
     """The record of one row: an object of string fields whose metadata, if
-    present, is an object and whose label is the one its hyp_kind implies."""
+    present, is an object and whose label is the one its hyp_kind implies.
+    Its subset, premise and pattern are share(value, value): read_pairs
+    passes one memo's setdefault, so equal strings become one object."""
     if type(obj) is not dict:
         raise DataFormatError(f"line {lineno}: expected a JSON object, found {json.dumps(obj)[:40]}")
     try:
@@ -261,11 +274,19 @@ def _record_from_row(obj, lineno: int) -> PairRecord:
             f"line {lineno}: label {label.value!r} contradicts hyp_kind "
             f"{kind.value!r}, which is {implied.value!r}"
         )
-    return PairRecord(*fields[:4], label, kind, fields[6], metadata)
+    rid, subset, premise, hypothesis = fields[:4]
+    return PairRecord(rid, share(subset, subset), share(premise, premise), hypothesis,
+                      label, kind, share(fields[6], fields[6]), metadata)
 
 
 def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
-    """Load a pair file written by write_pairs; fmt "auto" sniffs the format."""
+    """Load a pair file written by write_pairs; fmt "auto" sniffs the format.
+
+    The records of one call share equal strings: a subset, premise or
+    pattern, and a metadata key or string value, is one object however many
+    rows repeat it. Each record still owns its metadata dict.
+    """
+    share = {}.setdefault  # str -> str only: 1, True and 1.0 would hash equal
     with closing(_lines(source)) as lines:
         if fmt == "auto":
             ahead = []
@@ -278,7 +299,7 @@ def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
             fmt = "rows" if line.lstrip()[0] in "{[" else "tsv"
             lines = chain(ahead, lines)
         if fmt == "rows":
-            rows = _row_objects(lines)
+            rows = _row_objects(lines, share)
         elif fmt == "tsv":
             header = next(lines, None)
             header = list(TSV_HEADER) if header is None else header.split("\t")
@@ -287,7 +308,7 @@ def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
             rows = ((n, _tsv_row(line, n)) for n, line in enumerate(lines, start=2) if line)
         else:
             raise ValueError(f"unknown pair format {fmt!r}")
-        records = [_record_from_row(obj, lineno) for lineno, obj in rows]
+        records = [_record_from_row(obj, lineno, share) for lineno, obj in rows]
     _check_ids(records)
     return records
 

@@ -346,10 +346,12 @@ class _Records:
                     **obj.metadata["object"], "verb_lemma": verb.lemma}
         if thing is not None:
             metadata.update(thing.metadata["direct_object"])
+        # each record owns its metadata: copies for all but the last, which takes this dict
+        owned = [*(dict(metadata) for _ in self.hypotheses[1:]), metadata]
         return [
             PairRecord(f"{stem}-{suffix}", self.subset, premise, hypothesis_of(*draw),
-                       label, kind, self.pattern_name, dict(metadata))
-            for kind, suffix, label, hypothesis_of in self.hypotheses
+                       label, kind, self.pattern_name, meta)
+            for (kind, suffix, label, hypothesis_of), meta in zip(self.hypotheses, owned)
         ]
 
 

@@ -1,9 +1,14 @@
 """End-to-end command-line checks through the run() entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wogli
 from wogli import GenerationSet, generate_set, read_pairs
 from wogli.cli import run
 
@@ -305,6 +310,31 @@ class TestUndecodableLexicon:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert f"error[lexicon] {bad}: line 2: not valid UTF-8 (invalid continuation byte at byte 37)" in err
+
+
+class TestModuleEntryPoint:
+    """python -m wogli.cli runs the same CLI, exit codes included."""
+
+    @staticmethod
+    def _module(*argv):
+        src = str(Path(wogli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-m", "wogli.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_domain_error_exits_2(self, tmp_path):
+        bad = tmp_path / "badlex.tsv"
+        bad.write_bytes(b"class\tlemma\tform2\tform3\tattrs\npnoun\tJ\xe4rg\t-\t-\tmasc\n")
+        done = self._module("validate-lexicon", "--in", str(bad))
+        assert done.returncode == 2, done.stderr
+        assert f"error[lexicon] {bad}: line 2: not valid UTF-8" in done.stderr
+
+    def test_help_lists_the_commands(self):
+        done = self._module("--help")
+        assert done.returncode == 0, done.stderr
+        for command in ("generate", "derive", "sample-augmentation",
+                        "merge", "analyze", "validate-lexicon"):
+            assert command in done.stdout
 
 
 class TestDispatch:

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -221,6 +222,78 @@ class TestMetadataRuns:
         first, second = read_pairs(io.StringIO(buf.getvalue()))
         first.metadata["verb_lemma"] = "hören"
         assert second.metadata == meta
+
+
+class TestSharedStrings:
+    """Records read in one call hold one object per distinct string, while
+    each still owns its metadata dict; only strings are shared."""
+
+    @staticmethod
+    def _reread(records, fmt="rows"):
+        buf = io.StringIO()
+        write_pairs(records, buf, fmt=fmt)
+        return read_pairs(io.StringIO(buf.getvalue()), fmt=fmt)
+
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    def test_equal_strings_are_one_object(self, records, fmt):
+        got = self._reread(records, fmt)
+        assert got[0].premise is got[1].premise  # the h1 and h2 of one premise
+        for field in ("subset", "premise", "pattern_name"):
+            values = [getattr(r, field) for r in got]
+            assert len({*map(id, values)}) == len({*values}), field
+        keys = [k for r in got for k in r.metadata]
+        values = [v for r in got for v in r.metadata.values()]
+        assert len({*map(id, keys)}) == len({*keys})
+        assert len({*map(id, values)}) == len({*values})
+
+    def test_rows_of_one_premise_share_metadata_values(self, records):
+        first, second = self._reread(records)[:2]
+        assert first.metadata["premise_id"] == second.metadata["premise_id"]
+        assert first.metadata is not second.metadata
+        for (k1, v1), (k2, v2) in zip(first.metadata.items(), second.metadata.items(), strict=True):
+            assert k1 is k2 and v1 is v2
+
+    def test_mutating_one_record_leaves_every_other(self, records):
+        got = self._reread(records)
+        got[0].metadata["subject_lemma"] = "x"
+        del got[0].metadata["verb_lemma"]
+        assert [r.metadata for r in got[1:]] == [r.metadata for r in records[1:]]
+
+    def test_only_strings_are_shared(self):
+        values = [1, "1", True, 1.0, "1", True, ["1"], None, "true"]
+        text = "".join(_row(id=f"r{i}", metadata={"n": v, "m": "1"}) + "\n"
+                       + _row(id=f"s{i}", metadata={"n": v}) + "\n"
+                       for i, v in enumerate(values))
+        got = read_pairs(io.StringIO(text))
+        assert [type(r.metadata["n"]) for r in got] == [type(v) for v in values for _ in "rs"]
+        buf = io.StringIO()
+        write_pairs(got, buf)
+        assert buf.getvalue() == text
+
+    def test_non_string_field_after_its_shared_value_is_a_format_error(self):
+        text = _row(pattern="x") + "\n" + _row(id="b", pattern=["x"]) + "\n"
+        with pytest.raises(DataFormatError,
+                           match=re.escape("""line 2: field 'pattern' must be a string, found ["x"]""")):
+            read_pairs(io.StringIO(text))
+
+    def test_bytes_held_per_row(self, lex):
+        """A read of bundled-lexicon rows holds at most 1,100 bytes per row;
+        with every string its own object it held about 1,790."""
+        buf = io.StringIO()
+        write_pairs(generate_set(GenerationSet.WOGLI, lex, 0, 50), buf)
+        source = io.StringIO(buf.getvalue())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = read_pairs(source)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(got) == 1700
+        assert held / len(got) <= 1100
 
 
 # lexicons whose names need JSON escapes and characters beyond Latin-1

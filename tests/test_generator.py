@@ -282,6 +282,19 @@ class TestGenerateSet:
             assert h1.hypothesis != h2.hypothesis
             assert h1.id[:-3] == h2.id[:-3]
 
+    def test_every_record_owns_its_metadata(self, toy_lex):
+        """A premise's records hold equal metadata, each in a dict of its own,
+        in every set and in a derived one."""
+        for name in GenerationSet:
+            records = generate_set(name, toy_lex, seed=1, per_pattern=2)
+            assert len({id(r.metadata) for r in records}) == len(records), name
+        records = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=2)
+        derived = derive_os_hard(records, toy_lex)
+        assert len({id(r.metadata) for r in derived + records}) == len(derived) + len(records)
+        first, second = records[:2]
+        first.metadata["verb_lemma"] = "x"
+        assert second.metadata["verb_lemma"] != "x"
+
     def test_hypotheses_match_the_derivations(self, toy_lex):
         records = generate_set(GenerationSet.WOGLI, toy_lex, seed=4, per_pattern=2)
         for r in records:
