@@ -49,75 +49,65 @@ def plan_102(seed: int) -> AugmentationPlan:
     return AugmentationPlan(6, 1, 4, False, seed)
 
 
-def _strip_period(text: str) -> list[str]:
-    tokens = text.split()
-    if tokens and tokens[-1] == ".":
-        return tokens[:-1]
-    if tokens and tokens[-1].endswith("."):
-        tokens[-1] = tokens[-1][:-1]
-    return tokens
+# tokens an NP of each <role>_kind takes: a bare head, or article and noun
+_NP_WIDTH = {"proper": 1, "pronoun": 1, "common": 2}
 
 
-def _np_width(meta: dict, prefix: str) -> int:
-    return 1 if meta[f"{prefix}_kind"] in ("proper", "pronoun") else 2
+def _heads(record: PairRecord, text: str, roles) -> list[str]:
+    """The head forms (last tokens) of the first two NPs of a record's text,
+    given the premise role each one fills; the verb sits between them."""
+    tokens = text.removesuffix(".").split()
+    heads, at = [], -1  # at: the token last read
+    for role in roles:
+        kind = record.metadata.get(f"{role}_kind")
+        if type(kind) is not str or kind not in _NP_WIDTH:  # a list would not hash
+            raise DataFormatError(
+                f"record {record.id}: {role}_kind must be one of {', '.join(_NP_WIDTH)}, found {kind!r}"
+            )
+        at += _NP_WIDTH[kind]
+        if at >= len(tokens):
+            raise DataFormatError(f"record {record.id}: {text!r} is too short for its metadata")
+        heads.append(tokens[at])
+        at += 1  # the verb
+    return heads
 
 
-def _two_np_forms(text: str, meta: dict, first: str, second: str) -> list[str]:
-    """Head forms of the first two NPs of a sentence, given which premise
-    role each corresponds to (bare heads are one token, articled ones two)."""
-    tokens = _strip_period(text)
-    w1 = _np_width(meta, first)
-    # the second NP starts after the verb, at index w1 + 1
-    return [tokens[w1 - 1], tokens[w1 + _np_width(meta, second)]]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # groups are compared by identity
 class _PremiseGroup:
-    key: str
     pattern: str
     verb: str
-    forms: frozenset[str]
+    forms: frozenset[str]  # argument head forms of the premise and its swap
     records: tuple[PairRecord, ...]
 
 
-def _group_forms(premise: str, swap: PairRecord | None, meta: dict) -> frozenset[str]:
-    """Argument head forms of the premise and of one argument swap, which
-    marks each argument with the case it lacks in the premise."""
-    forms = _two_np_forms(premise, meta, "subject", "object")
-    if swap is not None:
-        roles = ("subject", "object") if swap.hyp_kind.subject_first else ("object", "subject")
-        forms += _two_np_forms(swap.hypothesis, meta, *roles)
-    return frozenset(forms)
-
-
 def _build_groups(records) -> list[_PremiseGroup]:
-    by_key: dict[str, list[PairRecord]] = {}
+    by_id: dict[str, list[PairRecord]] = {}
     patterns = set()  # pattern names already checked; each one is a stratum
     for record in records:
-        if "premise_id" not in record.metadata or "verb_lemma" not in record.metadata:
-            raise DataFormatError(
-                f"record {record.id}: augmentation needs row-format input with metadata"
-            )
+        for field in ("premise_id", "verb_lemma"):
+            if type(record.metadata.get(field)) is not str:
+                raise DataFormatError(
+                    f"record {record.id}: augmentation needs row-format input "
+                    f"with a string {field} in its metadata"
+                )
         if record.pattern_name not in patterns:
             try:
                 parse_pattern_name(record.pattern_name, Government.ACCUSATIVE)
             except ValueError as exc:
                 raise DataFormatError(f"record {record.id}: {exc}") from None
             patterns.add(record.pattern_name)
-        by_key.setdefault(record.metadata["premise_id"], []).append(record)
+        by_id.setdefault(record.metadata["premise_id"], []).append(record)
     groups = []
-    for key, members in by_key.items():
-        meta = members[0].metadata
+    for members in by_id.values():
+        first = members[0]
+        forms = _heads(first, first.premise, ("subject", "object"))
+        # an argument swap marks each argument with the case it lacks in the premise
         swap = next((r for r in members if not r.hyp_kind.subject_nominative), None)
-        groups.append(
-            _PremiseGroup(
-                key=key,
-                pattern=members[0].pattern_name,
-                verb=meta["verb_lemma"],
-                forms=_group_forms(members[0].premise, swap, meta),
-                records=tuple(members),
-            )
-        )
+        if swap is not None:
+            roles = ("subject", "object") if swap.hyp_kind.subject_first else ("object", "subject")
+            forms += _heads(swap, swap.hypothesis, roles)
+        groups.append(_PremiseGroup(first.pattern_name, first.metadata["verb_lemma"],
+                                    frozenset(forms), tuple(members)))
     return groups
 
 
@@ -133,104 +123,63 @@ class _Budget:
             )
 
 
-def _repair_verbs(plan, by_pattern, selected, counts, all_verbs, budget):
-    """Swap selections pattern-locally until every verb count sits in
-    [verb_min, verb_max]. Greedy and deterministic: the first feasible swap
-    for the first violated verb, preferring swaps that fix two violations."""
-    while True:
-        over = sorted(v for v in counts if counts[v] > plan.verb_max)
-        under = sorted(v for v in all_verbs if counts[v] < plan.verb_min)
-        if not over and not under:
-            return
-        swap = None
-        for verb in over + under:
-            fixing_over = counts[verb] > plan.verb_max
-            for pattern, chosen in selected.items():
-                groups = by_pattern[pattern]
-                if fixing_over:
-                    outs = [i for i in sorted(chosen) if groups[i].verb == verb]
-                    if not outs:
-                        continue
-                    pool = [i for i in range(len(groups)) if i not in chosen]
-                    ins = [i for i in pool if counts[groups[i].verb] < plan.verb_min] or [
-                        i for i in pool if counts[groups[i].verb] < plan.verb_max
-                    ]
-                else:
-                    ins = [
-                        i for i in range(len(groups))
-                        if i not in chosen and groups[i].verb == verb
-                    ]
-                    if not ins:
-                        continue
-                    chosen_sorted = sorted(chosen)
-                    outs = [
-                        i for i in chosen_sorted if counts[groups[i].verb] > plan.verb_max
-                    ] or [i for i in chosen_sorted if counts[groups[i].verb] > plan.verb_min]
-                if outs and ins:
-                    swap = (pattern, outs[0], ins[0])
-                    break
-            if swap:
-                break
-        if swap is None:
-            raise ConstraintError("no pattern-local swap can repair the verb balance")
-        budget.spend("the verb balance")
-        pattern, out, into = swap
-        groups = by_pattern[pattern]
-        selected[pattern].remove(out)
-        selected[pattern].add(into)
-        counts[groups[out].verb] -= 1
-        counts[groups[into].verb] += 1
-
-
-def _repair_coverage(plan, by_pattern, selected, counts, targets, budget):
-    """Swap selections until every target noun form is covered, keeping verb
-    counts in band."""
-    while True:
-        covered = Counter()
+def _verb_swap(plan, by_pattern, selected, counts):
+    """The next pattern-local swap (pattern, out, into) toward every verb
+    count in [verb_min, verb_max], or None once all are. Greedy and
+    deterministic: the first feasible swap for the first violated verb,
+    preferring swaps that fix two violations."""
+    over = sorted(v for v in counts if counts[v] > plan.verb_max)
+    under = sorted(v for v in counts if counts[v] < plan.verb_min)
+    if not over and not under:
+        return None
+    for verb in over + under:
+        fixing_over = counts[verb] > plan.verb_max
         for pattern, chosen in selected.items():
-            for i in chosen:
-                covered.update(by_pattern[pattern][i].forms)
-        missing = sorted(targets - covered.keys())
-        if not missing:
-            return
-        form = missing[0]
-        candidates = [
-            (pattern, i)
-            for pattern, groups in by_pattern.items()
-            for i in range(len(groups))
-            if i not in selected[pattern] and form in groups[i].forms
-        ]
-        swap = None
-        for pattern, into in sorted(candidates):
             groups = by_pattern[pattern]
-            incoming = groups[into]
-            if counts[incoming.verb] + 1 > plan.verb_max:
-                continue
-            for out in sorted(selected[pattern]):
-                outgoing = groups[out]
-                if outgoing.verb != incoming.verb and counts[outgoing.verb] - 1 < plan.verb_min:
-                    continue
-                lost = [
-                    f for f in outgoing.forms
-                    if covered[f] == 1 and f not in incoming.forms
-                ]
-                if lost:
-                    continue
-                swap = (pattern, out, into)
-                break
-            if swap:
-                break
-        if swap is None:
-            raise ConstraintError(
-                f"no swap can bring noun form {form!r} into the subset"
-            )
-        budget.spend("the noun form coverage")
-        pattern, out, into = swap
+            chosen_sorted = sorted(chosen)
+            pool = [i for i in range(len(groups)) if i not in chosen]
+            if fixing_over:
+                outs = [i for i in chosen_sorted if groups[i].verb == verb]
+                ins = [i for i in pool if counts[groups[i].verb] < plan.verb_min] or [
+                    i for i in pool if counts[groups[i].verb] < plan.verb_max]
+            else:
+                ins = [i for i in pool if groups[i].verb == verb]
+                outs = [i for i in chosen_sorted if counts[groups[i].verb] > plan.verb_max] or [
+                    i for i in chosen_sorted if counts[groups[i].verb] > plan.verb_min]
+            if outs and ins:
+                return pattern, outs[0], ins[0]
+    raise ConstraintError("no pattern-local swap can repair the verb balance")
+
+
+def _coverage_swap(plan, by_pattern, selected, counts, targets):
+    """The next swap that brings a missing target noun form into the subset
+    while keeping verb counts in band, or None once every form is in."""
+    covered = Counter()
+    for pattern, chosen in selected.items():
+        for i in chosen:
+            covered.update(by_pattern[pattern][i].forms)
+    missing = sorted(targets - covered.keys())
+    if not missing:
+        return None
+    form = missing[0]
+    candidates = [
+        (pattern, i)
+        for pattern, groups in by_pattern.items()
+        for i in range(len(groups))
+        if i not in selected[pattern] and form in groups[i].forms
+    ]
+    for pattern, into in sorted(candidates):
         groups = by_pattern[pattern]
-        selected[pattern].remove(out)
-        selected[pattern].add(into)
-        counts[groups[out].verb] -= 1
-        counts[groups[into].verb] += 1
+        incoming = groups[into]
+        if counts[incoming.verb] + 1 > plan.verb_max:
+            continue
+        for out in sorted(selected[pattern]):
+            outgoing = groups[out]
+            if outgoing.verb != incoming.verb and counts[outgoing.verb] - 1 < plan.verb_min:
+                continue
+            if not any(covered[f] == 1 and f not in incoming.forms for f in outgoing.forms):
+                return pattern, out, into
+    raise ConstraintError(f"no swap can bring noun form {form!r} into the subset")
 
 
 def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecord], list[PairRecord]]:
@@ -255,27 +204,29 @@ def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecor
         selected[pattern] = set(
             rng.sample(range(len(pattern_groups)), plan.premises_per_pattern)
         )
-    counts = Counter()
-    all_verbs = {g.verb for g in groups}
-    for verb in all_verbs:
-        counts[verb] = 0
+    counts = Counter({group.verb: 0 for group in groups})  # an undrawn verb is under verb_min
     for pattern, chosen in selected.items():
         counts.update(by_pattern[pattern][i].verb for i in chosen)
 
-    budget = _Budget(_SWAP_BUDGET)
-    _repair_verbs(plan, by_pattern, selected, counts, all_verbs, budget)
+    finders = [("the verb balance", lambda: _verb_swap(plan, by_pattern, selected, counts))]
     if plan.require_all_noun_forms:
-        targets = set()
-        for group in groups:
-            targets.update(group.forms)
-        _repair_coverage(plan, by_pattern, selected, counts, targets, budget)
+        targets = set().union(*(group.forms for group in groups))
+        finders.append(("the noun form coverage",
+                        lambda: _coverage_swap(plan, by_pattern, selected, counts, targets)))
+    budget = _Budget(_SWAP_BUDGET)
+    for constraint, find in finders:
+        while (swap := find()) is not None:
+            budget.spend(constraint)
+            pattern, out, into = swap
+            selected[pattern].remove(out)
+            selected[pattern].add(into)
+            counts[by_pattern[pattern][out].verb] -= 1
+            counts[by_pattern[pattern][into].verb] += 1
 
-    chosen_keys = {
-        by_pattern[pattern][i].key for pattern, chosen in selected.items() for i in chosen
-    }
+    chosen = {by_pattern[pattern][i] for pattern, indices in selected.items() for i in indices}
     aug, rest = [], []
     for group in groups:
-        (aug if group.key in chosen_keys else rest).extend(group.records)
+        (aug if group in chosen else rest).extend(group.records)
     return aug, rest
 
 
@@ -311,5 +262,13 @@ def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 
 
 
 def write_training_rows(rows, dest) -> int:
-    """Write merged training rows as a headerless TSV; returns bytes written."""
-    return _write_lines(dest, ["\t".join(row) + "\n" for row in rows])
+    """Write merged training rows as a headerless TSV; returns bytes written.
+    A field holding a tab or line break is a DataFormatError, raised before
+    anything is written."""
+    lines = []
+    for row in rows:
+        line = "\t".join(row)
+        if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+            raise DataFormatError(f"training row {row[0]!r}: field contains a tab or line break")
+        lines.append(line + "\n")
+    return _write_lines(dest, lines)

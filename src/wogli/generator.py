@@ -403,6 +403,13 @@ _SUBSET_GOVERNMENT = {
 }
 
 
+def _premise_id(record: PairRecord, default: str) -> str:
+    value = record.metadata.get("premise_id", default)
+    if type(value) is not str:
+        raise DataFormatError(f"record {record.id}: premise_id must be a string, found {value!r}")
+    return value
+
+
 def _read_record(record: PairRecord, tables: _Tables):
     """(pattern, draw, seed path or None) behind a record, from its metadata."""
     meta = record.metadata
@@ -421,7 +428,7 @@ def _read_record(record: PairRecord, tables: _Tables):
     if verb is None:
         raise DataFormatError(f"{where}: verb {meta.get('verb_lemma')!r} not in the lexicon")
     draw = (tables.slot(meta, "subject", where), tables.slot(meta, "object", where), verb, None)
-    match = _PREMISE_ID_RE.search(meta.get("premise_id", ""))
+    match = _PREMISE_ID_RE.search(_premise_id(record, ""))
     return pattern, draw, (int(match.group(1)), int(match.group(2))) if match else None
 
 
@@ -438,10 +445,11 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
     build = _Records(GenerationSet.OS_HARD, spaced_period)
     out = []
     seen = set()
+    taken = {}  # seed path -> the id of the record whose premise took it
     fallback = 0
     current = None  # the (pattern, index) build was last set up for
     for record in records:
-        key = record.metadata.get("premise_id", record.premise)
+        key = _premise_id(record, record.premise)
         if key in seen:
             continue
         seen.add(key)
@@ -454,6 +462,12 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
         if seed_path is None:
             seed_path = (0, fallback)
             fallback += 1
+        if seed_path in taken:  # its derived ids would repeat that premise's
+            raise DataFormatError(
+                f"record {record.id}: premise {key!r} has the draw "
+                f"p{seed_path[0]:02d}-d{seed_path[1]:05d} of record {taken[seed_path]}, another premise"
+            )
+        taken[seed_path] = record.id
         if (pattern, seed_path[0]) != current:
             current = (pattern, seed_path[0])
             build.for_pattern(*current)

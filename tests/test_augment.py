@@ -233,6 +233,47 @@ class TestNounFormCoverage:
             sample_augmentation(records, plan)
 
 
+class TestRowFaults:
+    """A row whose metadata or text augmentation cannot read is a format
+    error naming the row and the field, before any repair runs."""
+
+    KINDS = "must be one of proper, pronoun, common"
+    DROP = object()  # the key is deleted
+
+    @pytest.mark.parametrize("metadata, texts, complaint", [
+        ({"object_kind": DROP}, {}, f"object_kind {KINDS}, found None"),
+        ({"subject_kind": "article"}, {}, f"subject_kind {KINDS}, found 'article'"),
+        ({"subject_kind": ["common"]}, {}, f"subject_kind {KINDS}, found \\['common'\\]"),
+        ({"premise_id": 1}, {}, "a string premise_id in its metadata"),
+        ({"premise_id": ["g1"]}, {}, "a string premise_id in its metadata"),
+        ({"verb_lemma": None}, {}, "a string verb_lemma in its metadata"),
+        ({"premise_id": DROP}, {}, "a string premise_id in its metadata"),
+        ({}, {"premise": "Der Maler."}, "'Der Maler.' is too short for its metadata"),
+        ({}, {"hypothesis": ""}, "'' is too short for its metadata"),
+    ], ids=["kind-missing", "kind-unknown", "kind-list", "premise-id-int", "premise-id-list",
+            "verb-null", "premise-id-missing", "short-premise", "empty-hypothesis"])
+    def test_format_error_names_the_row(self, metadata, texts, complaint):
+        good = _coverage_record("g1", "seh", "Maler", "Boten")
+        meta = {k: v for k, v in {**good.metadata, **metadata}.items() if v is not self.DROP}
+        bad = replace(good, metadata=meta, **texts)
+        records = [bad, _coverage_record("g2", "hoer", "Bauern", "Wirt")]
+        plan = AugmentationPlan(premises_per_pattern=1, verb_min=5, verb_max=5,
+                                require_all_noun_forms=True, seed=0)
+        with pytest.raises(DataFormatError, match=f"^record g1-h1: .*{complaint}"):
+            sample_augmentation(records, plan)
+
+    def test_spaced_period_reads_the_same_heads(self, toy_lex_module):
+        def groups(spaced):
+            records = generate_set(GenerationSet.WOGLI, toy_lex_module, seed=2, per_pattern=3,
+                                   spaced_period=spaced)
+            return [(g.pattern, g.verb, g.forms, [r.id for r in g.records])
+                    for g in _build_groups(records)]
+
+        spaced = groups(True)
+        assert spaced == groups(False)
+        assert all(len(forms) > 1 for _, _, forms, _ in spaced)
+
+
 BASE_TSV = (
     "Ein Satz eins.\tNoch ein Satz.\tentailment\n"
     "Ein Satz zwei.\tNoch ein Satz.\tneutral\n"
@@ -285,6 +326,18 @@ class TestMergeTraining:
     def test_malformed_base_rows_reported(self, bad, complaint):
         with pytest.raises(DataFormatError, match=complaint):
             merge_training(io.StringIO(bad), [])
+
+    @pytest.mark.parametrize("where", [0, 1])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_write_training_rows_refuses_a_break(self, where, char, tmp_path):
+        row = ["Ein Satz.", "Noch ein Satz.", "entailment"]
+        row[where] = row[where].replace(" ", char, 1)
+        path = tmp_path / "train.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        rows = [("Erst.", "Dann.", "neutral"), tuple(row)]
+        with pytest.raises(DataFormatError, match="field contains a tab or line break"):
+            write_training_rows(rows, path)
+        assert path.read_text(encoding="utf-8") == "old\n"
 
     def test_write_training_rows(self, base, tmp_path):
         rows = merge_training(io.StringIO(BASE_TSV), base[:2], seed=0)

@@ -1,5 +1,7 @@
 """End-to-end command-line checks through the run() entry point."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wogli
 from wogli import GenerationSet, generate_set, read_pairs
@@ -128,6 +132,28 @@ class TestDerive:
         assert "error[format]" in err
         assert "needs accusative records, not subset 'wogli-dative'" in err
 
+    @pytest.mark.parametrize("value", [1, None, ["x"]], ids=["int", "null", "list"])
+    def test_non_string_premise_id(self, value, toy_path, tmp_path, capsys):
+        _, base = _generate(toy_path, tmp_path)
+        bad_id = _rewrite_first(base, lambda r: True, lambda r: r["metadata"].update(premise_id=value))
+        code = run(["derive", "os-hard", "--from", str(base),
+                    "--lexicon", toy_path, "--out", str(tmp_path / "hard.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error[format] record {bad_id}: premise_id must be a string" in err
+
+    def test_premise_id_of_another_draw(self, toy_path, tmp_path, capsys):
+        # the edited row falls back to draw d00000 of pattern 0, which the
+        # unedited row of its premise names again
+        _, base = _generate(toy_path, tmp_path)
+        bad_id = _rewrite_first(base, lambda r: True, lambda r: r["metadata"].update(premise_id="zzz"))
+        out = tmp_path / "hard.jsonl"
+        code = run(["derive", "os-hard", "--from", str(base), "--lexicon", toy_path, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[format]" in err and f"draw p00-d00000 of record {bad_id}, another premise" in err
+        assert not out.exists()
+
     def test_tsv_source_lacks_metadata(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, "--format", "tsv")
         code = run(["derive", "os-hard", "--from", str(base),
@@ -191,6 +217,20 @@ class TestMerge:
         run(["merge", "--base", str(base), "--aug", str(aug),
              "--seed", "2", "--out", str(out)])
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("field", ["premise", "hypothesis"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_break_in_a_pair_text_is_refused(self, field, char, toy_path, tmp_path, capsys):
+        # written, such a row would be one that --base rejects
+        _, aug = _generate(toy_path, tmp_path)
+        _rewrite_first(aug, lambda r: True, lambda r: r.update({field: r[field].replace(" ", char, 1)}))
+        base = tmp_path / "base.tsv"
+        base.write_text("Ein Satz.\tNoch einer.\tentailment\n", encoding="utf-8")
+        out = tmp_path / "train.tsv"
+        code = run(["merge", "--base", str(base), "--aug", str(aug), "--out", str(out)])
+        assert code == 2
+        assert "error[format] training row" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ne_label_choice_is_validated(self, toy_path, tmp_path):
         _, aug = _generate(toy_path, tmp_path)
@@ -494,3 +534,63 @@ class TestUndecodableInput:
         err = capsys.readouterr().err
         line = 2 if command in ("merge", "analyze") else 3
         assert "error[format]" in err and f"{bad}: line {line}: not valid UTF-8" in err
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """The bytes of `generate wogli --seed 3 --per-pattern 8`, a prediction
+    file for its ids and a training TSV, in a directory the examples share."""
+    root = tmp_path_factory.mktemp("mutations")
+    records = generate_set(GenerationSet.WOGLI, wogli.bundled_lexicon(), seed=3, per_pattern=8)
+    wogli.write_pairs(records, root / "valid.jsonl")
+    _write_predictions(root / "preds.tsv", records)
+    (root / "base.tsv").write_text("Ein Satz.\tNoch einer.\tentailment\n", encoding="utf-8")
+    return root
+
+
+class TestOneRowMutations:
+    """One edit of the first row never ends a command in a traceback. Each
+    run exits 0, or exits 2 with an error; a format error names the row.
+    The augmentation band is tight, so the verb repair sorts the verbs."""
+
+    COMMANDS = {
+        "derive": ["derive", "os-hard", "--from", "{pairs}", "--lexicon", "{lexicon}",
+                   "--out", "{out}/hard.jsonl"],
+        "sample-augmentation": [
+            "sample-augmentation", "--plan", "custom", "--per-pattern", "2", "--verb-min", "1",
+            "--verb-max", "2", "--in", "{pairs}", "--out-aug", "{out}/aug.jsonl",
+            "--out-rest", "{out}/rest.jsonl"],
+        "merge": ["merge", "--base", "{out}/base.tsv", "--aug", "{pairs}", "--out", "{out}/train.tsv"],
+        "analyze": ["analyze", "--gold", "{pairs}", "--predictions", "{out}/preds.tsv", "--runs", "1"],
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exit_0_or_an_error_naming_the_row(self, mutation_inputs, data):
+        lines = (mutation_inputs / "valid.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[0])
+        edit = data.draw(st.sampled_from(["set", "delete", "text"]))
+        if edit == "text":
+            row[data.draw(st.sampled_from(["premise", "hypothesis"]))] = data.draw(
+                st.sampled_from(["Moritz.", ""]))
+        else:
+            key = data.draw(st.sampled_from(sorted(row["metadata"])))
+            if edit == "delete":
+                del row["metadata"][key]
+            else:
+                row["metadata"][key] = data.draw(st.sampled_from([1, None, ["x"], "", "Quatsch"]))
+        pairs = mutation_inputs / "mutated.jsonl"
+        pairs.write_text(json.dumps(row, ensure_ascii=False) + "\n" + "".join(lines[1:]),
+                         encoding="utf-8")
+        for name, template in self.COMMANDS.items():
+            argv = [arg.format(pairs=pairs, out=mutation_inputs, lexicon=wogli.bundled_lexicon_path())
+                    for arg in template]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            message = err.getvalue()
+            assert code in (0, 2), (name, message)
+            if code == 2:
+                assert "error[" in message, (name, message)
+            if "error[format]" in message:
+                assert row["id"] in message or "line 1" in message, (name, message)

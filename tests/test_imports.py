@@ -1,17 +1,22 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private module-level name it defines is mentioned somewhere else.
 
 Read with the standard library's ast only. The package's __init__ exists
 to re-export, and `from __future__ import annotations` binds no name, so
-both are exempt.
+both are exempt from the import check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wogli"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a private name of the package may be used: its modules, the tests and the bench
+CORPUS = [p for d in (PACKAGE, PACKAGE.parent.parent / "tests", PACKAGE.parent.parent / "perfbench")
+          for p in sorted(d.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +53,43 @@ def test_no_unused_imports(path):
 ])
 def test_the_check_itself(source, want):
     assert unused_imports(source) == want
+
+
+def private_names(source: str) -> list[str]:
+    """Names a module defines at its top level with one leading underscore:
+    functions, classes and assigned constants, in source order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def unmentioned(source: str, corpus: str) -> list[str]:
+    """Private names of source that the corpus, which holds source, names
+    only once: where they are defined. The text is matched, not the syntax
+    tree, so a mention in a string such as getattr(module, "_name") counts."""
+    return [name for name in private_names(source)
+            if len(re.findall(rf"(?<!\w){re.escape(name)}(?!\w)", corpus)) < 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unmentioned_private_names(path):
+    corpus = "\n".join(p.read_text(encoding="utf-8") for p in CORPUS)
+    assert unmentioned(path.read_text(encoding="utf-8"), corpus) == []
+
+
+@pytest.mark.parametrize("source, elsewhere, want", [
+    ("def _f(): pass\n", "", ["_f"]),
+    ("def _f(): pass\n_f()\n", "", []),
+    ("class _C: pass\n", "x = m._C()\n", []),
+    ("_A = 1\n_B: int = 2\n_C, (_D, e) = f()\n", 'getattr(m, "_B")\n', ["_A", "_C", "_D"]),
+    ("def _f(): pass\n", "_ff = 1\nm.x_f\n", ["_f"]),
+    ("def public(): pass\n__all__ = []\ndef __getattr__(n): pass\n", "", []),
+    ("def f():\n    def _inner(): pass\n", "", []),
+])
+def test_the_unmentioned_check_itself(source, elsewhere, want):
+    assert unmentioned(source, source + elsewhere) == want
