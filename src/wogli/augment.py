@@ -96,7 +96,10 @@ def _build_groups(records) -> list[_PremiseGroup]:
             except ValueError as exc:
                 raise DataFormatError(f"record {record.id}: {exc}") from None
             patterns.add(record.pattern_name)
-        by_id.setdefault(record.metadata["premise_id"], []).append(record)
+        premise_id = record.metadata["premise_id"]
+        if premise_id != (own := record.id.rpartition("-")[0] + "-premise"):
+            raise DataFormatError(f"record {record.id}: premise_id is {premise_id!r}, not {own!r}")
+        by_id.setdefault(premise_id, []).append(record)
     groups = []
     for members in by_id.values():
         first = members[0]
@@ -261,14 +264,16 @@ def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 
     return rows
 
 
-def write_training_rows(rows, dest) -> int:
-    """Write merged training rows as a headerless TSV; returns bytes written.
-    A field holding a tab or line break is a DataFormatError, raised before
-    anything is written."""
-    lines = []
+def _training_lines(rows):
     for row in rows:
         line = "\t".join(row)
         if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
             raise DataFormatError(f"training row {row[0]!r}: field contains a tab or line break")
-        lines.append(line + "\n")
-    return _write_lines(dest, lines)
+        yield line + "\n"
+
+
+def write_training_rows(rows, dest) -> int:
+    """Write merged training rows as a headerless TSV, a chunk at a time, as
+    write_pairs writes; returns bytes written. A field holding a tab or line
+    break is a DataFormatError, and leaves the destination as it was."""
+    return _write_lines(dest, _training_lines(rows))

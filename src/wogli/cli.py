@@ -21,9 +21,9 @@ from .augment import (
     sample_augmentation,
     write_training_rows,
 )
-from .dataset_io import read_pairs, read_predictions, write_pairs
+from .dataset_io import _write_counted, read_pairs, read_predictions, write_pairs
 from .errors import LexiconError, WogliError
-from .generator import GenerationSet, derive_os_hard, generate_set
+from .generator import GenerationSet, _os_hard_records, _set_records
 from .lexicon import ValidationProfile, default_lexicon_path, load_lexicon, validate_lexicon
 
 _DEFAULT_PER_PATTERN = {
@@ -74,13 +74,10 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
     if per_pattern < 1:
         raise click.UsageError("--per-pattern must be positive")
     lex = _load_checked_lexicon(lexicon_path)
-    records = generate_set(
-        name, lex, seed, per_pattern,
-        with_replacement=with_replacement_dedup,
-        spaced_period=spaced_period,
-    )
-    size = write_pairs(records, out, fmt)
-    click.echo(f"wrote {len(records)} pairs ({size} bytes) to {out}")
+    # rows go from draws to disk a chunk at a time; no list of the set is built
+    records = _set_records(name, lex, seed, per_pattern, with_replacement_dedup, spaced_period)
+    rows, size = _write_counted(records, out, fmt)
+    click.echo(f"wrote {rows} pairs ({size} bytes) to {out}")
 
 
 @cli.command()
@@ -96,10 +93,9 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
 def derive(target, source, lexicon_path, out, fmt, spaced_period):
     """Derive the hard reorder set from an existing pair file."""
     lex = _load_checked_lexicon(lexicon_path)
-    # the input list is freed before write_pairs encodes the output
-    derived = derive_os_hard(read_pairs(source), lex, spaced_period)
-    size = write_pairs(derived, out, fmt)
-    click.echo(f"wrote {len(derived)} pairs ({size} bytes) to {out}")
+    derived = _os_hard_records(read_pairs(source), lex, spaced_period)
+    rows, size = _write_counted(derived, out, fmt)
+    click.echo(f"wrote {rows} pairs ({size} bytes) to {out}")
 
 
 @cli.command(name="sample-augmentation")

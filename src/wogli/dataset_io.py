@@ -8,9 +8,11 @@ line breaks, and writers refuse records that would violate that.
 from __future__ import annotations
 
 import json
-from contextlib import closing, nullcontext
+import os
+import stat
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import c_make_encoder as _c_make_encoder, encode_basestring as _encode_str
 from json.scanner import make_scanner
 from operator import itemgetter
@@ -79,26 +81,77 @@ def _undecodable(source, exc: UnicodeDecodeError, error=DataFormatError) -> Wogl
     return error(f"{source}: not valid UTF-8")  # the file changed while it was read
 
 
-def _write_lines(dest, lines: list[str]) -> int:
-    """Write encoded lines to a path or text stream a bounded chunk at a time;
-    returns bytes written. Callers encode every line before they call it."""
+def _chunks(lines):
+    """The lines joined _CHUNK_LINES at a time."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        yield "".join(chunk)
+
+
+def _replace(path: str, lines, mode) -> int:
+    """Write lines into a new file in path's directory, then move it over
+    path; returns bytes written. The new file gets the umask's bits, or mode
+    when given; on any exception it is removed and path is left as it was."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the destination, as open(path) would
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        size = 0
+        with open(fd, "wb") as handle:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            for text in _chunks(lines):
+                data = text.encode("utf-8")
+                handle.write(data)
+                size += len(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    return size
+
+
+def _write_lines(dest, lines) -> int:
+    """Write encoded lines, any iterable of them, to a path or text stream a
+    chunk at a time; returns bytes written. A failed write writes nothing:
+    a regular or missing file (a symlink's target, for a symlink) is
+    replaced by a new one only once the last line is in it, and a stream,
+    FIFO or device gets its first byte only once every line is encoded."""
     stream = hasattr(dest, "write")
+    if not stream:
+        path = os.path.realpath(dest)
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            return _replace(path, lines, None)
+        if stat.S_ISREG(mode):
+            return _replace(path, lines, stat.S_IMODE(mode))
+    chunks = list(_chunks(lines))
     size = 0
     with nullcontext(dest) if stream else open(dest, "wb") as handle:
-        for start in range(0, len(lines), _CHUNK_LINES):
-            text = "".join(lines[start:start + _CHUNK_LINES])
+        for text in chunks:
             data = text.encode("utf-8")
             handle.write(text if stream else data)
             size += len(data)
     return size
 
 
-def _check_ids(records) -> None:
-    seen = set()
+def _unique(records, seen: set):
+    """The records, each id added to seen; a repeated id is a DataFormatError."""
     for record in records:
         if record.id in seen:
             raise DataFormatError(f"duplicate record id {record.id!r}")
         seen.add(record.id)
+        yield record
+
+
+def _check_ids(records) -> None:
+    for _ in _unique(records, set()):
+        pass
 
 
 def _tsv_fields(record: PairRecord) -> tuple[str, ...]:
@@ -132,13 +185,12 @@ def _metadata_encoder():
     return lambda m: "".join(encode(m, 0)) if type(m) is dict else e.encode(m)
 
 
-def _row_lines(records) -> list[str]:
+def _row_lines(records):
     """JSON lines in stable key order, each field encoded as json.dumps would.
     A run of records with the same metadata dict, or with equal metadata
     whose keys and values are all strings, in the same key order (a
     premise's records), shares one encoding of it."""
     encode_metadata = _metadata_encoder()
-    lines = []
     last = keys = meta = None  # keys: the last metadata's, if all strings
     for r in records:
         m = r.metadata
@@ -146,33 +198,49 @@ def _row_lines(records) -> list[str]:
             meta = encode_metadata(m)
             keys = list(m) if type(m) is dict and {*map(type, m), *map(type, m.values())} <= _STR else None
             last = m
-        lines.append(
+        yield (
             f'{{"id": {_encode_str(r.id)}, "subset": {_encode_str(r.subset)}, '
             f'"premise": {_encode_str(r.premise)}, "hypothesis": {_encode_str(r.hypothesis)}, '
             f'"label": {_LABEL_JSON[r.label._value_]}, "hyp_kind": {_HYP_KIND_JSON[r.hyp_kind._value_]}, '
             f'"pattern": {_encode_str(r.pattern_name)}{_META_SEP}{meta}}}\n'
         )
-    return lines
+
+
+def _tsv_lines(records):
+    yield "\t".join(TSV_HEADER) + "\n"
+    for r in records:
+        yield "\t".join(_tsv_fields(r)) + "\n"
+
+
+_LINES = {"rows": _row_lines, "tsv": _tsv_lines}
+
+
+def _write_counted(records, dest, fmt: str) -> tuple[int, int]:
+    """write_pairs that also counts: (records written, bytes written)."""
+    lines = _LINES.get(fmt)
+    if lines is None:
+        raise ValueError(f"unknown pair format {fmt!r}")
+    seen = set()  # the ids written so far
+    size = _write_lines(dest, lines(_unique(records, seen)))
+    return len(seen), size
 
 
 def write_pairs(records, dest, fmt: str = "rows") -> int:
-    """Serialize records to a path or file-like object; returns bytes written.
+    """Serialize records, any iterable of them, to a path or file-like
+    object; returns bytes written.
 
-    "rows" gives JSON lines in stable key order (an empty record list gives
-    an empty file); "tsv" gives a header plus one row per record. Every
-    record is encoded before the first byte is written, so a record that
-    cannot be written leaves the destination untouched.
+    "rows" gives JSON lines in stable key order (no records give an empty
+    file); "tsv" gives a header plus one row per record. Records are
+    encoded and written a chunk at a time, and a record that cannot be
+    written (a duplicate id, a non-string field, a tab in a TSV field), or
+    an exception raised by the iterable, leaves the destination as it was,
+    or absent. A path is written into a new file in its directory that then
+    replaces it: a hard link to the old file keeps the old bytes, the new
+    file takes the old one's permission bits, and a symlink's target is
+    replaced, not the link. A stream, FIFO or device gets nothing until
+    every record is encoded.
     """
-    records = list(records)
-    _check_ids(records)
-    if fmt == "rows":
-        lines = _row_lines(records)
-    elif fmt == "tsv":
-        lines = ["\t".join(TSV_HEADER) + "\n"]
-        lines.extend("\t".join(_tsv_fields(r)) + "\n" for r in records)
-    else:
-        raise ValueError(f"unknown pair format {fmt!r}")
-    return _write_lines(dest, lines)
+    return _write_counted(records, dest, fmt)[1]
 
 
 def _scan(text: str, start: int = 0):

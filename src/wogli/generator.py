@@ -371,11 +371,15 @@ def generate_set(
     reorder set re-derives the base premises and emits the swapped-and-
     reordered hypothesis only.
     """
+    return list(_set_records(name, lex, seed, per_pattern, with_replacement, spaced_period))
+
+
+def _set_records(name, lex, seed, per_pattern, with_replacement, spaced_period):
+    """generate_set's records, each one built as it is consumed."""
     tables = _Tables(lex)
     build = _Records(name, spaced_period)
     drawn = set()  # base premises seen so far, when drawing with replacement
     seen = set()  # pronoun-subject premises seen so far
-    records = []
     for i, pattern in enumerate(_patterns_for(name)):
         build.for_pattern(pattern, i)
         pairs = _sample_pattern(
@@ -392,8 +396,7 @@ def generate_set(
                 if premise in seen:
                     continue
                 seen.add(premise)
-            records.extend(build(draw, premise, d))
-    return records
+            yield from build(draw, premise, d)
 
 
 _PREMISE_ID_RE = re.compile(r"-p(\d+)-d(\d+)-premise$")
@@ -440,10 +443,15 @@ def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
 
 def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool = False) -> list[PairRecord]:
     """One swapped-and-reordered (not entailed) pair per distinct premise of
-    an accusative pair file."""
+    an accusative pair file. The first record of each premise must carry
+    the premise text its metadata renders, with either period style."""
+    return list(_os_hard_records(records, lex, spaced_period))
+
+
+def _os_hard_records(records, lex: Lexicon, spaced_period: bool):
+    """derive_os_hard's records, each one built as it is consumed."""
     tables = _Tables(lex)
     build = _Records(GenerationSet.OS_HARD, spaced_period)
-    out = []
     seen = set()
     taken = {}  # seed path -> the id of the record whose premise took it
     fallback = 0
@@ -471,5 +479,13 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
         if (pattern, seed_path[0]) != current:
             current = (pattern, seed_path[0])
             build.for_pattern(*current)
-        out.extend(build(draw, build.premise_of(*draw), seed_path[1]))
-    return out
+        premise = build.premise_of(*draw)
+        spaced = record.premise.endswith(" .")
+        rendered = premise if spaced == spaced_period else compile_sentence(
+            pattern.government.object_case, None, spaced)(*draw)
+        if record.premise != rendered:
+            raise DataFormatError(
+                f"record {record.id}: premise {record.premise!r} is not {rendered!r}, "
+                f"the premise its metadata renders"
+            )
+        yield from build(draw, premise, seed_path[1])

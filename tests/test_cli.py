@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,27 @@ class TestGenerate:
         assert f"wrote {pairs} pairs" in capsys.readouterr().out
 
 
+class TestGenerateMemory:
+    def test_rows_stream_from_draws_to_disk(self, tmp_path):
+        # a writer that holds the 34,000 seed-0 rows as records and then as
+        # encoded lines peaks near 55 MiB under tracemalloc; streamed, the
+        # run peaks near 11 MiB
+        out = tmp_path / "wogli.jsonl"
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            code = run(["generate", "wogli", "--seed", "0", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 0 and out.stat().st_size == 21_976_305
+        assert peak < 20 * 2**20
+
+
 class TestDerive:
     def test_os_hard_from_file(self, toy_path, tmp_path, toy_lex):
         _, base = _generate(toy_path, tmp_path)
@@ -154,6 +176,32 @@ class TestDerive:
         assert "error[format]" in err and f"draw p00-d00000 of record {bad_id}, another premise" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spaced", [False, True], ids=["period", "spaced-period"])
+    def test_either_period_style_derives(self, spaced, toy_path, tmp_path, toy_lex):
+        _, base = _generate(toy_path, tmp_path, *(["--spaced-period"] if spaced else []))
+        out = tmp_path / "hard.jsonl"
+        code = run(["derive", "os-hard", "--from", str(base), "--lexicon", toy_path, "--out", str(out)])
+        assert code == 0
+        assert read_pairs(out) == generate_set(GenerationSet.OS_HARD, toy_lex, seed=3, per_pattern=2)
+
+    @pytest.mark.parametrize("spaced", [False, True], ids=["period", "spaced-period"])
+    @pytest.mark.parametrize("text", ["short", "reversed"])
+    def test_premise_text_must_be_the_one_its_metadata_renders(self, text, spaced, tmp_path, capsys):
+        # the first row's hypothesis is its premise with the arguments swapped
+        out = tmp_path / "wogli.jsonl"
+        assert run(["generate", "wogli", "--seed", "3", "--per-pattern", "8", "--out", str(out),
+                    *(["--spaced-period"] if spaced else [])]) == 0
+        change = {"short": lambda r: r.update(premise="Moritz."),
+                  "reversed": lambda r: r.update(premise=r["hypothesis"])}[text]
+        bad_id = _rewrite_first(out, lambda r: True, change)
+        hard = tmp_path / "hard.jsonl"
+        code = run(["derive", "os-hard", "--from", str(out), "--out", str(hard)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error[format] record {bad_id}: premise " in err
+        assert "the premise its metadata renders" in err
+        assert not hard.exists()
+
     def test_tsv_source_lacks_metadata(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, "--format", "tsv")
         code = run(["derive", "os-hard", "--from", str(base),
@@ -175,6 +223,21 @@ class TestSampleAugmentation:
         assert "wrote 34 pairs" in capsys.readouterr().out
         assert len(read_pairs(out_aug)) == 34
         assert len(read_pairs(out_rest)) == 17 * 3 * 2 - 34
+
+    def test_premise_id_must_be_the_ids_own(self, tmp_path, capsys):
+        # a wrong premise_id would put its row in a premise of its own
+        base = tmp_path / "wogli.jsonl"
+        assert run(["generate", "wogli", "--seed", "3", "--per-pattern", "8", "--out", str(base)]) == 0
+        argv = ["sample-augmentation", "--plan", "custom", "--per-pattern", "2", "--verb-min", "0",
+                "--verb-max", "100", "--seed", "0", "--in", str(base)]
+        assert run([*argv, "--out-aug", str(tmp_path / "a0"), "--out-rest", str(tmp_path / "r0")]) == 0
+        assert "wrote 68 pairs" in capsys.readouterr().out
+        bad_id = _rewrite_first(base, lambda r: True, lambda r: r["metadata"].update(premise_id="zzz"))
+        out_aug, out_rest = tmp_path / "aug.jsonl", tmp_path / "rest.jsonl"
+        assert run([*argv, "--out-aug", str(out_aug), "--out-rest", str(out_rest)]) == 2
+        err = capsys.readouterr().err
+        assert f"error[format] record {bad_id}: premise_id is 'zzz', not 'wogli-p00-d00000-premise'" in err
+        assert not out_aug.exists() and not out_rest.exists()
 
     def test_custom_plan_needs_sizes(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, per="3")

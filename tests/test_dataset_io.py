@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import stat
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -546,12 +549,100 @@ class TestAllOrNothingWrites:
         path = tmp_path / "pairs"
         if exists:
             path.write_bytes(b"earlier contents\n")
+        listing = sorted(os.listdir(tmp_path))
         with pytest.raises(error):
             write_pairs(records, path, fmt=fmt)
         if exists:
             assert path.read_bytes() == b"earlier contents\n"
         else:
             assert not path.exists()
+        assert sorted(os.listdir(tmp_path)) == listing  # no temporary file is left
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_raising_iterable_leaves_destination_untouched(self, error, exists, tmp_path):
+        def records():  # more than two chunks are written before it raises
+            for i in range(2 * _CHUNK_LINES + 1):
+                yield _rec(f"r{i}")
+            raise error("interrupted")
+
+        path = tmp_path / "pairs"
+        if exists:
+            path.write_bytes(b"earlier contents\n")
+        listing = sorted(os.listdir(tmp_path))
+        with pytest.raises(error):
+            write_pairs(records(), path)
+        if exists:
+            assert path.read_bytes() == b"earlier contents\n"
+        else:
+            assert not path.exists()
+        assert sorted(os.listdir(tmp_path)) == listing
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+class TestPathDestinations:
+    """A path is replaced by a new file; a FIFO is written as a stream."""
+
+    def test_existing_file_keeps_its_permission_bits(self, records, tmp_path):
+        path = tmp_path / "pairs"
+        path.write_bytes(b"earlier contents\n")
+        path.chmod(0o640)
+        write_pairs(records, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert read_pairs(path) == records
+
+    def test_new_file_gets_the_umask_bits(self, records, tmp_path):
+        path = tmp_path / "pairs"
+        write_pairs(records, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~_umask()
+
+    def test_hard_link_keeps_the_old_bytes(self, records, tmp_path):
+        path, link = tmp_path / "pairs", tmp_path / "link"
+        path.write_bytes(b"earlier contents\n")
+        os.link(path, link)
+        write_pairs(records, path)
+        assert link.read_bytes() == b"earlier contents\n"
+        assert read_pairs(path) == records
+
+    def test_symlink_keeps_the_link_and_replaces_its_target(self, records, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"earlier contents\n")
+        link.symlink_to(target)
+        size = write_pairs(records, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.stat().st_size == size
+        assert read_pairs(target) == records
+        assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+    def test_missing_directory_is_named_in_the_error(self, records, tmp_path):
+        path = tmp_path / "nowhere" / "pairs"
+        with pytest.raises(FileNotFoundError) as caught:
+            write_pairs(records, path)
+        assert caught.value.filename == str(path)
+
+    def test_fifo_receives_the_exact_bytes(self, records, tmp_path):
+        want = io.StringIO()
+        write_pairs(records, want)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as handle:
+                got.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        size = write_pairs(records, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the FIFO was never opened for writing"
+        assert got == [want.getvalue().encode("utf-8")] and size == len(got[0])
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def _pred_text(rows):

@@ -263,6 +263,7 @@ class TestSampling:
 class TestGenerateSet:
     def test_base_set_shape(self, toy_lex):
         records = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=2)
+        assert type(records) is list and type(derive_os_hard(records, toy_lex)) is list
         assert len(records) == 17 * 2 * 2
         assert {r.subset for r in records} == {"wogli"}
         ids = [r.id for r in records]
