@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for usage problems, 2 for domain errors
-(lexicon, generation, format, joining). run() is the testable entry point;
-main() is the console script.
+(lexicon, generation, format, joining) and for files that cannot be read or
+written (io). run() is the testable entry point; main() is the console script.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import closing
 
 import click
 
@@ -21,18 +22,12 @@ from .augment import (
     sample_augmentation,
     write_training_rows,
 )
-from .dataset_io import _write_counted, read_pairs, read_predictions, write_pairs
+from .dataset_io import (
+    _read_records, _unique, _write_counted, _write_lines, read_pairs, read_predictions, write_pairs,
+)
 from .errors import LexiconError, WogliError
-from .generator import GenerationSet, _os_hard_records, _set_records
+from .generator import _SETS, GenerationSet, _os_hard_records, _set_records
 from .lexicon import ValidationProfile, default_lexicon_path, load_lexicon, validate_lexicon
-
-_DEFAULT_PER_PATTERN = {
-    GenerationSet.WOGLI: 1000,
-    GenerationSet.P_SUBJECT: 1000,
-    GenerationSet.OS_HARD: 1000,
-    GenerationSet.DATIVE: 150,
-    GenerationSet.DITRANSITIVE: 500,
-}
 
 
 def _load_checked_lexicon(path):
@@ -70,7 +65,7 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
     """Generate one challenge set and write it to a pair file."""
     name = GenerationSet(setname)
     if per_pattern is None:
-        per_pattern = _DEFAULT_PER_PATTERN[name]
+        per_pattern = _SETS[name][3]
     if per_pattern < 1:
         raise click.UsageError("--per-pattern must be positive")
     lex = _load_checked_lexicon(lexicon_path)
@@ -93,8 +88,10 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
 def derive(target, source, lexicon_path, out, fmt, spaced_period):
     """Derive the hard reorder set from an existing pair file."""
     lex = _load_checked_lexicon(lexicon_path)
-    derived = _os_hard_records(read_pairs(source), lex, spaced_period)
-    rows, size = _write_counted(derived, out, fmt)
+    # rows go from the input to disk as they are read; no list of either is built
+    with closing(_read_records(source)) as records:
+        derived = _os_hard_records(_unique(records, set()), lex, spaced_period)
+        rows, size = _write_counted(derived, out, fmt)
     click.echo(f"wrote {rows} pairs ({size} bytes) to {out}")
 
 
@@ -176,9 +173,7 @@ def analyze(gold, predictions, runs, groups, out, tie_break_ne, sample_sd):
     text, rows = build_report(gold_records, preds, groups, tie_break_ne, sample_sd)
     click.echo(text, nl=False)
     if out is not None:
-        payload = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+        _write_lines(out, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 @cli.command(name="validate-lexicon")
@@ -213,6 +208,10 @@ def run(argv) -> int:
         return 1
     except WogliError as exc:
         click.echo(f"wogli: error[{exc.code}] {exc}", err=True)
+        return 2
+    except OSError as exc:
+        where = "" if exc.filename is None else f": {exc.filename}"
+        click.echo(f"wogli: error[io] {exc.strerror or exc}{where}", err=True)
         return 2
     return 0
 

@@ -72,14 +72,13 @@ class VerbEntry:
 
 @dataclass(frozen=True)
 class NounEntry:
-    """A human noun: common (with its plural) or a proper name."""
+    """A noun naming a person: common (with its plural) or a proper name."""
 
     lemma: str
     gender: Gender
     plural_nom: str | None
     weak_declension: bool
     kind: NounKind
-    human: bool = True
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ _SCAN_ROW = make_scanner(json.JSONDecoder())
 _ROW_FIELDS = itemgetter(*TSV_HEADER)
 _LABELS = {m.value: m for m in Label}
 # hyp_kind value -> (member, the label it implies), so no row calls Enum code
-_HYP_KINDS = {m.value: (m, m.label) for m in HypKind}
+_KIND_LABELS = {m.value: (m, m.label) for m in HypKind}
 # keyed by member value, as an Enum member hashes through Python code
 _LABEL_JSON = {m.value: _encode_str(m.value) for m in Label}
 _HYP_KIND_JSON = {m.value: _encode_str(m.value) for m in HypKind}
@@ -333,7 +333,7 @@ def _record_from_row(obj, lineno: int, share=_own) -> PairRecord:
             f"line {lineno}: metadata must be an object, found {json.dumps(metadata)[:40]}"
         )
     label = _LABELS.get(fields[4])
-    kind, implied = _HYP_KINDS.get(fields[5], (None, None))
+    kind, implied = _KIND_LABELS.get(fields[5], (None, None))
     if label is None or kind is None:
         bad, enum = (fields[4], "Label") if label is None else (fields[5], "HypKind")
         raise DataFormatError(f"line {lineno}: {bad!r} is not a valid {enum}")
@@ -354,6 +354,13 @@ def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
     pattern, and a metadata key or string value, is one object however many
     rows repeat it. Each record still owns its metadata dict.
     """
+    records = list(_read_records(source, fmt))
+    _check_ids(records)
+    return records
+
+
+def _read_records(source, fmt: str = "auto"):
+    """read_pairs' records, each one read as it is consumed, ids unchecked."""
     share = {}.setdefault  # str -> str only: 1, True and 1.0 would hash equal
     with closing(_lines(source)) as lines:
         if fmt == "auto":
@@ -363,7 +370,7 @@ def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
                 if line and not line.isspace():
                     break
             else:
-                return []
+                return
             fmt = "rows" if line.lstrip()[0] in "{[" else "tsv"
             lines = chain(ahead, lines)
         if fmt == "rows":
@@ -376,9 +383,8 @@ def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
             rows = ((n, _tsv_row(line, n)) for n, line in enumerate(lines, start=2) if line)
         else:
             raise ValueError(f"unknown pair format {fmt!r}")
-        records = [_record_from_row(obj, lineno, share) for lineno, obj in rows]
-    _check_ids(records)
-    return records
+        for lineno, obj in rows:
+            yield _record_from_row(obj, lineno, share)
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,17 @@ class GenerationSet(enum.Enum):
     DITRANSITIVE = "ditransitive"
     OS_HARD = "os-hard"
 
-    @property
-    def subset_label(self) -> str:
-        return _SUBSET_LABELS[self]
 
-
-# one shared label string per set, as every record of the set carries it
-_SUBSET_LABELS = {s: f"wogli-{s.value}" for s in GenerationSet}
-_SUBSET_LABELS[GenerationSet.WOGLI] = "wogli"
+# per set: the subset label its records carry, its verbs' government, the
+# hypotheses of each premise, and the CLI's default premises per pattern
+_SETS = {
+    GenerationSet.WOGLI: ("wogli", Government.ACCUSATIVE, (HypKind.H1_SO, HypKind.H2_OS), 1000),
+    GenerationSet.P_SUBJECT: ("wogli-p-subject", Government.ACCUSATIVE, (HypKind.H1_SO, HypKind.H2_OS), 1000),
+    GenerationSet.DATIVE: ("wogli-dative", Government.DATIVE, (HypKind.H1_SO, HypKind.H2_OS), 150),
+    GenerationSet.DITRANSITIVE: ("wogli-ditransitive", Government.DITRANSITIVE,
+                                 (HypKind.H1_SIO, HypKind.H2_IOS), 500),
+    GenerationSet.OS_HARD: ("wogli-os-hard", Government.ACCUSATIVE, (HypKind.H3_OS,), 1000),
+}
 
 
 @dataclass(frozen=True)
@@ -124,28 +127,24 @@ class _Tables:
             self._memo[key] = build()
         return self._memo[key]
 
-    def groups(self, cls) -> tuple[tuple, bool]:
-        """The class's specs as drawn, and whether a second choice picks within
-        the first: an open name by gender then name, a pinned one by name, a
-        common noun by noun then article kind."""
+    def groups(self, cls) -> tuple[tuple, ...]:
+        """The class's specs as drawn, one choice of group and one within it:
+        a name by gender then name, a common noun by noun then article kind."""
         def build():
             if cls.is_proper:
-                genders = [cls.gender] if cls.gender else [Gender.MASC, Gender.FEM]
-                names = tuple(
+                return tuple(
                     tuple(NPSpec(n, g, Number.SG, ArticleKind.NONE) for n in self.lex.proper_nouns(g))
-                    for g in genders
+                    for g in (Gender.MASC, Gender.FEM)
                 )
-                return (names[0], False) if cls.gender else (names, True)
             return tuple(
                 tuple(NPSpec(noun, cls.gender, cls.number, kind) for kind in _ARTICLE_KINDS[cls.number])
                 for noun in self.lex.common_nouns(cls.gender)
-            ), True
+            )
         return self._cached(cls, build)
 
     def slots(self, cls) -> list[NPSpec]:
         """All lexicalizations of the class, in canonical order."""
-        groups, nested = self.groups(cls)
-        return [spec for group in groups for spec in group] if nested else list(groups)
+        return [spec for group in self.groups(cls) for spec in group]
 
     def verbs(self, government: Government) -> tuple:
         """(verb, its compatible thing specs or None) per verb of the government."""
@@ -168,7 +167,7 @@ class _Tables:
     def space(self, pattern: Pattern) -> int:
         subjects, objects = self.slots(pattern.subject), self.slots(pattern.object)
         pairs = len(subjects) * len(objects)
-        if pattern.subject.name_fragment == pattern.object.name_fragment:
+        if pattern.subject is pattern.object:
             lemmas = Counter(spec.lemma for spec in subjects)
             pairs -= sum(lemmas[spec.lemma] for spec in objects)
         return pairs * len(self.verb_things(pattern.government))
@@ -224,7 +223,7 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
     distinct unless drawn with replacement. Each premise is realized once, here."""
     rng = random.Random(f"{seed}:{pattern.government.value}:{pattern_index}")
     premise_of = compile_sentence(pattern.government.object_case, None, spaced_period)
-    same_class = pattern.subject.name_fragment == pattern.object.name_fragment
+    same_class = pattern.subject is pattern.object
     space = tables.space(pattern)
     # with replacement any non-empty space will do; an empty one would redraw forever
     if per_pattern > space and (space == 0 or not with_replacement):
@@ -256,19 +255,15 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
         return
     # a draw makes the RNG calls of drawing from the lexicon's pools: subject,
     # verb, object (all again on a same-lemma pair of one class), direct object
-    subjects, subject_nested = tables.groups(pattern.subject)
-    objects, object_nested = tables.groups(pattern.object)
+    subjects = tables.groups(pattern.subject)
+    objects = tables.groups(pattern.object)
     verbs = tables.verbs(pattern.government)
     seen = set()
     misses = count = 0
     while count < per_pattern:
-        subject = rng.choice(subjects)
-        if subject_nested:
-            subject = rng.choice(subject)
+        subject = rng.choice(rng.choice(subjects))
         verb, things = rng.choice(verbs)
-        obj = rng.choice(objects)
-        if object_nested:
-            obj = rng.choice(obj)
+        obj = rng.choice(rng.choice(objects))
         if same_class and subject.head.lemma == obj.head.lemma:
             continue
         drawn = (subject, obj, verb, None if things is None else rng.choice(things))
@@ -286,11 +281,8 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
 
 
 def _patterns_for(name: GenerationSet) -> list[Pattern]:
-    if name is GenerationSet.DATIVE:
-        return extended_patterns(Government.DATIVE)
-    if name is GenerationSet.DITRANSITIVE:
-        return extended_patterns(Government.DITRANSITIVE)
-    return wogli_patterns()
+    government = _SETS[name][1]
+    return wogli_patterns() if government is Government.ACCUSATIVE else extended_patterns(government)
 
 
 def sample_premises(
@@ -314,20 +306,13 @@ def sample_premises(
     ]
 
 
-# hypotheses per premise; the other sets take the argument swap and the reorder
-_HYP_KINDS = {
-    GenerationSet.OS_HARD: (HypKind.H3_OS,),
-    GenerationSet.DITRANSITIVE: (HypKind.H1_SIO, HypKind.H2_IOS),
-}
-
-
 class _Records:
     """The set's records of one premise, built from its draw; what the set
     and the current pattern fix is worked out once."""
 
     def __init__(self, name: GenerationSet, spaced_period: bool):
-        self.subset, self.spaced_period = name.subset_label, spaced_period
-        self.kinds = _HYP_KINDS.get(name, (HypKind.H1_SO, HypKind.H2_OS))
+        self.subset, _, self.kinds, _ = _SETS[name]
+        self.spaced_period = spaced_period
 
     def for_pattern(self, pattern: Pattern, pattern_index: int) -> None:
         self.pattern_name = pattern.name
@@ -400,10 +385,7 @@ def _set_records(name, lex, seed, per_pattern, with_replacement, spaced_period):
 
 
 _PREMISE_ID_RE = re.compile(r"-p(\d+)-d(\d+)-premise$")
-_SUBSET_GOVERNMENT = {
-    GenerationSet.DATIVE.subset_label: Government.DATIVE,
-    GenerationSet.DITRANSITIVE.subset_label: Government.DITRANSITIVE,
-}
+_SUBSET_GOVERNMENT = {s: g for s, g, _, _ in _SETS.values() if g is not Government.ACCUSATIVE}
 
 
 def _premise_id(record: PairRecord, default: str) -> str:

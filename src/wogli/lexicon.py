@@ -393,8 +393,6 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
                 report.append(
                     f"{inventory}: {n.lemma!r} weak declension is restricted to masculine nouns"
                 )
-            if not n.human:
-                report.append(f"{inventory}: {n.lemma!r} must denote a person")
     for inventory, nouns, gender in _tables(lex, "pnoun"):
         for n in nouns:
             if n.kind is not NounKind.PROPER:

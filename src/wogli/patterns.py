@@ -19,12 +19,10 @@ from .morphology import _ARTICLE_KINDS, NPSpec, compile_sentence
 
 
 class NPClass(enum.Enum):
-    """Argument slot classes. PNOUN leaves the name's gender open (it is
-    sampled at generation time); PNOUN_M/PNOUN_F pin it."""
+    """Argument slot classes. PNOUN leaves the name's gender open: it is
+    sampled at generation time."""
 
     PNOUN = "pnoun"
-    PNOUN_M = "pnoun_m"
-    PNOUN_F = "pnoun_f"
     SING_MASC = "sing_masc"
     SING_FEM = "sing_fem"
     PLURAL_MASC = "plural_masc"
@@ -32,7 +30,7 @@ class NPClass(enum.Enum):
 
     @property
     def is_proper(self) -> bool:
-        return self in (NPClass.PNOUN, NPClass.PNOUN_M, NPClass.PNOUN_F)
+        return self is NPClass.PNOUN
 
     @property
     def number(self) -> Number:
@@ -41,15 +39,11 @@ class NPClass(enum.Enum):
     @property
     def gender(self) -> Gender | None:
         """Pinned gender, or None for the open proper-name class."""
-        if self in (NPClass.PNOUN_M, NPClass.SING_MASC, NPClass.PLURAL_MASC):
+        if self in (NPClass.SING_MASC, NPClass.PLURAL_MASC):
             return Gender.MASC
-        if self in (NPClass.PNOUN_F, NPClass.SING_FEM, NPClass.PLURAL_FEM):
+        if self in (NPClass.SING_FEM, NPClass.PLURAL_FEM):
             return Gender.FEM
         return None
-
-    @property
-    def name_fragment(self) -> str:
-        return "pnoun" if self.is_proper else self.value
 
 
 class NumberClass(enum.Enum):
@@ -65,24 +59,16 @@ class Pattern:
 
     @property
     def name(self) -> str:
-        return f"{self.subject.name_fragment}_v_{self.object.name_fragment}"
-
-
-_FRAGMENTS = {
-    "pnoun": NPClass.PNOUN,
-    "sing_masc": NPClass.SING_MASC,
-    "sing_fem": NPClass.SING_FEM,
-    "plural_masc": NPClass.PLURAL_MASC,
-    "plural_fem": NPClass.PLURAL_FEM,
-}
+        return f"{self.subject.value}_v_{self.object.value}"
 
 
 def parse_pattern_name(name: str, government: Government) -> Pattern:
-    """Inverse of Pattern.name for canonical names (pnoun stays gender-open)."""
-    subject_name, sep, object_name = name.partition("_v_")
-    if not sep or subject_name not in _FRAGMENTS or object_name not in _FRAGMENTS:
-        raise ValueError(f"not a canonical pattern name: {name!r}")
-    return Pattern(_FRAGMENTS[subject_name], _FRAGMENTS[object_name], government)
+    """Inverse of Pattern.name."""
+    subject_name, _, object_name = name.partition("_v_")
+    try:
+        return Pattern(NPClass(subject_name), NPClass(object_name), government)
+    except ValueError:
+        raise ValueError(f"not a canonical pattern name: {name!r}") from None
 
 
 # Order is part of the output: a pattern's index seeds its RNG stream and
@@ -161,8 +147,7 @@ def _representative_specs(cls: NPClass, lex: Lexicon, skip_lemmas: set[str]) -> 
     crossed with nouns of every declension behavior present in the class."""
     specs = []
     if cls.is_proper:
-        genders = [cls.gender] if cls.gender else [Gender.MASC, Gender.FEM]
-        for gender in genders:
+        for gender in (Gender.MASC, Gender.FEM):
             for noun in lex.proper_nouns(gender):
                 if noun.lemma not in skip_lemmas:
                     specs.append(NPSpec(noun, gender, Number.SG, ArticleKind.NONE))
@@ -199,7 +184,7 @@ def is_ambiguous(pattern: Pattern, lex: Lexicon) -> bool:
     if not subjects or not verbs:
         raise ValueError(f"lexicon cannot realize pattern {pattern.name}")
     subject_lemmas = {s.head.lemma for s in subjects}
-    same_class = pattern.subject.name_fragment == pattern.object.name_fragment
+    same_class = pattern.subject is pattern.object
     objects = _representative_specs(
         pattern.object, lex, subject_lemmas if same_class else set()
     )

@@ -113,6 +113,13 @@ class TestGenerate:
         assert code == 0
         assert f"wrote {pairs} pairs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("setname,pairs", [("dative", 7_200), ("ditransitive", 24_000)])
+    def test_default_sizes(self, tmp_path, capsys, setname, pairs):
+        # the README's sizes: 24 patterns x 150 or 500 premises x 2 hypotheses
+        out = tmp_path / f"{setname}.jsonl"
+        assert run(["generate", setname, "--seed", "0", "--out", str(out)]) == 0
+        assert f"wrote {pairs} pairs" in capsys.readouterr().out
+
 
 class TestGenerateMemory:
     def test_rows_stream_from_draws_to_disk(self, tmp_path):
@@ -201,6 +208,19 @@ class TestDerive:
         assert f"error[format] record {bad_id}: premise " in err
         assert "the premise its metadata renders" in err
         assert not hard.exists()
+
+    def test_repeated_id_leaves_no_output(self, toy_path, tmp_path, capsys):
+        # the repeat comes last, after every derived row has been written
+        _, base = _generate(toy_path, tmp_path)
+        first = base.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        with base.open("a", encoding="utf-8") as fh:
+            fh.write(first)
+        out = tmp_path / "hard.jsonl"
+        code = run(["derive", "os-hard", "--from", str(base), "--lexicon", toy_path, "--out", str(out)])
+        assert code == 2
+        assert f"error[format] duplicate record id {json.loads(first)['id']!r}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_tsv_source_lacks_metadata(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, "--format", "tsv")
@@ -333,6 +353,37 @@ class TestAnalyze:
         assert overall["k"] == [len(records) - 1]
         assert any(r["kind"] == "ztest" for r in rows)
 
+    def test_report_rows_replace_the_file(self, toy_path, tmp_path):
+        # a new file takes the name: a hard link to the old report keeps its bytes
+        _, gold = _generate(toy_path, tmp_path)
+        records = read_pairs(gold)
+        preds = tmp_path / "preds.tsv"
+        rows_out = tmp_path / "report.jsonl"
+        argv = ["analyze", "--gold", str(gold), "--predictions", str(preds), "--runs", "1",
+                "--out", str(rows_out)]
+        _write_predictions(preds, records)
+        assert run(argv) == 0
+        old = rows_out.read_bytes()
+        link = tmp_path / "link.jsonl"
+        os.link(rows_out, link)
+        _write_predictions(preds, records, flip={records[0].id})
+        assert run(argv) == 0
+        assert link.read_bytes() == old
+        assert rows_out.read_bytes() != old
+
+    def test_report_rows_into_a_missing_directory(self, toy_path, tmp_path, capsys):
+        _, gold = _generate(toy_path, tmp_path)
+        preds = tmp_path / "preds.tsv"
+        _write_predictions(preds, read_pairs(gold))
+        out = tmp_path / "missing-dir" / "report.jsonl"
+        code = run(["analyze", "--gold", str(gold), "--predictions", str(preds), "--runs", "1",
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("wogli: error[io] No such file or directory: ")
+        assert err.rstrip().endswith(str(Path("missing-dir", "report.jsonl")))
+
     def test_groups_choice(self, toy_path, tmp_path, capsys):
         _, gold = _generate(toy_path, tmp_path)
         records = read_pairs(gold)
@@ -431,6 +482,16 @@ class TestModuleEntryPoint:
         done = self._module("validate-lexicon", "--in", str(bad))
         assert done.returncode == 2, done.stderr
         assert f"error[lexicon] {bad}: line 2: not valid UTF-8" in done.stderr
+
+    def test_output_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing-dir" / "x.jsonl"
+        done = self._module("generate", "dative", "--seed", "0", "--per-pattern", "1",
+                            "--out", str(out))
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("wogli: error[io] No such file or directory: ")
+        assert done.stderr.rstrip().endswith(str(Path("missing-dir", "x.jsonl")))
+        assert not out.parent.exists()
 
     def test_help_lists_the_commands(self):
         done = self._module("--help")

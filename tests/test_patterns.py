@@ -131,6 +131,16 @@ class TestParse:
         for p in pats:
             assert parse_pattern_name(p.name, p.government) == p
 
+    @pytest.mark.parametrize("government", list(Government))
+    def test_every_class_pair_round_trips(self, government):
+        # the five classes' values are the name fragments, pnoun included
+        assert len(NPClass) == 5
+        for s in NPClass:
+            for o in NPClass:
+                pattern = parse_pattern_name(f"{s.value}_v_{o.value}", government)
+                assert pattern == Pattern(s, o, government)
+                assert pattern.name == f"{s.value}_v_{o.value}"
+
     @pytest.mark.parametrize(
         "bad",
         ["sing_masc", "sing_masc_v_", "_v_sing_masc", "dog_v_sing_masc",
@@ -139,13 +149,6 @@ class TestParse:
     def test_non_canonical_names_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_pattern_name(bad, Government.ACCUSATIVE)
-
-    def test_pinned_pnoun_classes_share_the_open_name(self):
-        open_p = Pattern(NPClass.PNOUN, NPClass.SING_FEM, Government.ACCUSATIVE)
-        pinned = Pattern(NPClass.PNOUN_M, NPClass.SING_FEM, Government.ACCUSATIVE)
-        assert open_p.name == pinned.name == "pnoun_v_sing_fem"
-        # parsing always recovers the gender-open class
-        assert parse_pattern_name(pinned.name, Government.ACCUSATIVE) == open_p
 
     def test_inventory_text_format(self):
         text = pattern_inventory_text(wogli_patterns())
@@ -159,19 +162,17 @@ class TestNPClass:
     def test_numbers(self):
         assert NPClass.PLURAL_FEM.number is Number.PL
         assert NPClass.PLURAL_MASC.number is Number.PL
-        for cls in (NPClass.PNOUN, NPClass.PNOUN_M, NPClass.PNOUN_F,
-                    NPClass.SING_MASC, NPClass.SING_FEM):
+        for cls in (NPClass.PNOUN, NPClass.SING_MASC, NPClass.SING_FEM):
             assert cls.number is Number.SG
 
     def test_gender_pins(self):
         assert NPClass.PNOUN.gender is None
-        assert NPClass.PNOUN_M.gender is not None
         assert NPClass.SING_FEM.gender is not None
         assert NPClass.SING_FEM.gender is NPClass.PLURAL_FEM.gender
 
     def test_proper_flags(self):
         proper = {c for c in NPClass if c.is_proper}
-        assert proper == {NPClass.PNOUN, NPClass.PNOUN_M, NPClass.PNOUN_F}
+        assert proper == {NPClass.PNOUN}
 
 
 class TestNumberClass:
