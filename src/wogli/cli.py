@@ -8,6 +8,7 @@ written (io). run() is the testable entry point; main() is the console script.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import closing
 
@@ -125,6 +126,10 @@ def sample_augmentation_cmd(plan_name, seed, source, out_aug, out_rest, fmt,
         if any(v is not None for v in (per_pattern, verb_min, verb_max)) or require_all_nouns:
             raise click.UsageError("plan sizing options apply to --plan custom only")
         plan = plan_1037(seed) if plan_name == "1037" else plan_102(seed)
+    # the second write would replace the first: a hard link counts as the same file
+    if os.path.realpath(out_aug) == os.path.realpath(out_rest) or (
+            os.path.exists(out_aug) and os.path.exists(out_rest) and os.path.samefile(out_aug, out_rest)):
+        raise click.UsageError("--out-aug and --out-rest must be different files")
     records = read_pairs(source)
     aug, rest = sample_augmentation(records, plan)
     size_aug = write_pairs(aug, out_aug, fmt)

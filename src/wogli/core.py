@@ -121,7 +121,7 @@ class HypKind(enum.Enum):
         return Label.ENTAILED if self.subject_nominative else Label.NOT_ENTAILED
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PairRecord:
     """One premise/hypothesis pair, the atomic dataset row.
 

@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
-from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, PRONOUN, compile_sentence
+from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, compile_sentence
 from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
@@ -172,44 +172,35 @@ class _Tables:
             pairs -= sum(lemmas[spec.lemma] for spec in objects)
         return pairs * len(self.verb_things(pattern.government))
 
-    def slot(self, meta: dict, role: str, where: str) -> NPSpec:
-        """The spec a record's metadata names for role, validated the first
-        time the same metadata values are seen in that role."""
+    def np(self, owner, role: str, meta: dict, where: str) -> NPSpec:
+        """The spec that owner, a class or a ditransitive verb, draws in role
+        and whose metadata there meta holds exactly; a miss names the first
+        field that differs from the nearest spec (most equal fields)."""
+        index = self._cached((owner, role), lambda: self._index(owner, role))
+        got = tuple(map(meta.get, _META_KEYS[role]))
         try:
-            key = (role, *map(meta.get, _META_KEYS[role]))
-            return self._cached(key, lambda: self._spec(meta, role, where))
-        except TypeError:  # unhashable metadata values; _spec names the fault
-            return self._spec(meta, role, where)
+            return index[got]
+        except (KeyError, TypeError):  # TypeError: an unhashable value, which no spec writes
+            pass
+        if role == "object" and meta.get("object_kind") == "pronoun":
+            raise DataFormatError(f"{where}: object: only a subject can be a pronoun")
+        within = f"verb {owner.lemma!r}" if role == "direct_object" else f"class {owner.value}"
+        if not index:
+            raise DataFormatError(f"{where}: {within} has no {role}")
+        nearest = max(index, key=lambda values: sum(a == b for a, b in zip(values, got)))
+        key, value, want = next(f for f in zip(_META_KEYS[role], got, nearest) if f[1] != f[2])
+        raise DataFormatError(f"{where}: {key} is {value!r}, but its {role} writes {want!r} ({within})")
 
-    def _spec(self, meta: dict, role: str, where: str) -> NPSpec:
-        """The spec found in the lexicon for meta's fields of role; meta must
-        hold exactly the metadata that spec writes in that role."""
-        try:
-            lemma, *fields = map(meta.__getitem__, _META_KEYS[role])
-            if role == "direct_object":
-                head = self.lex.entry("thing", None, lemma)
-                args = head and (head.gender, head.number, ArticleKind.DEF)
-            else:
-                kind, gender, number, article, _ = fields
-                gender = Gender(gender)
-                head = PRONOUN if kind == "pronoun" else self.lex.entry(
-                    "pnoun" if kind == "proper" else "noun", gender, lemma)
-                args = (gender, Number(number), ArticleKind(article))
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{where}: bad metadata ({exc})") from None
-        if head is None:
-            raise DataFormatError(f"{where}: noun {lemma!r} not in the lexicon")
-        try:
-            spec = NPSpec(head, *args)
-            written = spec.metadata.get(role)
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {role}: {exc}") from None
-        if written is None:
-            raise DataFormatError(f"{where}: {role}: only a subject can be a pronoun")
-        for key, value in written.items():
-            if meta[key] != value:
-                raise DataFormatError(f"{where}: {key} is {meta[key]!r}, but its {role} writes {value!r}")
-        return spec
+    def _index(self, owner, role: str) -> dict:
+        """owner's specs in role, a subject's with their pronouns, by the
+        metadata values each writes there, in table order."""
+        if role == "direct_object":
+            specs = dict(self.verbs(Government.DITRANSITIVE))[owner]
+        else:
+            specs = self.slots(owner)
+            if role == "subject":
+                specs += [spec.pronoun for spec in specs]
+        return {tuple(spec.metadata[role].values()): spec for spec in specs}
 
 
 def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
@@ -396,14 +387,15 @@ def _premise_id(record: PairRecord, default: str) -> str:
 
 
 def _read_record(record: PairRecord, tables: _Tables):
-    """(pattern, draw, seed path or None) behind a record, from its metadata."""
+    """(pattern, draw, seed path or None) behind a record, from its metadata:
+    each NP must be one its pattern's class, or its verb, draws."""
     meta = record.metadata
     where = f"record {record.id}"
     if not meta:
         raise DataFormatError(f"{where}: instance reconstruction needs row metadata")
     government = _SUBSET_GOVERNMENT.get(record.subset, Government.ACCUSATIVE)
-    if government is Government.DITRANSITIVE or not meta.keys().isdisjoint(_META_KEYS["direct_object"]):
-        raise DataFormatError(f"{where}: only accusative and dative records are supported")
+    if government is not Government.DITRANSITIVE and not meta.keys().isdisjoint(_META_KEYS["direct_object"]):
+        raise DataFormatError(f"{where}: only ditransitive records have a direct object")
     try:
         name = record.pattern_name
         pattern = tables._cached((name, government), lambda: parse_pattern_name(name, government))
@@ -412,9 +404,13 @@ def _read_record(record: PairRecord, tables: _Tables):
     verb = tables.lex.entry("verb", government, meta.get("verb_lemma"))
     if verb is None:
         raise DataFormatError(f"{where}: verb {meta.get('verb_lemma')!r} not in the lexicon")
-    draw = (tables.slot(meta, "subject", where), tables.slot(meta, "object", where), verb, None)
+    subject = tables.np(pattern.subject, "subject", meta, where)
+    obj = tables.np(pattern.object, "object", meta, where)
+    if pattern.subject is pattern.object and subject.lemma == obj.lemma:
+        raise DataFormatError(f"{where}: subject and object are both {obj.lemma!r}, which no draw pairs")
+    thing = tables.np(verb, "direct_object", meta, where) if government is Government.DITRANSITIVE else None
     match = _PREMISE_ID_RE.search(_premise_id(record, ""))
-    return pattern, draw, (int(match.group(1)), int(match.group(2))) if match else None
+    return pattern, (subject, obj, verb, thing), (int(match.group(1)), int(match.group(2))) if match else None
 
 
 def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:

@@ -347,13 +347,9 @@ _FULL_COUNTS = (
 )
 
 
-def _tables(lex: Lexicon, cls: str | None = None) -> list[tuple]:
-    """(field, entries, government or gender) of the inventories of one TSV class, or of all."""
-    return [
-        (field, getattr(lex, field), tag)
-        for field, c, tag in _INVENTORIES.values()
-        if cls in (None, c)
-    ]
+def _tables(lex: Lexicon, cls: str) -> list[tuple]:
+    """(field, entries, government or gender) of the inventories of one TSV class."""
+    return [(field, getattr(lex, field), tag) for field, c, tag in _INVENTORIES.values() if c == cls]
 
 
 def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfile.FULL) -> list[str]:
@@ -370,10 +366,6 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
                 report.append(f"verb {v.lemma!r}: symmetric predicates are excluded")
             if v.form_3sg == v.form_3pl:
                 report.append(f"verb {v.lemma!r}: 3sg and 3pl forms must differ")
-            if (v.semantic_category is None) == (v.government is Government.DITRANSITIVE):
-                report.append(
-                    f"verb {v.lemma!r}: semantic category is required exactly for ditransitives"
-                )
     by_gov = {gov.value: {v.lemma for v in verbs} for _, verbs, gov in _tables(lex, "verb")}
     names = sorted(by_gov)
     for i, a in enumerate(names):
@@ -381,42 +373,19 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
             for lemma in sorted(by_gov[a] & by_gov[b]):
                 report.append(f"verb {lemma!r}: appears in both {a} and {b} inventories")
 
-    for inventory, nouns, gender in _tables(lex, "noun"):
+    for inventory, nouns, _ in _tables(lex, "noun"):
         for n in nouns:
-            if n.kind is not NounKind.COMMON:
-                report.append(f"{inventory}: {n.lemma!r} must be a common noun")
-            if n.gender is not gender:
-                report.append(f"{inventory}: {n.lemma!r} has the wrong gender")
             if not n.plural_nom:
                 report.append(f"{inventory}: {n.lemma!r} lacks a plural form")
             if n.weak_declension and n.gender is not Gender.MASC:
                 report.append(
                     f"{inventory}: {n.lemma!r} weak declension is restricted to masculine nouns"
                 )
-    for inventory, nouns, gender in _tables(lex, "pnoun"):
-        for n in nouns:
-            if n.kind is not NounKind.PROPER:
-                report.append(f"{inventory}: {n.lemma!r} must be a proper name")
-            if n.gender is not gender:
-                report.append(f"{inventory}: {n.lemma!r} has the wrong gender")
-            if n.plural_nom is not None:
-                report.append(f"{inventory}: {n.lemma!r} proper names take no plural")
-            if n.weak_declension:
-                report.append(f"{inventory}: {n.lemma!r} proper names are not weak")
-
-    for inventory, entries, _ in _tables(lex):
-        seen = set()
-        for entry in entries:
-            if entry.lemma in seen:
-                report.append(f"{inventory}: duplicate lemma {entry.lemma!r}")
-            seen.add(entry.lemma)
 
     for t in lex.thing_nouns:
         if not t.compatible_categories:
             report.append(f"thing noun {t.lemma!r}: needs at least one compatible category")
     for v in lex.verbs_ditrans:
-        if v.semantic_category is None:
-            continue
         if not any(v.semantic_category in t.compatible_categories for t in lex.thing_nouns):
             report.append(f"verb {v.lemma!r}: no direct-object noun matches its category")
 

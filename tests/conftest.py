@@ -31,6 +31,17 @@ TOY_LEXICON = {
 }
 
 
+# rows of `generate wogli --seed 3 --per-pattern 8` on the bundled lexicon,
+# each edited to name NPs its pattern never draws, with the premise those
+# NPs render: (row id, metadata edit, premise, the format error's message)
+UNDRAWABLE_ROWS = [
+    ("wogli-p09-d00002-h1", {"subject_number": "pl"}, "Die Köche beschützen den Soldaten.",
+     "subject_number is 'pl', but its subject writes 'sg' (class sing_masc)"),
+    ("wogli-p09-d00000-h1", {"object_lemma": "Anwalt"}, "Ein Anwalt verdächtigt diesen Anwalt.",
+     "subject and object are both 'Anwalt', which no draw pairs"),
+]
+
+
 @pytest.fixture(scope="session")
 def lex():
     return bundled_lexicon()

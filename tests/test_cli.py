@@ -17,7 +17,7 @@ import wogli
 from wogli import GenerationSet, generate_set, read_pairs
 from wogli.cli import run
 
-from conftest import TOY_LEXICON
+from conftest import TOY_LEXICON, UNDRAWABLE_ROWS
 
 
 @pytest.fixture
@@ -258,6 +258,23 @@ class TestSampleAugmentation:
         err = capsys.readouterr().err
         assert f"error[format] record {bad_id}: premise_id is 'zzz', not 'wogli-p00-d00000-premise'" in err
         assert not out_aug.exists() and not out_rest.exists()
+
+    @pytest.mark.parametrize("second", ["same", "missing", "symlink", "hardlink"])
+    def test_one_file_for_both_outputs(self, toy_path, tmp_path, capsys, second):
+        # one file for both would end up holding the rest only, the subset lost
+        _, base = _generate(toy_path, tmp_path, per="3")
+        out = other = tmp_path / "out.jsonl"
+        if second != "missing":
+            out.write_bytes(b"kept\n")
+        if second in ("symlink", "hardlink"):
+            other = tmp_path / "link.jsonl"
+            (other.symlink_to if second == "symlink" else other.hardlink_to)(out)
+        code = run(["sample-augmentation", "--plan", "custom", "--seed", "5",
+                    "--in", str(base), "--per-pattern", "1", "--verb-min", "0", "--verb-max", "100",
+                    "--out-aug", str(out), "--out-rest", str(other)])
+        assert code == 1
+        assert "--out-aug and --out-rest must be different files" in capsys.readouterr().err
+        assert (not out.exists()) if second == "missing" else out.read_bytes() == b"kept\n"
 
     def test_custom_plan_needs_sizes(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, per="3")
@@ -561,6 +578,20 @@ class TestMalformedRows:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "error[format]" in err and f"record {bad_id}: {why}" in err
+
+    @pytest.mark.parametrize("row_id, change, premise, why", UNDRAWABLE_ROWS,
+                             ids=["plural-subject", "self-pair"])
+    def test_derive_rejects_an_np_its_pattern_never_draws(self, mutation_inputs, tmp_path, capsys,
+                                                          row_id, change, premise, why):
+        base, out = tmp_path / "base.jsonl", tmp_path / "hard.jsonl"
+        base.write_bytes((mutation_inputs / "valid.jsonl").read_bytes())
+        _rewrite_first(base, lambda r: r["id"] == row_id,
+                       lambda r: (r.update(premise=premise), r["metadata"].update(change)))
+        code = run(["derive", "os-hard", "--from", str(base),
+                    "--lexicon", str(wogli.bundled_lexicon_path()), "--out", str(out)])
+        assert code == 2
+        assert f"error[format] record {row_id}: {why}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_augmentation_rejects_unknown_pattern(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, per="3")

@@ -56,7 +56,7 @@ import wogli
 from wogli import generator
 from wogli.morphology import PRONOUN, compile_sentence
 
-from conftest import TOY_LEXICON, make_toy
+from conftest import TOY_LEXICON, UNDRAWABLE_ROWS, make_toy
 
 
 def _noun(lex, lemma):
@@ -419,6 +419,11 @@ class TestRecordRoundTrip:
         bad_noun = dict(record.metadata, subject_lemma="Hund")
         with pytest.raises(DataFormatError, match="Hund"):
             instance_from_record(replace(record, metadata=bad_noun), toy_lex)
+        # a lexicon whose tables hold none of the class the pattern names
+        fem = next(r for r in generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)
+                   if r.pattern_name.startswith("sing_fem_"))
+        with pytest.raises(DataFormatError, match=f"record {fem.id}: class sing_fem has no subject"):
+            instance_from_record(fem, make_toy(fem_common=[]))
 
     def test_a_pronoun_lemma_must_be_its_pronoun(self, toy_lex):
         record = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=1, per_pattern=1)[0]
@@ -460,21 +465,55 @@ class TestRecordRoundTrip:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            with_replacement=st.booleans(), spaced=st.booleans())
     def test_every_record_is_rederivable(self, toy_lex_module, seed, with_replacement, spaced):
-        for name in (GenerationSet.WOGLI, GenerationSet.P_SUBJECT,
-                     GenerationSet.DATIVE, GenerationSet.OS_HARD):
+        for name in GenerationSet:
             records = generate_set(name, toy_lex_module, seed=seed, per_pattern=2,
                                    with_replacement=with_replacement, spaced_period=spaced)
             for r in records:
                 inst = instance_from_record(r, toy_lex_module)
                 assert realize_premise(inst, spaced) == r.premise, r.id
                 hypothesis_of = compile_sentence(inst.pattern.government.object_case, r.hyp_kind, spaced)
-                assert hypothesis_of(inst.subject, inst.object, inst.verb) == r.hypothesis, r.id
+                draw = (inst.subject, inst.object, inst.verb, inst.direct_object)
+                assert hypothesis_of(*draw) == r.hypothesis, r.id
                 assert r.label is r.hyp_kind.label, r.id
 
-    def test_ditransitive_records_not_reconstructible(self, toy_lex):
-        record = generate_set(GenerationSet.DITRANSITIVE, toy_lex, seed=1, per_pattern=1)[0]
-        with pytest.raises(DataFormatError, match="accusative"):
-            instance_from_record(record, toy_lex)
+    def test_ditransitive_records_round_trip(self, lex):
+        for record in generate_set(GenerationSet.DITRANSITIVE, lex, seed=5, per_pattern=2):
+            inst = instance_from_record(record, lex)
+            assert inst.pattern.government is Government.DITRANSITIVE
+            assert inst.direct_object.lemma == record.metadata["direct_object_lemma"]
+            assert realize_premise(inst) == record.premise
+            draw = (inst.subject, inst.object, inst.verb, inst.direct_object)
+            assert compile_sentence(Case.DAT, record.hyp_kind)(*draw) == record.hypothesis
+
+    def test_a_direct_object_must_be_one_its_verb_takes(self):
+        toy = make_toy(
+            verbs_ditransitive=[*TOY_LEXICON["verbs_ditransitive"],
+                                {"lemma": "schicken", "form_3sg": "schickt", "form_3pl": "schicken",
+                                 "category": "sending"}],
+            thing_nouns=[*TOY_LEXICON["thing_nouns"],
+                         {"lemma": "Brief", "gender": "masc", "number": "sg", "categories": ["sending"]}],
+        )
+        records = generate_set(GenerationSet.DITRANSITIVE, toy, seed=1, per_pattern=1)
+        record = next(r for r in records if r.metadata["verb_lemma"] == "geben")
+        brief = replace(record, metadata=dict(record.metadata, direct_object_lemma="Brief"))
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"record {record.id}: direct_object_lemma is 'Brief', "
+                f"but its direct_object writes 'Kuchen' (verb 'geben')")):
+            instance_from_record(brief, toy)
+        # a direct object on a row of another set stays a format error
+        wogli_row = generate_set(GenerationSet.WOGLI, toy, seed=1, per_pattern=1)[0]
+        with_thing = replace(wogli_row, metadata={**wogli_row.metadata, **brief.metadata})
+        with pytest.raises(DataFormatError, match="only ditransitive records have a direct object"):
+            instance_from_record(with_thing, toy)
+
+    @pytest.mark.parametrize("row_id, change, premise, why", UNDRAWABLE_ROWS,
+                             ids=["plural-subject", "self-pair"])
+    def test_an_np_its_pattern_never_draws(self, lex, row_id, change, premise, why):
+        records = generate_set(GenerationSet.WOGLI, lex, seed=3, per_pattern=8)
+        record = next(r for r in records if r.id == row_id)
+        edited = replace(record, premise=premise, metadata=dict(record.metadata, **change))
+        with pytest.raises(DataFormatError, match=re.escape(f"record {row_id}: {why}")):
+            instance_from_record(edited, lex)
 
     def test_derive_os_hard_matches_direct_generation(self, toy_lex):
         base = generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=2)
@@ -526,25 +565,35 @@ def test_compiled_slots_match_render_np(lex):
 
 
 def test_every_spec_owns_its_metadata_and_pronoun(lex):
-    """Every spec of the bundled lexicon, each class slot, each thing and
-    each pronoun, parses back from its own metadata in every role it lists;
-    the agreeing pronoun is one spec per gender and number, shared."""
+    """The reader finds every spec of the bundled lexicon by its own
+    metadata: each class spec as a subject and as an object of its class,
+    its pronoun as a subject of that class, and each thing as the direct
+    object of each verb that takes it; the agreeing pronoun is one spec per
+    gender and number, shared."""
     tables = generator._Tables(lex)
-    slots = [spec for cls in NPClass for spec in tables.slots(cls)]
-    things = [thing for _, thing in tables.verb_things(Government.DITRANSITIVE)]
-    pronouns = {id(spec.pronoun): spec.pronoun for spec in slots}
+    pronouns = {}
+    for cls in NPClass:
+        for spec in tables.slots(cls):
+            assert list(spec.metadata) == ["subject", "object"]
+            for role, meta in spec.metadata.items():
+                assert tables.np(cls, role, dict(meta), "spec") is spec, (spec, role)
+            pronoun = spec.pronoun
+            assert list(pronoun.metadata) == ["subject"]
+            assert tables.np(cls, "subject", dict(pronoun.metadata["subject"]), "spec") is pronoun
+            pronouns[id(pronoun)] = pronoun
     assert len(pronouns) == 4
     assert {(p.gender, p.number) for p in pronouns.values()} == \
            {(g, n) for g in (Gender.MASC, Gender.FEM) for n in Number}
-    assert {*lex.thing_nouns} == {thing.head for thing in things}
-    for specs, roles in ((slots, ["subject", "object"]), (things, ["direct_object"]),
-                         (pronouns.values(), ["subject"])):
-        for spec in specs:
-            assert list(spec.metadata) == roles
-            for role, meta in spec.metadata.items():
-                assert generator._Tables(lex).slot(dict(meta), role, "spec") == spec, (spec, role)
     for pronoun in pronouns.values():
         assert pronoun.pronoun is pronoun
+    things = set()
+    for verb, specs in tables.verbs(Government.DITRANSITIVE):
+        for thing in specs:
+            assert list(thing.metadata) == ["direct_object"]
+            meta = dict(thing.metadata["direct_object"])
+            assert tables.np(verb, "direct_object", meta, "spec") is thing, (verb, thing)
+            things.add(thing.head)
+    assert things == {*lex.thing_nouns}
     for inst in sample_premises(GenerationSet.WOGLI, lex, seed=0, per_pattern=3):
         assert pronominalize(inst).subject is inst.subject.pronoun
 

@@ -302,6 +302,10 @@ def test_reader_errors_name_their_place(text, where, message):
      "fem_common: 'Kollegin' weak declension is restricted to masculine nouns"),
     ({"thing_nouns": [{"lemma": "Kuchen", "gender": "masc", "number": "sg", "categories": []}]},
      "thing noun 'Kuchen': needs at least one compatible category"),
+    ({"masc_common": [{"lemma": "Arzt", "plural_nom": None}]},
+     "masc_common: 'Arzt' lacks a plural form"),
+    ({"thing_nouns": [{"lemma": "Brief", "gender": "masc", "number": "sg", "categories": ["sending"]}]},
+     "verb 'geben': no direct-object noun matches its category"),
 ])
 def test_validation_rules(overrides, message):
     assert message in validate_lexicon(make_toy(**overrides), ValidationProfile.TOY)
