@@ -11,23 +11,13 @@ import json
 import os
 import sys
 from contextlib import closing
+from itertools import chain
 
 import click
 
-from .analysis import build_report
-from .augment import (
-    AugmentationPlan,
-    merge_training,
-    plan_102,
-    plan_1037,
-    sample_augmentation,
-    write_training_rows,
-)
-from .dataset_io import (
-    _read_records, _unique, _write_counted, _write_lines, read_pairs, read_predictions, write_pairs,
-)
+from .dataset_io import _read_records, _unique, _write_lines, read_pairs, read_predictions, write_pairs
 from .errors import LexiconError, WogliError
-from .generator import _SETS, GenerationSet, _os_hard_records, _set_records
+from .generator import _SETS, GenerationSet, _os_hard_records, _Records, _set_records
 from .lexicon import ValidationProfile, default_lexicon_path, load_lexicon, validate_lexicon
 
 
@@ -39,6 +29,12 @@ def _load_checked_lexicon(path):
         more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
         raise LexiconError(f"lexicon rejected: {head}{more}")
     return lex
+
+
+def _write_built(build: _Records, lines, out) -> None:
+    """Write the lines build renders, the same bytes write_pairs writes for its records."""
+    size = _write_lines(out, chain(build.header, lines))
+    click.echo(f"wrote {len(build.ids)} pairs ({size} bytes) to {out}")
 
 
 @click.group()
@@ -70,10 +66,9 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
     if per_pattern < 1:
         raise click.UsageError("--per-pattern must be positive")
     lex = _load_checked_lexicon(lexicon_path)
-    # rows go from draws to disk a chunk at a time; no list of the set is built
-    records = _set_records(name, lex, seed, per_pattern, with_replacement_dedup, spaced_period)
-    rows, size = _write_counted(records, out, fmt)
-    click.echo(f"wrote {rows} pairs ({size} bytes) to {out}")
+    # rows go from draws to disk as encoded lines, a chunk at a time
+    build = _Records(name, spaced_period, fmt)
+    _write_built(build, _set_records(name, lex, seed, per_pattern, with_replacement_dedup, build), out)
 
 
 @cli.command()
@@ -90,10 +85,9 @@ def derive(target, source, lexicon_path, out, fmt, spaced_period):
     """Derive the hard reorder set from an existing pair file."""
     lex = _load_checked_lexicon(lexicon_path)
     # rows go from the input to disk as they are read; no list of either is built
+    build = _Records(GenerationSet.OS_HARD, spaced_period, fmt)
     with closing(_read_records(source)) as records:
-        derived = _os_hard_records(_unique(records, set()), lex, spaced_period)
-        rows, size = _write_counted(derived, out, fmt)
-    click.echo(f"wrote {rows} pairs ({size} bytes) to {out}")
+        _write_built(build, _os_hard_records(_unique(records, set()), lex, build), out)
 
 
 @cli.command(name="sample-augmentation")
@@ -113,6 +107,8 @@ def derive(target, source, lexicon_path, out, fmt, spaced_period):
 def sample_augmentation_cmd(plan_name, seed, source, out_aug, out_rest, fmt,
                             per_pattern, verb_min, verb_max, require_all_nouns):
     """Split a pair file into a balanced augmentation subset and the rest."""
+    from .augment import AugmentationPlan, plan_102, plan_1037, sample_augmentation
+
     if plan_name == "custom":
         if per_pattern is None or verb_min is None or verb_max is None:
             raise click.UsageError(
@@ -151,6 +147,8 @@ def sample_augmentation_cmd(plan_name, seed, source, out_aug, out_rest, fmt,
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def merge(base, aug, ne_label, seed, out):
     """Mix a pair file into a training TSV and shuffle."""
+    from .augment import merge_training, write_training_rows
+
     records = read_pairs(aug)
     rows = merge_training(base, records, ne_label, seed)
     size = write_training_rows(rows, out)
@@ -171,6 +169,8 @@ def merge(base, aug, ne_label, seed, out):
               help="Sample standard deviation instead of population.")
 def analyze(gold, predictions, runs, groups, out, tie_break_ne, sample_sd):
     """Score predictions against a gold pair file, group-wise."""
+    from .analysis import build_report
+
     if runs < 1:
         raise click.UsageError("--runs must be positive")
     gold_records = read_pairs(gold)

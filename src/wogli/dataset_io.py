@@ -215,16 +215,6 @@ def _tsv_lines(records):
 _LINES = {"rows": _row_lines, "tsv": _tsv_lines}
 
 
-def _write_counted(records, dest, fmt: str) -> tuple[int, int]:
-    """write_pairs that also counts: (records written, bytes written)."""
-    lines = _LINES.get(fmt)
-    if lines is None:
-        raise ValueError(f"unknown pair format {fmt!r}")
-    seen = set()  # the ids written so far
-    size = _write_lines(dest, lines(_unique(records, seen)))
-    return len(seen), size
-
-
 def write_pairs(records, dest, fmt: str = "rows") -> int:
     """Serialize records, any iterable of them, to a path or file-like
     object; returns bytes written.
@@ -240,7 +230,10 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
     replaced, not the link. A stream, FIFO or device gets nothing until
     every record is encoded.
     """
-    return _write_counted(records, dest, fmt)[1]
+    lines = _LINES.get(fmt)
+    if lines is None:
+        raise ValueError(f"unknown pair format {fmt!r}")
+    return _write_lines(dest, lines(_unique(records, set())))
 
 
 def _scan(text: str, start: int = 0):

@@ -25,6 +25,7 @@ from .core import (
     ThingNounEntry,
     VerbEntry,
 )
+from .dataset_io import _META_SEP, TSV_HEADER, _encode_str
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
 from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, compile_sentence
@@ -34,6 +35,8 @@ from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patt
 _REJECTION_MISS_BUDGET = 100_000
 # below this space size, enumerate instead of rejection-sampling
 _ENUMERATION_CUTOFF = 20_000
+# what a TSV field must not hold
+_BREAKS = re.compile("[\t\n\r]")
 
 
 class GenerationSet(enum.Enum):
@@ -298,24 +301,37 @@ def sample_premises(
 
 
 class _Records:
-    """The set's records of one premise, built from its draw; what the set
-    and the current pattern fix is worked out once."""
+    """render(draw, premise, draw index): a set's rows of one premise, as
+    PairRecords (fmt None) or as the lines write_pairs writes for them
+    (fmt "rows" or "tsv"). What the set and the current pattern fix is
+    worked out once, so a line adds only its id and two encoded texts to
+    it. Each line's id goes into ids, where a repeated one is a
+    DataFormatError."""
 
-    def __init__(self, name: GenerationSet, spaced_period: bool):
+    def __init__(self, name: GenerationSet, spaced_period: bool, fmt: str | None = None):
         self.subset, _, self.kinds, _ = _SETS[name]
         self.spaced_period = spaced_period
+        self.header = ("\t".join(TSV_HEADER) + "\n",) if fmt == "tsv" else ()
+        self.ids = set()
+        self.render = {None: self._records, "rows": self._rows, "tsv": self._tsv_rows}[fmt]
+        self.subset_json = f'"subset": {_encode_str(self.subset)}, "premise": '
 
     def for_pattern(self, pattern: Pattern, pattern_index: int) -> None:
         self.pattern_name = pattern.name
         self.prefix = f"{self.subset}-p{pattern_index:02d}-d"
         case = pattern.government.object_case
         self.premise_of = compile_sentence(case, None, self.spaced_period)
-        self.hypotheses = [
-            (kind, kind.value.split("_")[0], kind.label, compile_sentence(case, kind, self.spaced_period))
-            for kind in self.kinds
-        ]
+        self.hypotheses = []
+        for kind in self.kinds:
+            label, suffix = kind.label, kind.value.split("_")[0]
+            # the row's fields after the texts: JSON up to the metadata, or the TSV fields
+            json_tail = (f'"label": {_encode_str(label.value)}, "hyp_kind": {_encode_str(kind.value)}, '
+                         f'"pattern": {_encode_str(pattern.name)}{_META_SEP}')
+            tsv_tail = f"\t{label.value}\t{kind.value}\t{pattern.name}\n"
+            self.hypotheses.append((kind, f"-{suffix}", label, compile_sentence(case, kind, self.spaced_period),
+                                    json_tail, tsv_tail))
 
-    def __call__(self, draw, premise: str, draw_index: int) -> list[PairRecord]:
+    def _records(self, draw, premise, draw_index):
         subject, obj, verb, thing = draw
         stem = f"{self.prefix}{draw_index:05d}"
         metadata = {"premise_id": f"{stem}-premise", **subject.metadata["subject"],
@@ -325,10 +341,43 @@ class _Records:
         # each record owns its metadata: copies for all but the last, which takes this dict
         owned = [*(dict(metadata) for _ in self.hypotheses[1:]), metadata]
         return [
-            PairRecord(f"{stem}-{suffix}", self.subset, premise, hypothesis_of(*draw),
+            PairRecord(f"{stem}{suffix}", self.subset, premise, hypothesis_of(*draw),
                        label, kind, self.pattern_name, meta)
-            for (kind, suffix, label, hypothesis_of), meta in zip(self.hypotheses, owned)
+            for (kind, suffix, label, hypothesis_of, _, _), meta in zip(self.hypotheses, owned)
         ]
+
+    def _id(self, stem: str, suffix: str) -> str:
+        rid = stem + suffix
+        if rid in self.ids:
+            raise DataFormatError(f"duplicate record id {rid!r}")
+        self.ids.add(rid)
+        return rid
+
+    def _rows(self, draw, premise, draw_index):
+        subject, obj, verb, thing = draw
+        stem = f"{self.prefix}{draw_index:05d}"
+        text = _encode_str(premise)
+        # the metadata in generation's key order, closing the row
+        meta = (f'{{"premise_id": {_encode_str(stem + "-premise")}, {subject.fragments["subject"]}, '
+                f'{obj.fragments["object"]}, "verb_lemma": {_encode_str(verb.lemma)}'
+                f'{"" if thing is None else ", " + thing.fragments["direct_object"]}}}}}\n')
+        return [
+            f'{{"id": {_encode_str(self._id(stem, suffix))}, {self.subset_json}{text}, '
+            f'"hypothesis": {_encode_str(hypothesis_of(*draw))}, {tail}{meta}'
+            for _, suffix, _, hypothesis_of, tail, _ in self.hypotheses
+        ]
+
+    def _tsv_rows(self, draw, premise, draw_index):
+        stem = f"{self.prefix}{draw_index:05d}"
+        lines = []
+        for _, suffix, _, hypothesis_of, _, tail in self.hypotheses:
+            rid = self._id(stem, suffix)
+            hypothesis = hypothesis_of(*draw)
+            # the texts are the only fields a lexicon entry reaches
+            if _BREAKS.search(premise) or _BREAKS.search(hypothesis):
+                raise DataFormatError(f"record {rid!r}: field contains a tab or line break")
+            lines.append(f"{rid}\t{self.subset}\t{premise}\t{hypothesis}{tail}")
+        return lines
 
 
 def generate_set(
@@ -347,19 +396,19 @@ def generate_set(
     reorder set re-derives the base premises and emits the swapped-and-
     reordered hypothesis only.
     """
-    return list(_set_records(name, lex, seed, per_pattern, with_replacement, spaced_period))
+    return list(_set_records(name, lex, seed, per_pattern, with_replacement, _Records(name, spaced_period)))
 
 
-def _set_records(name, lex, seed, per_pattern, with_replacement, spaced_period):
-    """generate_set's records, each one built as it is consumed."""
+def _set_records(name, lex, seed, per_pattern, with_replacement, build: _Records):
+    """generate_set's rows as build renders them, each premise's built as
+    they are consumed."""
     tables = _Tables(lex)
-    build = _Records(name, spaced_period)
     drawn = set()  # base premises seen so far, when drawing with replacement
     seen = set()  # pronoun-subject premises seen so far
     for i, pattern in enumerate(_patterns_for(name)):
         build.for_pattern(pattern, i)
         pairs = _sample_pattern(
-            pattern, i, tables, seed, per_pattern, with_replacement, spaced_period
+            pattern, i, tables, seed, per_pattern, with_replacement, build.spaced_period
         )
         for premise, draw, d in pairs:
             if with_replacement:
@@ -372,7 +421,7 @@ def _set_records(name, lex, seed, per_pattern, with_replacement, spaced_period):
                 if premise in seen:
                     continue
                 seen.add(premise)
-            yield from build(draw, premise, d)
+            yield from build.render(draw, premise, d)
 
 
 _PREMISE_ID_RE = re.compile(r"-p(\d+)-d(\d+)-premise$")
@@ -423,13 +472,13 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
     """One swapped-and-reordered (not entailed) pair per distinct premise of
     an accusative pair file. The first record of each premise must carry
     the premise text its metadata renders, with either period style."""
-    return list(_os_hard_records(records, lex, spaced_period))
+    return list(_os_hard_records(records, lex, _Records(GenerationSet.OS_HARD, spaced_period)))
 
 
-def _os_hard_records(records, lex: Lexicon, spaced_period: bool):
-    """derive_os_hard's records, each one built as it is consumed."""
+def _os_hard_records(records, lex: Lexicon, build: _Records):
+    """derive_os_hard's rows as build renders them, each premise's built as
+    they are consumed."""
     tables = _Tables(lex)
-    build = _Records(GenerationSet.OS_HARD, spaced_period)
     seen = set()
     taken = {}  # seed path -> the id of the record whose premise took it
     fallback = 0
@@ -459,11 +508,11 @@ def _os_hard_records(records, lex: Lexicon, spaced_period: bool):
             build.for_pattern(*current)
         premise = build.premise_of(*draw)
         spaced = record.premise.endswith(" .")
-        rendered = premise if spaced == spaced_period else compile_sentence(
+        rendered = premise if spaced == build.spaced_period else compile_sentence(
             pattern.government.object_case, None, spaced)(*draw)
         if record.premise != rendered:
             raise DataFormatError(
                 f"record {record.id}: premise {record.premise!r} is not {rendered!r}, "
                 f"the premise its metadata renders"
             )
-        yield from build(draw, premise, seed_path[1])
+        yield from build.render(draw, premise, seed_path[1])

@@ -8,7 +8,8 @@ Two on-disk encodings are supported and round-trip losslessly:
 
 Both encodings describe an entry by the same JSON form, from which one
 builder makes every entry. Loading rejects what cannot be an entry (missing
-or ill-typed fields, unknown values, misplaced categories, duplicate lemmas);
+or ill-typed fields, a lemma or form that is empty or holds whitespace,
+unknown values, misplaced categories, duplicate lemmas);
 rules a well-formed entry can still break live in ``validate_lexicon``, so
 that deliberately broken toy lexicons can be constructed and reported on.
 """
@@ -153,6 +154,14 @@ def _field(fields: dict, name: str, where: str, types=str):
     return fields[name]
 
 
+def _word(value, name: str, where: str):
+    """value, a lemma or form: one token of a sentence, so neither empty
+    nor holding whitespace (a token count, or a TSV field, would break)."""
+    if value is not None and value.split() != [value]:
+        raise LexiconError(f"{where}: {name} {value!r} is empty or holds whitespace")
+    return value
+
+
 def _entry(key: str, fields, where: str):
     """Build one entry of inventory key from its JSON form. Every entry-level
     check lives here, so both encodings reject the same entries alike."""
@@ -160,17 +169,17 @@ def _entry(key: str, fields, where: str):
     if cls == "pnoun":
         if not isinstance(fields, str):
             raise LexiconError(f"{where}: proper names are plain strings")
-        return NounEntry(fields, tag, None, False, NounKind.PROPER)
+        return NounEntry(_word(fields, "name", where), tag, None, False, NounKind.PROPER)
     if not isinstance(fields, dict):
         raise LexiconError(f"{where}: expected an object")
-    lemma = _field(fields, "lemma", where)
+    lemma = _word(_field(fields, "lemma", where), "lemma", where)
     if cls == "noun":
-        plural = _field(fields, "plural_nom", where, (str, type(None)))
+        plural = _word(_field(fields, "plural_nom", where, (str, type(None))), "plural_nom", where)
         weak = _bool(fields.get("weak", False), where)
         return NounEntry(lemma, tag, plural, weak, NounKind.COMMON)
     if cls == "verb":
-        form_3sg = _field(fields, "form_3sg", where)
-        form_3pl = _field(fields, "form_3pl", where)
+        form_3sg = _word(_field(fields, "form_3sg", where), "form_3sg", where)
+        form_3pl = _word(_field(fields, "form_3pl", where), "form_3pl", where)
         category = fields.get("category")
         if category is not None:
             category = _category(category, where)
@@ -211,7 +220,7 @@ def _json_rows(text: str, name: str):
 def _tsv_rows(text: str, name: str):
     """The document's rows as (inventory key, JSON form, location); a cell
     holding "-" is empty: no plural, no category. Lines break as in pair
-    files, so a cell may hold U+0085, U+2028 or a form feed."""
+    files, so U+0085, U+2028 or a form feed stays in its cell."""
     header_seen = False
     for lineno, line in enumerate(_lines(io.StringIO(text)), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

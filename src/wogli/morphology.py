@@ -12,6 +12,7 @@ its agreeing pronoun the same way.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -157,6 +158,12 @@ class NPSpec:
         values = (lemma, kind, gender, number, self.article.value, definiteness)
         roles = ("subject",) if self.head is PRONOUN else ("subject", "object")
         return {role: dict(zip(_META_KEYS[role], values)) for role in roles}
+
+    @cached_property
+    def fragments(self) -> dict[str, str]:
+        """Role -> its metadata as a row writes it: the JSON object's members,
+        without braces; built on first use and kept."""
+        return {role: json.dumps(meta, ensure_ascii=False)[1:-1] for role, meta in self.metadata.items()}
 
     @cached_property
     def pronoun(self) -> NPSpec:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through the run() entry point."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wogli
-from wogli import GenerationSet, generate_set, read_pairs
+from wogli import (
+    DataFormatError,
+    Gender,
+    GenerationSet,
+    NounEntry,
+    NounKind,
+    bundled_lexicon_path,
+    derive_os_hard,
+    generate_set,
+    generator,
+    read_pairs,
+    write_pairs,
+)
 from wogli.cli import run
 
 from conftest import TOY_LEXICON, UNDRAWABLE_ROWS
@@ -140,6 +153,74 @@ class TestGenerateMemory:
                 tracemalloc.stop()
         assert code == 0 and out.stat().st_size == 21_976_305
         assert peak < 20 * 2**20
+
+
+def _write_pairs_bytes(records, fmt: str) -> bytes:
+    buffer = io.StringIO()
+    write_pairs(records, buffer, fmt)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestRowsStraightFromDraws:
+    """generate and derive encode rows straight from draws; their bytes are
+    write_pairs' of the library's records, and the output is all or nothing."""
+
+    @pytest.mark.parametrize("spaced", [False, True], ids=["period", "spaced-period"])
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    @pytest.mark.parametrize("setname,dedup", [*((s.value, False) for s in GenerationSet),
+                                               ("wogli", True), ("dative", True)])
+    def test_generate(self, setname, dedup, fmt, spaced, lex, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = ["--spaced-period"] * spaced + ["--with-replacement-dedup"] * dedup
+        assert run(["generate", setname, "--seed", "5", "--per-pattern", "3", "--format", fmt,
+                    "--lexicon", str(bundled_lexicon_path()), "--out", str(out), *flags]) == 0
+        records = generate_set(GenerationSet(setname), lex, 5, 3, dedup, spaced)
+        assert out.read_bytes() == _write_pairs_bytes(records, fmt)
+        assert capsys.readouterr().out == f"wrote {len(records)} pairs ({out.stat().st_size} bytes) to {out}\n"
+
+    @pytest.mark.parametrize("spaced", [False, True], ids=["period", "spaced-period"])
+    @pytest.mark.parametrize("source_spaced", [False, True], ids=["from-period", "from-spaced"])
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    def test_derive(self, fmt, source_spaced, spaced, lex, tmp_path, capsys):
+        source, out = tmp_path / "wogli.jsonl", tmp_path / "out"
+        write_pairs(generate_set(GenerationSet.WOGLI, lex, 5, 3, spaced_period=source_spaced), source)
+        assert run(["derive", "os-hard", "--from", str(source), "--format", fmt,
+                    "--lexicon", str(bundled_lexicon_path()), "--out", str(out),
+                    *["--spaced-period"] * spaced]) == 0
+        records = derive_os_hard(read_pairs(source), lex, spaced)
+        assert out.read_bytes() == _write_pairs_bytes(records, fmt)
+        assert capsys.readouterr().out == f"wrote {len(records)} pairs ({out.stat().st_size} bytes) to {out}\n"
+
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    def test_an_exception_mid_generation_leaves_out_untouched(self, fmt, tmp_path, monkeypatch):
+        # 10 patterns x 200 premises x 2 rows: a first chunk is written
+        # before the 11th pattern fails
+        sample = generator._sample_pattern
+
+        def failing(pattern, index, *args):
+            if index == 10:
+                raise RuntimeError("pattern 10 fails")
+            return sample(pattern, index, *args)
+
+        monkeypatch.setattr(generator, "_sample_pattern", failing)
+        out = tmp_path / "out"
+        out.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError, match="pattern 10 fails"):
+            run(["generate", "wogli", "--seed", "0", "--per-pattern", "200", "--format", fmt,
+                 "--lexicon", str(bundled_lexicon_path()), "--out", str(out)])
+        assert out.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_a_tsv_row_with_a_tab_names_its_record(self, toy_lex):
+        # the loader refuses such a name; a Lexicon built directly can hold one
+        lex = dataclasses.replace(toy_lex, fem_proper=(NounEntry("An\tna", Gender.FEM, None, False, NounKind.PROPER),))
+        with pytest.raises(DataFormatError) as want:
+            write_pairs(generate_set(GenerationSet.WOGLI, lex, 3, 2), io.StringIO(), "tsv")
+        build = generator._Records(GenerationSet.WOGLI, False, "tsv")
+        with pytest.raises(DataFormatError) as got:
+            list(generator._set_records(GenerationSet.WOGLI, lex, 3, 2, False, build))
+        assert str(got.value) == str(want.value)
+        assert "field contains a tab or line break" in str(got.value)
 
 
 class TestDerive:
@@ -463,6 +544,34 @@ class TestValidateLexicon:
         code = run(["validate-lexicon", "--in", str(bundled_lexicon_path())])
         assert code == 0
         assert "lexicon ok" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("profile", ["toy", "full"])
+    @pytest.mark.parametrize("inventory,entry,what", [
+        ("masc_proper", "Karl Heinz", "name 'Karl Heinz'"),
+        ("verbs_accusative", {"lemma": "warnen", "form_3sg": "warnt ", "form_3pl": "warnen"},
+         "form_3sg 'warnt '"),
+        ("fem_common", {"lemma": "Auto\trin", "plural_nom": "Autorinnen"}, "lemma 'Auto\\trin'"),
+        ("fem_common", {"lemma": "Auto\nrin", "plural_nom": "Autorinnen"}, "lemma 'Auto\\nrin'"),
+    ])
+    def test_an_entry_with_whitespace_is_refused(self, inventory, entry, what, profile, tmp_path, capsys):
+        path = tmp_path / "spaced.json"
+        path.write_text(json.dumps(dict(TOY_LEXICON, **{inventory: [entry]})), encoding="utf-8")
+        assert run(["validate-lexicon", "--in", str(path), "--profile", profile]) == 2
+        captured = capsys.readouterr()
+        assert "lexicon ok" not in captured.out
+        assert f"error[lexicon] {path}: {inventory}[0]: {what} is empty or holds whitespace" in captured.err
+
+    def test_generate_names_the_entry_not_a_record(self, tmp_path, capsys):
+        # a tab in a name used to surface only after drawing, as a TSV record's fault
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps(dict(TOY_LEXICON, fem_proper=["An\tna", "Maria"])), encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        code = run(["generate", "wogli", "--seed", "3", "--per-pattern", "2", "--lexicon", str(path),
+                    "--format", "tsv", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"wogli: error[lexicon] {path}: fem_proper[0]: name 'An\\tna' is empty or holds whitespace\n")
 
 
 class TestUndecodableLexicon:

@@ -7,10 +7,16 @@ both are exempt from the import check.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import wogli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wogli"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -93,3 +99,43 @@ def test_no_unmentioned_private_names(path):
 ])
 def test_the_unmentioned_check_itself(source, elsewhere, want):
     assert unmentioned(source, source + elsewhere) == want
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_the_cli_imports_only_what_generate_runs():
+    # analysis and augment (and statistics, which analysis needs) load in the
+    # commands that use them, not with the CLI
+    code = ("import sys, wogli.cli; "
+            "print([m for m in ('wogli.analysis', 'wogli.augment', 'statistics') if m in sys.modules])")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_importing_the_package_imports_no_module():
+    code = "import sys, wogli; print(sorted(m for m in sys.modules if m.startswith('wogli.')))"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    names = [name for name in wogli.__all__ if name != "__version__"]
+    assert len(names) == len(set(names))
+    for name in names:
+        module = importlib.import_module(f"wogli.{wogli._MODULE_OF[name]}")
+        assert getattr(wogli, name) is getattr(module, name), name
+    star = {}
+    exec("from wogli import *", star)
+    assert set(star) - {"__builtins__"} == set(wogli.__all__)
+
+
+def test_modules_and_unknown_names():
+    assert wogli.generator is importlib.import_module("wogli.generator")
+    with pytest.raises(AttributeError, match="no attribute 'generate'"):
+        wogli.generate
+    with pytest.raises(ImportError):
+        exec("from wogli import no_such_name", {})

@@ -74,8 +74,10 @@ def test_tsv_document_parses():
 
 
 def test_tsv_lines_break_only_at_line_ends():
-    lex = lexicon_from_text(TSV_DOC.replace("Walter", "Wal\x85ter"), "doc")
-    assert lex.masc_proper[0].lemma == "Wal\x85ter"
+    # str.splitlines would break at U+0085; here the cell keeps it, and a
+    # name that holds it is refused as one row
+    with pytest.raises(LexiconError, match=r"^doc:8: name 'Wal\\x85ter' is empty or holds whitespace$"):
+        lexicon_from_text(TSV_DOC.replace("Walter", "Wal\x85ter"), "doc")
     crlf = lexicon_from_text(TSV_DOC.replace("\n", "\r\n"), "doc")
     assert crlf.masc_proper[0].lemma == "Walter"
 
@@ -309,3 +311,38 @@ def test_reader_errors_name_their_place(text, where, message):
 ])
 def test_validation_rules(overrides, message):
     assert message in validate_lexicon(make_toy(**overrides), ValidationProfile.TOY)
+
+
+def _verb(form_3sg="warnt", lemma="warnen"):
+    return [{"lemma": lemma, "form_3sg": form_3sg, "form_3pl": "warnen"}]
+
+
+# a lemma or form is one token: sentences join them with spaces, TSV fields
+# with tabs, and augmentation reads heads at token positions
+@pytest.mark.parametrize("text,where,message", [
+    (_json_with(masc_proper=["Karl Heinz"]), "doc: masc_proper[0]", "name 'Karl Heinz'"),
+    (_json_with(fem_proper=[""]), "doc: fem_proper[0]", "name ''"),
+    (_json_with(verbs_accusative=_verb("warnt ")), "doc: verbs_accusative[0]", "form_3sg 'warnt '"),
+    (_json_with(verbs_accusative=_verb(lemma="war\tnen")), "doc: verbs_accusative[0]", "lemma 'war\\tnen'"),
+    (_json_with(masc_common=[{"lemma": "Ar\nzt", "plural_nom": "Ärzte"}]), "doc: masc_common[0]",
+     "lemma 'Ar\\nzt'"),
+    (_json_with(fem_common=[{"lemma": "Autorin", "plural_nom": "Autor\xa0innen"}]), "doc: fem_common[0]",
+     "plural_nom 'Autor\\xa0innen'"),
+    (_json_with(fem_common=[{"lemma": "Autorin", "plural_nom": ""}]), "doc: fem_common[0]", "plural_nom ''"),
+    (_json_with(thing_nouns=[{"lemma": "", "gender": "masc", "number": "sg", "categories": ["giving"]}]),
+     "doc: thing_nouns[0]", "lemma ''"),
+    (_tsv_with("pnoun\tKarl Heinz\t-\t-\tmasc"), f"doc:{_EXTRA_ROW}", "name 'Karl Heinz'"),
+    (_tsv_with("pnoun\t\t-\t-\tmasc"), f"doc:{_EXTRA_ROW}", "name ''"),
+    (_tsv_with("verb\tsehen\tsieht \tsehen\tACC\t-\tfalse"), f"doc:{_EXTRA_ROW}", "form_3sg 'sieht '"),
+    (_tsv_with("verb\tsehen\tsieht\t\tACC\t-\tfalse"), f"doc:{_EXTRA_ROW}", "form_3pl ''"),
+    (_tsv_with("noun\tArzt\tÄrz\u2028te\t-\tmasc\tstrong"), f"doc:{_EXTRA_ROW}", "plural_nom 'Ärz\\u2028te'"),
+    (_tsv_with("thing\tBu ch\t-\t-\tneut\tsg\tgiving"), f"doc:{_EXTRA_ROW}", "lemma 'Bu ch'"),
+], ids=[
+    "json-name-space", "json-name-empty", "json-form-trailing-space", "json-lemma-tab", "json-lemma-lf",
+    "json-plural-nbsp", "json-plural-empty", "json-thing-empty", "tsv-name-space", "tsv-name-empty",
+    "tsv-form-trailing-space", "tsv-form-empty", "tsv-plural-line-separator", "tsv-thing-space",
+])
+def test_entries_are_single_tokens(text, where, message):
+    with pytest.raises(LexiconError) as info:
+        lexicon_from_text(text, "doc")
+    assert str(info.value) == f"{where}: {message} is empty or holds whitespace"
