@@ -61,3 +61,7 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS, "cli"})

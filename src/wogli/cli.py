@@ -11,11 +11,12 @@ import json
 import os
 import sys
 from contextlib import closing
-from itertools import chain
 
 import click
 
-from .dataset_io import _read_records, _unique, _write_lines, read_pairs, read_predictions, write_pairs
+from .dataset_io import (
+    _read_records, _tsv_lines, _unique, _write_lines, read_pairs, read_predictions, write_pairs,
+)
 from .errors import LexiconError, WogliError
 from .generator import _SETS, GenerationSet, _os_hard_records, _Records, _set_records
 from .lexicon import ValidationProfile, default_lexicon_path, load_lexicon, validate_lexicon
@@ -31,9 +32,10 @@ def _load_checked_lexicon(path):
     return lex
 
 
-def _write_built(build: _Records, lines, out) -> None:
-    """Write the lines build renders, the same bytes write_pairs writes for its records."""
-    size = _write_lines(out, chain(build.header, lines))
+def _write_built(build: _Records, rendered, out) -> None:
+    """Write what build renders: its JSON lines, or its records as TSV; the
+    same bytes write_pairs writes for the records either way."""
+    size = _write_lines(out, rendered if build.encode else _tsv_lines(_unique(rendered, build.ids)))
     click.echo(f"wrote {len(build.ids)} pairs ({size} bytes) to {out}")
 
 
@@ -66,8 +68,8 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
     if per_pattern < 1:
         raise click.UsageError("--per-pattern must be positive")
     lex = _load_checked_lexicon(lexicon_path)
-    # rows go from draws to disk as encoded lines, a chunk at a time
-    build = _Records(name, spaced_period, fmt)
+    # rows go from draws to disk a chunk at a time, JSON rows as encoded lines
+    build = _Records(name, spaced_period, encode=fmt == "rows")
     _write_built(build, _set_records(name, lex, seed, per_pattern, with_replacement_dedup, build), out)
 
 
@@ -85,7 +87,7 @@ def derive(target, source, lexicon_path, out, fmt, spaced_period):
     """Derive the hard reorder set from an existing pair file."""
     lex = _load_checked_lexicon(lexicon_path)
     # rows go from the input to disk as they are read; no list of either is built
-    build = _Records(GenerationSet.OS_HARD, spaced_period, fmt)
+    build = _Records(GenerationSet.OS_HARD, spaced_period, encode=fmt == "rows")
     with closing(_read_records(source)) as records:
         _write_built(build, _os_hard_records(_unique(records, set()), lex, build), out)
 

@@ -32,7 +32,7 @@ _KIND_LABELS = {m.value: (m, m.label) for m in HypKind}
 # keyed by member value, as an Enum member hashes through Python code
 _LABEL_JSON = {m.value: _encode_str(m.value) for m in Label}
 _HYP_KIND_JSON = {m.value: _encode_str(m.value) for m in HypKind}
-# write_pairs puts metadata last in every row
+# _row puts metadata last in every row
 _META_SEP = ', "metadata": '
 _STR = {str}
 _CHUNK_LINES = 2048  # lines per write: about 1.3 MB of wogli rows
@@ -185,6 +185,20 @@ def _metadata_encoder():
     return lambda m: "".join(encode(m, 0)) if type(m) is dict else e.encode(m)
 
 
+def _row_tail(label: Label, hyp_kind: HypKind, pattern_name: str) -> str:
+    """The encoded fields of a row after its hypothesis and before its metadata."""
+    return (f'"label": {_LABEL_JSON[label._value_]}, "hyp_kind": {_HYP_KIND_JSON[hyp_kind._value_]}, '
+            f'"pattern": {_encode_str(pattern_name)}')
+
+
+def _row(rid: str, subset: str, premise: str, hypothesis: str, tail: str, metadata: str) -> str:
+    """One JSON row line from its encoded parts: the id, subset, premise and
+    hypothesis as JSON strings, _row_tail's fields, and the metadata as a
+    JSON object, which comes last."""
+    return (f'{{"id": {rid}, "subset": {subset}, "premise": {premise}, "hypothesis": {hypothesis}, '
+            f'{tail}{_META_SEP}{metadata}}}\n')
+
+
 def _row_lines(records):
     """JSON lines in stable key order, each field encoded as json.dumps would.
     A run of records with the same metadata dict, or with equal metadata
@@ -198,12 +212,8 @@ def _row_lines(records):
             meta = encode_metadata(m)
             keys = list(m) if type(m) is dict and {*map(type, m), *map(type, m.values())} <= _STR else None
             last = m
-        yield (
-            f'{{"id": {_encode_str(r.id)}, "subset": {_encode_str(r.subset)}, '
-            f'"premise": {_encode_str(r.premise)}, "hypothesis": {_encode_str(r.hypothesis)}, '
-            f'"label": {_LABEL_JSON[r.label._value_]}, "hyp_kind": {_HYP_KIND_JSON[r.hyp_kind._value_]}, '
-            f'"pattern": {_encode_str(r.pattern_name)}{_META_SEP}{meta}}}\n'
-        )
+        yield _row(_encode_str(r.id), _encode_str(r.subset), _encode_str(r.premise),
+                   _encode_str(r.hypothesis), _row_tail(r.label, r.hyp_kind, r.pattern_name), meta)
 
 
 def _tsv_lines(records):

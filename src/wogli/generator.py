@@ -25,7 +25,7 @@ from .core import (
     ThingNounEntry,
     VerbEntry,
 )
-from .dataset_io import _META_SEP, TSV_HEADER, _encode_str
+from .dataset_io import _encode_str, _row, _row_tail
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
 from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, compile_sentence
@@ -35,8 +35,6 @@ from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patt
 _REJECTION_MISS_BUDGET = 100_000
 # below this space size, enumerate instead of rejection-sampling
 _ENUMERATION_CUTOFF = 20_000
-# what a TSV field must not hold
-_BREAKS = re.compile("[\t\n\r]")
 
 
 class GenerationSet(enum.Enum):
@@ -302,34 +300,30 @@ def sample_premises(
 
 class _Records:
     """render(draw, premise, draw index): a set's rows of one premise, as
-    PairRecords (fmt None) or as the lines write_pairs writes for them
-    (fmt "rows" or "tsv"). What the set and the current pattern fix is
-    worked out once, so a line adds only its id and two encoded texts to
-    it. Each line's id goes into ids, where a repeated one is a
+    PairRecords or, with encode, as the JSON lines write_pairs writes for
+    them. What the set and the current pattern fix is worked out once, so
+    a line adds only its id, two encoded texts and its metadata to it.
+    Each line's id goes into ids, where a repeated one is a
     DataFormatError."""
 
-    def __init__(self, name: GenerationSet, spaced_period: bool, fmt: str | None = None):
+    def __init__(self, name: GenerationSet, spaced_period: bool, encode: bool = False):
         self.subset, _, self.kinds, _ = _SETS[name]
         self.spaced_period = spaced_period
-        self.header = ("\t".join(TSV_HEADER) + "\n",) if fmt == "tsv" else ()
+        self.encode = encode
         self.ids = set()
-        self.render = {None: self._records, "rows": self._rows, "tsv": self._tsv_rows}[fmt]
-        self.subset_json = f'"subset": {_encode_str(self.subset)}, "premise": '
+        self.render = self._rows if encode else self._records
+        self.subset_json = _encode_str(self.subset)
 
     def for_pattern(self, pattern: Pattern, pattern_index: int) -> None:
         self.pattern_name = pattern.name
         self.prefix = f"{self.subset}-p{pattern_index:02d}-d"
         case = pattern.government.object_case
         self.premise_of = compile_sentence(case, None, self.spaced_period)
-        self.hypotheses = []
-        for kind in self.kinds:
-            label, suffix = kind.label, kind.value.split("_")[0]
-            # the row's fields after the texts: JSON up to the metadata, or the TSV fields
-            json_tail = (f'"label": {_encode_str(label.value)}, "hyp_kind": {_encode_str(kind.value)}, '
-                         f'"pattern": {_encode_str(pattern.name)}{_META_SEP}')
-            tsv_tail = f"\t{label.value}\t{kind.value}\t{pattern.name}\n"
-            self.hypotheses.append((kind, f"-{suffix}", label, compile_sentence(case, kind, self.spaced_period),
-                                    json_tail, tsv_tail))
+        self.hypotheses = [
+            (kind, "-" + kind.value.split("_")[0], kind.label, compile_sentence(case, kind, self.spaced_period),
+             _row_tail(kind.label, kind, pattern.name))
+            for kind in self.kinds
+        ]
 
     def _records(self, draw, premise, draw_index):
         subject, obj, verb, thing = draw
@@ -343,7 +337,7 @@ class _Records:
         return [
             PairRecord(f"{stem}{suffix}", self.subset, premise, hypothesis_of(*draw),
                        label, kind, self.pattern_name, meta)
-            for (kind, suffix, label, hypothesis_of, _, _), meta in zip(self.hypotheses, owned)
+            for (kind, suffix, label, hypothesis_of, _), meta in zip(self.hypotheses, owned)
         ]
 
     def _id(self, stem: str, suffix: str) -> str:
@@ -357,27 +351,15 @@ class _Records:
         subject, obj, verb, thing = draw
         stem = f"{self.prefix}{draw_index:05d}"
         text = _encode_str(premise)
-        # the metadata in generation's key order, closing the row
+        # the metadata _records builds, in its key order
         meta = (f'{{"premise_id": {_encode_str(stem + "-premise")}, {subject.fragments["subject"]}, '
                 f'{obj.fragments["object"]}, "verb_lemma": {_encode_str(verb.lemma)}'
-                f'{"" if thing is None else ", " + thing.fragments["direct_object"]}}}}}\n')
+                f'{"" if thing is None else ", " + thing.fragments["direct_object"]}}}')
         return [
-            f'{{"id": {_encode_str(self._id(stem, suffix))}, {self.subset_json}{text}, '
-            f'"hypothesis": {_encode_str(hypothesis_of(*draw))}, {tail}{meta}'
-            for _, suffix, _, hypothesis_of, tail, _ in self.hypotheses
+            _row(_encode_str(self._id(stem, suffix)), self.subset_json, text,
+                 _encode_str(hypothesis_of(*draw)), tail, meta)
+            for _, suffix, _, hypothesis_of, tail in self.hypotheses
         ]
-
-    def _tsv_rows(self, draw, premise, draw_index):
-        stem = f"{self.prefix}{draw_index:05d}"
-        lines = []
-        for _, suffix, _, hypothesis_of, _, tail in self.hypotheses:
-            rid = self._id(stem, suffix)
-            hypothesis = hypothesis_of(*draw)
-            # the texts are the only fields a lexicon entry reaches
-            if _BREAKS.search(premise) or _BREAKS.search(hypothesis):
-                raise DataFormatError(f"record {rid!r}: field contains a tab or line break")
-            lines.append(f"{rid}\t{self.subset}\t{premise}\t{hypothesis}{tail}")
-        return lines
 
 
 def generate_set(

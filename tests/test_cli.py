@@ -1,7 +1,6 @@
 """End-to-end command-line checks through the run() entry point."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -16,11 +15,7 @@ from hypothesis import strategies as st
 
 import wogli
 from wogli import (
-    DataFormatError,
-    Gender,
     GenerationSet,
-    NounEntry,
-    NounKind,
     bundled_lexicon_path,
     derive_os_hard,
     generate_set,
@@ -210,17 +205,6 @@ class TestRowsStraightFromDraws:
                  "--lexicon", str(bundled_lexicon_path()), "--out", str(out)])
         assert out.read_bytes() == b"old bytes\n"
         assert os.listdir(tmp_path) == ["out"]
-
-    def test_a_tsv_row_with_a_tab_names_its_record(self, toy_lex):
-        # the loader refuses such a name; a Lexicon built directly can hold one
-        lex = dataclasses.replace(toy_lex, fem_proper=(NounEntry("An\tna", Gender.FEM, None, False, NounKind.PROPER),))
-        with pytest.raises(DataFormatError) as want:
-            write_pairs(generate_set(GenerationSet.WOGLI, lex, 3, 2), io.StringIO(), "tsv")
-        build = generator._Records(GenerationSet.WOGLI, False, "tsv")
-        with pytest.raises(DataFormatError) as got:
-            list(generator._set_records(GenerationSet.WOGLI, lex, 3, 2, False, build))
-        assert str(got.value) == str(want.value)
-        assert "field contains a tab or line break" in str(got.value)
 
 
 class TestDerive:

@@ -131,6 +131,7 @@ def test_every_public_name_resolves():
     star = {}
     exec("from wogli import *", star)
     assert set(star) - {"__builtins__"} == set(wogli.__all__)
+    assert {*wogli.__all__, *wogli._EXPORTS, "cli"} <= set(dir(wogli))
 
 
 def test_modules_and_unknown_names():
