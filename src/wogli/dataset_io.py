@@ -9,22 +9,20 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from json.encoder import c_make_encoder as _c_make_encoder, encode_basestring as _encode_str
-from json.scanner import make_scanner
 from operator import itemgetter
 
 from .core import HypKind, Label, PairRecord
 from .errors import DataFormatError, PredictionJoinError, WogliError
 
 TSV_HEADER = ("id", "subset", "premise", "hypothesis", "label", "hyp_kind", "pattern")
-# one encoder and one scanner for every row; json.dumps and json.loads add
-# per-call work around them
+# one encoder for every row; json.dumps adds per-call work around it
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
-_SCAN_ROW = make_scanner(json.JSONDecoder())
 _ROW_FIELDS = itemgetter(*TSV_HEADER)
 _LABELS = {m.value: m for m in Label}
 # hyp_kind value -> (member, the label it implies), so no row calls Enum code
@@ -35,6 +33,7 @@ _HYP_KIND_JSON = {m.value: _encode_str(m.value) for m in HypKind}
 # _row puts metadata last in every row
 _META_SEP = ', "metadata": '
 _STR = {str}
+_BOM = "\ufeff"  # a UTF-8 byte-order mark, which no wogli file starts with
 _CHUNK_LINES = 2048  # lines per write: about 1.3 MB of wogli rows
 
 # three-way prediction labels collapse onto the binary scheme
@@ -52,14 +51,24 @@ def _lines(source):
     only at LF, CRLF and CR, as a text-mode file breaks them; str.splitlines
     would also break at U+2028, U+0085 or a form feed inside a field. Text
     that is not UTF-8 is a DataFormatError naming the file (and, for a
-    path, the line) where it starts."""
+    path, the line) where it starts, and text that starts with a byte-order
+    mark one naming the file and line 1."""
+    stream = hasattr(source, "read")
     try:
-        if not hasattr(source, "read"):
-            with open(source, "r", encoding="utf-8") as handle:  # translates CRLF and CR
-                yield from map(str.removesuffix, handle, repeat("\n"))
-            return
-        for line in source:  # a stream need not translate line ends
-            yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+        with nullcontext(source) if stream else open(source, "r", encoding="utf-8") as handle:
+            if stream:  # a stream need not translate line ends
+                lines = chain.from_iterable(
+                    line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+                    for line in handle)
+            else:  # text mode translates CRLF and CR
+                lines = map(str.removesuffix, handle, repeat("\n"))
+            for first in lines:
+                if first.startswith(_BOM):
+                    name = getattr(source, "name", "<stream>") if stream else source
+                    raise DataFormatError(f"{name}: line 1: starts with a byte-order mark (U+FEFF)")
+                yield first
+                break
+            yield from lines
     except UnicodeDecodeError as exc:
         raise _undecodable(source, exc) from None
 
@@ -199,6 +208,12 @@ def _row(rid: str, subset: str, premise: str, hypothesis: str, tail: str, metada
             f'{tail}{_META_SEP}{metadata}}}\n')
 
 
+# _row's layout, each field a JSON string with nothing encode_basestring
+# escapes in it, so that it decodes to itself; the metadata comes last
+_ROW_RE = re.compile(r"\{%s%s(?P<metadata>\{.*\})\}" % (
+    ", ".join(rf'"{key}": "(?P<{key}>[^"\\\x00-\x1f]*)"' for key in TSV_HEADER), re.escape(_META_SEP)))
+
+
 def _row_lines(records):
     """JSON lines in stable key order, each field encoded as json.dumps would.
     A run of records with the same metadata dict, or with equal metadata
@@ -246,19 +261,8 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
     return _write_lines(dest, lines(_unique(records, set())))
 
 
-def _scan(text: str, start: int = 0):
-    """(value, end) of the JSON value that starts at text[start], or (None, -1)."""
-    try:
-        return _SCAN_ROW(text, start)
-    except (StopIteration, ValueError):
-        return None, -1
-
-
 def _json_row(line: str, lineno: int):
-    obj, end = _scan(line)
-    if end == len(line):
-        return obj
-    try:  # whitespace around the object, or the message for a malformed line
+    try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
@@ -274,38 +278,33 @@ def _tsv_row(line: str, lineno: int) -> dict:
 
 
 def _row_objects(lines, share):
-    """(line number, object) of each non-blank row line.
-
-    A line H + _META_SEP + M + "}" in which H + "}" scans exactly as a
-    non-empty object and M scans exactly is that object with M as its
-    metadata, the last duplicate key winning as in json.loads. Such a line
-    is decoded as those two parts, and a run of lines ending in the same
-    _META_SEP + M + "}" (a premise's rows) decodes M once; each object gets
-    its own shallow copy of it. A decoded M whose values are all strings
-    holds its keys and values through share. Every other line goes through
-    _json_row.
+    """(line number, object) of each non-blank row line, as json.loads reads
+    it. A line _ROW_RE matches is read as its seven fields and its metadata
+    text, decoded once for a run of lines with one text (a premise's rows);
+    each object gets its own shallow copy, whose keys and string values go
+    through share. Every other line, and one whose metadata text is not one
+    JSON object, goes through _json_row.
     """
-    tail = meta = keys = None  # keys: the last shared metadata's, through share
+    text = meta = keys = None  # keys: the last shared metadata's, through share
     for lineno, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue
-        if tail is None or not line.endswith(tail):
-            cut = line.rfind(_META_SEP)
-            meta, end = _scan(line, cut + len(_META_SEP)) if cut >= 0 else (None, -1)
-            tail = line[cut:] if end == len(line) - 1 and line[end] == "}" else None
+        obj = match.groupdict() if (match := _ROW_RE.fullmatch(line)) else None
+        if obj is not None and obj["metadata"] != text:
+            text = obj["metadata"]
+            try:
+                meta = json.loads(text)
+            except json.JSONDecodeError:  # say '{"a": 1}, "b": {}': the line has a ninth key
+                meta = None
             if type(meta) is dict and set(map(type, vals := meta.values())) <= _STR:
                 if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
                     keys = tuple(map(share, meta, meta))
                 meta = dict(zip(keys, map(share, vals, vals)))
-        obj = None
-        if tail is not None:
-            head = line[:-len(tail)] + "}"
-            obj, end = _scan(head)
-            if type(obj) is dict and obj and end == len(head):
-                obj["metadata"] = meta.copy() if type(meta) is dict else meta
-            else:
-                obj = None
-        yield lineno, _json_row(line, lineno) if obj is None else obj
+        if obj is None or meta is None:
+            obj = _json_row(line, lineno)
+        else:
+            obj["metadata"] = meta.copy()
+        yield lineno, obj
 
 
 def _own(key: str, value: str) -> str:

@@ -9,7 +9,8 @@ Two on-disk encodings are supported and round-trip losslessly:
 Both encodings describe an entry by the same JSON form, from which one
 builder makes every entry. Loading rejects what cannot be an entry (missing
 or ill-typed fields, a lemma or form that is empty or holds whitespace,
-unknown values, misplaced categories, duplicate lemmas);
+unknown values, misplaced categories, duplicate lemmas, a lemma or form
+that is exactly ``-``, a leading byte-order mark);
 rules a well-formed entry can still break live in ``validate_lexicon``, so
 that deliberately broken toy lexicons can be constructed and reported on.
 """
@@ -35,7 +36,7 @@ from .core import (
     ThingNounEntry,
     VerbEntry,
 )
-from .dataset_io import _lines, _undecodable
+from .dataset_io import _BOM, _lines, _undecodable
 from .errors import LexiconError
 from .morphology import Case, inflect_noun
 
@@ -119,6 +120,8 @@ def load_lexicon(source) -> Lexicon:
 
 
 def lexicon_from_text(text: str, name: str = "<string>") -> Lexicon:
+    if text.startswith(_BOM):
+        raise LexiconError(f"{name}: line 1: starts with a byte-order mark (U+FEFF)")
     rows = _json_rows(text, name) if text.lstrip()[:1] in ("{", "[") else _tsv_rows(text, name)
     inventories = {key: {} for key in _INVENTORIES}
     for key, fields, where in rows:
@@ -156,9 +159,12 @@ def _field(fields: dict, name: str, where: str, types=str):
 
 def _word(value, name: str, where: str):
     """value, a lemma or form: one token of a sentence, so neither empty
-    nor holding whitespace (a token count, or a TSV field, would break)."""
+    nor holding whitespace (a token count, or a TSV field, would break),
+    and not "-", which a TSV cell reads as empty."""
     if value is not None and value.split() != [value]:
         raise LexiconError(f"{where}: {name} {value!r} is empty or holds whitespace")
+    if value == "-":
+        raise LexiconError(f"{where}: {name} '-' is the TSV mark of an empty cell")
     return value
 
 

@@ -784,6 +784,45 @@ class TestUndecodableInput:
         assert "error[format]" in err and f"{bad}: line {line}: not valid UTF-8" in err
 
 
+class TestByteOrderMark:
+    """An input that starts with U+FEFF is an error naming the file, line 1
+    and the mark, not a bad header that dumps the first row; no output is
+    written."""
+
+    @pytest.mark.parametrize("command,target", [
+        ("derive", "pairs"), ("sample-augmentation", "pairs"), ("merge", "base"), ("merge", "pairs"),
+        ("analyze", "pairs"), ("analyze", "predictions"),
+    ])
+    def test_input_file_is_a_format_error(self, command, target, toy_path, tmp_path, capsys):
+        _, pairs = _generate(toy_path, tmp_path, per="3")
+        preds, base, out = tmp_path / "preds.tsv", tmp_path / "base.tsv", tmp_path / "out.txt"
+        _write_predictions(preds, read_pairs(pairs))
+        base.write_text("Ein Satz.\tNoch einer.\tentailment\n", encoding="utf-8")
+        argv = {
+            "derive": ["derive", "os-hard", "--from", pairs, "--lexicon", toy_path, "--out", out],
+            "sample-augmentation": ["sample-augmentation", "--plan", "custom", "--in", pairs,
+                                    "--per-pattern", "1", "--verb-min", "0", "--verb-max", "100",
+                                    "--out-aug", out, "--out-rest", tmp_path / "rest.jsonl"],
+            "merge": ["merge", "--base", base, "--aug", pairs, "--out", out],
+            "analyze": ["analyze", "--gold", pairs, "--predictions", preds, "--runs", "1", "--out", out],
+        }[command]
+        bad = {"pairs": pairs, "predictions": preds, "base": base}[target]
+        bad.write_bytes(b"\xef\xbb\xbf" + bad.read_bytes())
+        capsys.readouterr()
+        assert run([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"wogli: error[format] {bad}: line 1: starts with a byte-order mark (U+FEFF)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_lexicon_is_a_lexicon_error(self, fmt, toy_lex, tmp_path, capsys):
+        bad = tmp_path / f"lexicon.{fmt}"
+        bad.write_text("\ufeff" + wogli.serialize_lexicon(toy_lex, fmt), encoding="utf-8")
+        assert run(["validate-lexicon", "--in", str(bad), "--profile", "toy"]) == 2
+        assert capsys.readouterr().err == (
+            f"wogli: error[lexicon] {bad}: line 1: starts with a byte-order mark (U+FEFF)\n")
+
+
 @pytest.fixture(scope="module")
 def mutation_inputs(tmp_path_factory):
     """The bytes of `generate wogli --seed 3 --per-pattern 8`, a prediction

@@ -7,6 +7,7 @@ import re
 import stat
 import threading
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -28,7 +29,7 @@ from wogli import (
 )
 from wogli import dataset_io
 from wogli.dataset_io import (
-    _CHUNK_LINES, _META_SEP, _PREDICTION_LABELS, _check_ids, _record_from_row,
+    _CHUNK_LINES, _META_SEP, _PREDICTION_LABELS, _ROW_RE, _check_ids, _record_from_row,
 )
 
 from conftest import make_toy
@@ -344,7 +345,7 @@ _NESTED = [
 ]
 _MUTATIONS = ["none", "spacing", "separator-in-value", "nested-key", "duplicate", "empty-head",
               "null-or-array", "trailing-space", "not-last", "junk-before", "junk-after",
-              "separator-text"]
+              "separator-text", "escaped-field", "reordered-head", "brace-in-metadata"]
 
 
 @st.composite
@@ -371,7 +372,16 @@ def _mutated_rows(draw):
     elif mutation in ("junk-before", "junk-after"):
         junk = draw(st.sampled_from(["}", "]", ",", "x", " "]))
         before, after = (junk, "") if mutation == "junk-before" else ("", junk)
-    head_text = json.dumps(head, ensure_ascii=False, separators=tuple(seps[:2]))[:-1]
+    elif mutation == "escaped-field":  # written below as \u00e4, \" or \\
+        key = draw(st.sampled_from(["id", "subset", "premise", "hypothesis", "pattern"]))
+        head[key] = draw(st.sampled_from(["\u00e4", 'a"b', "\\"]))
+    elif mutation == "reordered-head":
+        head = dict(draw(st.permutations(list(head.items()))))
+    elif mutation == "brace-in-metadata":
+        meta = {**meta, "object_lemma": draw(st.sampled_from(["}", "{", "}}", 'a"}', "x}, ", _META_SEP,
+                                                               '}, "metadata": {']))}
+    head_text = json.dumps(head, ensure_ascii=mutation == "escaped-field",
+                           separators=tuple(seps[:2]))[:-1]
     meta_text = json.dumps(meta, ensure_ascii=False, separators=tuple(seps[2:]))
     if mutation == "empty-head":
         head_text = "{"
@@ -400,6 +410,26 @@ def test_split_row_decoding_equals_json_loads(lines):
     got = read_pairs(io.StringIO(text), fmt="rows")
     assert got == want
     assert len({id(r.metadata) for r in got}) == len(got)
+
+
+@pytest.mark.parametrize("lex", ["toy", "escaped"])
+@pytest.mark.parametrize("name", list(GenerationSet))
+def test_written_rows_take_the_fixed_layout_path(lex, name, monkeypatch):
+    """Every line write_pairs writes fullmatches _ROW_RE unless it holds a
+    JSON escape, and only such lines reach json.loads. A pattern that never
+    matched would pass every other test, as json.loads reads the same records."""
+    records = generate_set(name, _ESCAPED_NAMES if lex == "escaped" else _TOY, seed=0, per_pattern=2)
+    buf = io.StringIO()
+    write_pairs(records, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines and all(_ROW_RE.fullmatch(line) or "\\" in line for line in lines)
+    loaded = []
+    json_row = dataset_io._json_row
+    monkeypatch.setattr(dataset_io, "_json_row", lambda line, n: loaded.append(line) or json_row(line, n))
+    assert read_pairs(io.StringIO(buf.getvalue())) == records
+    assert all("\\" in line for line in loaded) and len(loaded) < len(lines)
+    if lex == "toy":
+        assert not loaded
 
 
 class TestTsvFormat:
@@ -643,6 +673,34 @@ class TestPathDestinations:
         assert not reader.is_alive(), "the FIFO was never opened for writing"
         assert got == [want.getvalue().encode("utf-8")] and size == len(got[0])
         assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+class TestByteOrderMark:
+    """A pair or prediction file that starts with U+FEFF is refused as such,
+    naming the file and line 1, not read as a bad header or a first row."""
+
+    @pytest.mark.parametrize("kind", ["rows", "tsv", "predictions"])
+    @pytest.mark.parametrize("via", ["path", "file", "stream"])
+    def test_refused_at_line_1(self, kind, via, records, tmp_path):
+        path = tmp_path / "bom.txt"
+        if kind == "predictions":
+            path.write_text(_pred_text([(r.id, 0, r.label.value) for r in records]), encoding="utf-8")
+        else:
+            write_pairs(records, path, fmt=kind)
+        text = "\ufeff" + path.read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        read = (lambda src: read_predictions(src, 1)) if kind == "predictions" else read_pairs
+        with (open(path, encoding="utf-8") if via == "file" else nullcontext(
+                path if via == "path" else io.StringIO(text))) as source:
+            with pytest.raises(DataFormatError) as info:
+                read(source)
+        name = "<stream>" if via == "stream" else path
+        assert str(info.value) == f"{name}: line 1: starts with a byte-order mark (U+FEFF)"
+        assert read(io.StringIO(text[1:])), "the same text without the mark reads"
+
+    def test_a_mark_after_line_1_is_text(self):
+        text = "id\trun\tlabel\n\ufeffa\t0\tentailed\n"
+        assert read_predictions(io.StringIO(text), 1).labels == {"\ufeffa": (Label.ENTAILED,)}
 
 
 def _pred_text(rows):

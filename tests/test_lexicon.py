@@ -4,10 +4,15 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogli import (
+    Gender,
     Government,
     LexiconError,
+    Number,
+    SemanticCategory,
     ValidationProfile,
     bundled_lexicon_path,
     default_lexicon_path,
@@ -346,3 +351,77 @@ def test_entries_are_single_tokens(text, where, message):
     with pytest.raises(LexiconError) as info:
         lexicon_from_text(text, "doc")
     assert str(info.value) == f"{where}: {message} is empty or holds whitespace"
+
+
+# "-" is the TSV mark of an empty cell, so no lemma, form or name may be it:
+# a JSON plural "-" would read back from TSV as no plural
+@pytest.mark.parametrize("text,where,field", [
+    (_json_with(masc_common=[{"lemma": "Arzt", "plural_nom": "-"}]), "doc: masc_common[0]", "plural_nom"),
+    (_json_with(masc_common=[{"lemma": "-", "plural_nom": "Ärzte"}]), "doc: masc_common[0]", "lemma"),
+    (_json_with(verbs_accusative=_verb("-")), "doc: verbs_accusative[0]", "form_3sg"),
+    (_json_with(fem_proper=["-"]), "doc: fem_proper[0]", "name"),
+    (_tsv_with("pnoun\t-\t-\t-\tmasc"), f"doc:{_EXTRA_ROW}", "name"),
+    (_tsv_with("verb\tsehen\tsieht\t-\tACC\t-\tfalse"), f"doc:{_EXTRA_ROW}", "form_3pl"),
+    (_tsv_with("thing\t-\t-\t-\tneut\tsg\tgiving"), f"doc:{_EXTRA_ROW}", "lemma"),
+], ids=["json-plural", "json-lemma", "json-form", "json-name", "tsv-name", "tsv-form", "tsv-thing"])
+def test_the_empty_cell_mark_is_no_word(text, where, field):
+    with pytest.raises(LexiconError) as info:
+        lexicon_from_text(text, "doc")
+    assert str(info.value) == f"{where}: {field} '-' is the TSV mark of an empty cell"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_a_byte_order_mark_is_refused(fmt, toy_lex, tmp_path):
+    text = "\ufeff" + serialize_lexicon(toy_lex, fmt)
+    with pytest.raises(LexiconError) as info:
+        lexicon_from_text(text, "doc")
+    assert str(info.value) == "doc: line 1: starts with a byte-order mark (U+FEFF)"
+    path = tmp_path / f"lex.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(path)
+    assert str(info.value) == f"{path}: line 1: starts with a byte-order mark (U+FEFF)"
+
+
+# a lemma or form: any one token but "-"
+_WORDS = st.text(min_size=1, max_size=5).filter(lambda w: w.split() == [w] and w != "-")
+_CATEGORIES = st.sampled_from([c.value for c in SemanticCategory])
+
+
+def _inventory(entry):
+    return st.lists(entry, max_size=3, unique_by=lambda e: e if isinstance(e, str) else e["lemma"])
+
+
+def _verbs(**category):
+    return _inventory(st.fixed_dictionaries(
+        {"lemma": _WORDS, "form_3sg": _WORDS, "form_3pl": _WORDS, "symmetric": st.booleans(), **category}))
+
+
+_NOUNS = _inventory(st.fixed_dictionaries(
+    {"lemma": _WORDS, "plural_nom": st.none() | _WORDS, "weak": st.booleans()}))
+_LEXICON_DOCS = st.fixed_dictionaries({
+    "verbs_accusative": _verbs(),
+    "verbs_dative": _verbs(),
+    "verbs_ditransitive": _verbs(category=_CATEGORIES),
+    "masc_common": _NOUNS,
+    "fem_common": _NOUNS,
+    "masc_proper": _inventory(_WORDS),
+    "fem_proper": _inventory(_WORDS),
+    "thing_nouns": _inventory(st.fixed_dictionaries({
+        "lemma": _WORDS,
+        "gender": st.sampled_from([g.value for g in Gender]),
+        "number": st.sampled_from([n.value for n in Number]),
+        "categories": st.lists(_CATEGORIES, unique=True),
+    })),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_LEXICON_DOCS, fmt=st.sampled_from(["json", "tsv"]))
+def test_every_loadable_lexicon_round_trips(doc, fmt):
+    """load_lexicon(serialize_lexicon(x, fmt)) == x, as serialize_lexicon's
+    docstring promises, for any lexicon the loader accepts."""
+    lex = lexicon_from_text(json.dumps(doc), "doc")
+    text = serialize_lexicon(lex, fmt)
+    assert load_lexicon(io.StringIO(text)) == lex
+    assert serialize_lexicon(load_lexicon(io.StringIO(text)), fmt) == text
