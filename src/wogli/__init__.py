@@ -30,22 +30,21 @@ _EXPORTS = {
         "PredictionJoinError", "WogliError",
     ),
     "generator": (
-        "GenerationSet", "PremiseInstance", "derive_h1", "derive_h2", "derive_h3", "derive_os_hard",
-        "generate_set", "instance_from_record", "pronominalize", "realize_premise", "sample_premises",
+        "GenerationSet", "PremiseInstance", "derive_h1", "derive_h2", "derive_os_hard", "generate_set",
+        "realize_premise", "sample_premises",
     ),
     "lexicon": (
         "Lexicon", "ValidationProfile", "bundled_lexicon", "bundled_lexicon_path",
-        "default_lexicon_path", "lexicon_from_text", "load_lexicon", "serialize_lexicon",
-        "surface_form_count", "surface_forms", "validate_lexicon",
+        "default_lexicon_path", "lexicon_from_text", "load_lexicon", "serialize_lexicon", "surface_forms",
+        "validate_lexicon",
     ),
     "morphology": (
-        "NPSpec", "PRONOUN", "agree_verb", "article_paradigm", "inflect_article", "inflect_noun",
-        "inflect_pronoun", "pronoun_paradigm", "render_np",
+        "NPSpec", "PRONOUN", "agree_verb", "inflect_article", "inflect_noun", "inflect_pronoun",
+        "render_np",
     ),
     "patterns": (
         "NPClass", "NumberClass", "Pattern", "ambiguity_rule", "classify_number", "excluded_patterns",
-        "extended_patterns", "is_ambiguous", "parse_pattern_name", "pattern_inventory_text",
-        "wogli_patterns",
+        "extended_patterns", "is_ambiguous", "parse_pattern_name", "wogli_patterns",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

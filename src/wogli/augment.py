@@ -15,10 +15,10 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 
-from .core import Government, Label, PairRecord
+from .core import Label, PairRecord
 from .dataset_io import _lines, _write_lines
 from .errors import ConstraintError, DataFormatError
-from .patterns import parse_pattern_name
+from .patterns import _premise_draw
 
 _SWAP_BUDGET = 10_000
 
@@ -82,7 +82,6 @@ class _PremiseGroup:
 
 def _build_groups(records) -> list[_PremiseGroup]:
     by_id: dict[str, list[PairRecord]] = {}
-    patterns = set()  # pattern names already checked; each one is a stratum
     for record in records:
         for field in ("premise_id", "verb_lemma"):
             if type(record.metadata.get(field)) is not str:
@@ -90,15 +89,8 @@ def _build_groups(records) -> list[_PremiseGroup]:
                     f"record {record.id}: augmentation needs row-format input "
                     f"with a string {field} in its metadata"
                 )
-        if record.pattern_name not in patterns:
-            try:
-                parse_pattern_name(record.pattern_name, Government.ACCUSATIVE)
-            except ValueError as exc:
-                raise DataFormatError(f"record {record.id}: {exc}") from None
-            patterns.add(record.pattern_name)
+        _premise_draw(record)  # its premise_id names its own draw of its own pattern
         premise_id = record.metadata["premise_id"]
-        if premise_id != (own := record.id.rpartition("-")[0] + "-premise"):
-            raise DataFormatError(f"record {record.id}: premise_id is {premise_id!r}, not {own!r}")
         by_id.setdefault(premise_id, []).append(record)
     groups = []
     for members in by_id.values():
@@ -112,18 +104,6 @@ def _build_groups(records) -> list[_PremiseGroup]:
         groups.append(_PremiseGroup(first.pattern_name, first.metadata["verb_lemma"],
                                     frozenset(forms), tuple(members)))
     return groups
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self, constraint: str):
-        self.left -= 1
-        if self.left < 0:
-            raise ConstraintError(
-                f"augmentation swap budget exhausted while repairing {constraint}"
-            )
 
 
 def _verb_swap(plan, by_pattern, selected, counts):
@@ -216,10 +196,12 @@ def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecor
         targets = set().union(*(group.forms for group in groups))
         finders.append(("the noun form coverage",
                         lambda: _coverage_swap(plan, by_pattern, selected, counts, targets)))
-    budget = _Budget(_SWAP_BUDGET)
+    swaps = 0
     for constraint, find in finders:
         while (swap := find()) is not None:
-            budget.spend(constraint)
+            swaps += 1
+            if swaps > _SWAP_BUDGET:
+                raise ConstraintError(f"augmentation swap budget exhausted while repairing {constraint}")
             pattern, out, into = swap
             selected[pattern].remove(out)
             selected[pattern].add(into)

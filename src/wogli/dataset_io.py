@@ -349,42 +349,38 @@ def _record_from_row(obj, lineno: int, share=_own) -> PairRecord:
                       label, kind, share(fields[6], fields[6]), metadata)
 
 
-def read_pairs(source, fmt: str = "auto") -> list[PairRecord]:
-    """Load a pair file written by write_pairs; fmt "auto" sniffs the format.
+def read_pairs(source) -> list[PairRecord]:
+    """Load a pair file written by write_pairs, in the format its first
+    non-blank line shows.
 
     The records of one call share equal strings: a subset, premise or
     pattern, and a metadata key or string value, is one object however many
     rows repeat it. Each record still owns its metadata dict.
     """
-    records = list(_read_records(source, fmt))
+    records = list(_read_records(source))
     _check_ids(records)
     return records
 
 
-def _read_records(source, fmt: str = "auto"):
+def _read_records(source):
     """read_pairs' records, each one read as it is consumed, ids unchecked."""
     share = {}.setdefault  # str -> str only: 1, True and 1.0 would hash equal
     with closing(_lines(source)) as lines:
-        if fmt == "auto":
-            ahead = []
-            for line in lines:
-                ahead.append(line)
-                if line and not line.isspace():
-                    break
-            else:
-                return
-            fmt = "rows" if line.lstrip()[0] in "{[" else "tsv"
-            lines = chain(ahead, lines)
-        if fmt == "rows":
+        ahead = []
+        for line in lines:
+            ahead.append(line)
+            if line and not line.isspace():
+                break
+        else:
+            return
+        lines = chain(ahead, lines)
+        if line.lstrip()[0] in "{[":
             rows = _row_objects(lines, share)
-        elif fmt == "tsv":
-            header = next(lines, None)
-            header = list(TSV_HEADER) if header is None else header.split("\t")
+        else:
+            header = next(lines).split("\t")
             if tuple(header) != TSV_HEADER:
                 raise DataFormatError(f"bad header: expected {list(TSV_HEADER)}, found {header}")
             rows = ((n, _tsv_row(line, n)) for n, line in enumerate(lines, start=2) if line)
-        else:
-            raise ValueError(f"unknown pair format {fmt!r}")
         for lineno, obj in rows:
             yield _record_from_row(obj, lineno, share)
 

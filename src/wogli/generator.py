@@ -11,9 +11,8 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     ArticleKind,
@@ -29,7 +28,7 @@ from .dataset_io import _encode_str, _row, _row_tail
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
 from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, compile_sentence
-from .patterns import Pattern, extended_patterns, parse_pattern_name, wogli_patterns
+from .patterns import Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
 _REJECTION_MISS_BUDGET = 100_000
@@ -89,21 +88,6 @@ def derive_h1(inst: PremiseInstance, spaced_period: bool = False) -> str:
 def derive_h2(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Surface reorder (entailed): object first, everything keeps its marking."""
     return _render(inst, HypKind.H2_OS, spaced_period)
-
-
-def derive_h3(inst: PremiseInstance, spaced_period: bool = False) -> str:
-    """Argument swap presented in object-first order (not entailed)."""
-    if inst.pattern.government is not Government.ACCUSATIVE:
-        raise ValueError("the object-first swap is defined for accusative premises")
-    return _render(inst, HypKind.H3_OS, spaced_period)
-
-
-def pronominalize(inst: PremiseInstance) -> PremiseInstance:
-    """Replace the premise subject with a personal pronoun of the same
-    gender and number (accusative premises only)."""
-    if inst.pattern.government is not Government.ACCUSATIVE:
-        raise ValueError("pronoun subjects are defined for accusative premises")
-    return replace(inst, subject=inst.subject.pronoun)
 
 
 def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
@@ -406,20 +390,12 @@ def _set_records(name, lex, seed, per_pattern, with_replacement, build: _Records
             yield from build.render(draw, premise, d)
 
 
-_PREMISE_ID_RE = re.compile(r"-p(\d+)-d(\d+)-premise$")
 _SUBSET_GOVERNMENT = {s: g for s, g, _, _ in _SETS.values() if g is not Government.ACCUSATIVE}
 
 
-def _premise_id(record: PairRecord, default: str) -> str:
-    value = record.metadata.get("premise_id", default)
-    if type(value) is not str:
-        raise DataFormatError(f"record {record.id}: premise_id must be a string, found {value!r}")
-    return value
-
-
 def _read_record(record: PairRecord, tables: _Tables):
-    """(pattern, draw, seed path or None) behind a record, from its metadata:
-    each NP must be one its pattern's class, or its verb, draws."""
+    """(pattern, draw) behind a record, from its metadata: each NP must be
+    one its pattern's class, or its verb, draws."""
     meta = record.metadata
     where = f"record {record.id}"
     if not meta:
@@ -440,20 +416,15 @@ def _read_record(record: PairRecord, tables: _Tables):
     if pattern.subject is pattern.object and subject.lemma == obj.lemma:
         raise DataFormatError(f"{where}: subject and object are both {obj.lemma!r}, which no draw pairs")
     thing = tables.np(verb, "direct_object", meta, where) if government is Government.DITRANSITIVE else None
-    match = _PREMISE_ID_RE.search(_premise_id(record, ""))
-    return pattern, (subject, obj, verb, thing), (int(match.group(1)), int(match.group(2))) if match else None
-
-
-def instance_from_record(record: PairRecord, lex: Lexicon) -> PremiseInstance:
-    """Rebuild the premise instance behind a record from its metadata."""
-    pattern, draw, seed_path = _read_record(record, _Tables(lex))
-    return PremiseInstance(pattern, *draw, seed_path or (0, 0))
+    return pattern, (subject, obj, verb, thing)
 
 
 def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool = False) -> list[PairRecord]:
     """One swapped-and-reordered (not entailed) pair per distinct premise of
-    an accusative pair file. The first record of each premise must carry
-    the premise text its metadata renders, with either period style."""
+    an accusative pair file. Every record's premise_id must name its own
+    draw (patterns._premise_draw), and the first record of each premise
+    must carry the premise text its metadata renders, with either period
+    style."""
     return list(_os_hard_records(records, lex, _Records(GenerationSet.OS_HARD, spaced_period)))
 
 
@@ -461,30 +432,27 @@ def _os_hard_records(records, lex: Lexicon, build: _Records):
     """derive_os_hard's rows as build renders them, each premise's built as
     they are consumed."""
     tables = _Tables(lex)
-    seen = set()
-    taken = {}  # seed path -> the id of the record whose premise took it
-    fallback = 0
+    taken = {}  # seed path -> the id of the first record that names it
     current = None  # the (pattern, index) build was last set up for
     for record in records:
-        key = _premise_id(record, record.premise)
-        if key in seen:
-            continue
-        seen.add(key)
         if record.subset in _SUBSET_GOVERNMENT:
             raise DataFormatError(
                 f"record {record.id}: os-hard derivation needs accusative records, "
                 f"not subset {record.subset!r}"
             )
-        pattern, draw, seed_path = _read_record(record, tables)
-        if seed_path is None:
-            seed_path = (0, fallback)
-            fallback += 1
-        if seed_path in taken:  # its derived ids would repeat that premise's
+        match = _premise_draw(record)
+        seed_path = int(match[1]), int(match[2])
+        first = taken.get(seed_path)
+        if first is not None:
+            if first.rpartition("-")[0] == record.id.rpartition("-")[0]:
+                continue  # another row of that premise
+            # under another subset: its derived ids would repeat that premise's
             raise DataFormatError(
-                f"record {record.id}: premise {key!r} has the draw "
-                f"p{seed_path[0]:02d}-d{seed_path[1]:05d} of record {taken[seed_path]}, another premise"
+                f"record {record.id}: premise {record.metadata['premise_id']!r} has the draw "
+                f"p{seed_path[0]:02d}-d{seed_path[1]:05d} of record {first}, another premise"
             )
         taken[seed_path] = record.id
+        pattern, draw = _read_record(record, tables)
         if (pattern, seed_path[0]) != current:
             current = (pattern, seed_path[0])
             build.for_pattern(*current)

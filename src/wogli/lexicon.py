@@ -346,10 +346,6 @@ def surface_forms(lex: Lexicon) -> set[str]:
     return forms
 
 
-def surface_form_count(lex: Lexicon) -> int:
-    return len(surface_forms(lex))
-
-
 _FULL_COUNTS = (
     ("verbs_acc", "accusative verbs", 50),
     ("verbs_dat", "dative verbs", 22),
@@ -412,7 +408,7 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
         weak = sum(1 for n in lex.masc_common if n.weak_declension)
         if weak != 6:
             report.append(f"expected 6 weak masculine nouns, found {weak}")
-        forms = surface_form_count(lex)
+        forms = len(surface_forms(lex))
         if forms != 181:
             report.append(f"expected 181 distinct noun surface forms, found {forms}")
     return report

@@ -223,30 +223,3 @@ def compile_sentence(object_case: Case, kind: HypKind | None = None, spaced_peri
         return f"{first} {verb_form} {second} {thing.texts[thing_at]}{end}"
 
     return sentence
-
-
-def article_paradigm() -> list[dict]:
-    """The full article table as rows, for table-driven tests and export."""
-    rows = []
-    for (kind, gender, number), forms in _ARTICLES.items():
-        for case, form in zip(_CASES, forms):
-            rows.append(
-                {
-                    "article": kind.value,
-                    "gender": gender.value if gender is not None else "any",
-                    "number": number.value,
-                    "case": case.value,
-                    "form": form,
-                }
-            )
-    return rows
-
-
-def pronoun_paradigm() -> list[dict]:
-    rows = []
-    for (gender, number), forms in _PRONOUNS.items():
-        for case, form in zip((Case.NOM, Case.ACC), forms):
-            rows.append(
-                {"gender": gender.value, "number": number.value, "case": case.value, "form": form}
-            )
-    return rows

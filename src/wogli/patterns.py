@@ -1,4 +1,5 @@
-"""Argument-class patterns and the morphological-ambiguity oracle.
+"""Argument-class patterns, the premise ids that name their draws, and the
+morphological-ambiguity oracle.
 
 A pattern names the subject and object argument classes of a premise
 (`sing_masc_v_plural_fem` etc.). The generator inventories are fixed: 17
@@ -11,9 +12,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
 from dataclasses import dataclass
+from functools import cache
 
 from .core import ArticleKind, Gender, Government, HypKind, Number
+from .errors import DataFormatError
 from .lexicon import Lexicon
 from .morphology import _ARTICLE_KINDS, NPSpec, compile_sentence
 
@@ -131,15 +135,43 @@ def excluded_patterns() -> list[Pattern]:
     return [parse_pattern_name(n, Government.ACCUSATIVE) for n in _EXCLUDED_NAMES]
 
 
+# the end of an accusative premise id: its pattern's index in wogli_patterns()
+# and its draw's index, as generate writes them
+_PREMISE_ID_RE = re.compile(r"-p([0-9]{2})-d([0-9]{5,})-premise$")
+
+
+@cache
+def _wogli_index() -> dict[str, int]:
+    return {p.name: i for i, p in enumerate(wogli_patterns())}
+
+
+def _premise_draw(record) -> re.Match:
+    """The match of _PREMISE_ID_RE in an accusative record's premise_id,
+    whose groups are the pattern index and the draw index it names. The
+    premise_id must be the record's id with its last "-" part replaced by
+    "-premise", and end in -pNN-dNNNNN-premise, where NN is the index of
+    the record's pattern among wogli_patterns(); anything else is a
+    DataFormatError naming the record."""
+    premise_id = record.metadata.get("premise_id")
+    own = record.id.rpartition("-")[0] + "-premise"
+    if premise_id != own:
+        raise DataFormatError(f"record {record.id}: premise_id is {premise_id!r}, not {own!r}")
+    index = _wogli_index().get(record.pattern_name)
+    if index is None:
+        raise DataFormatError(f"record {record.id}: {record.pattern_name!r} is not a wogli pattern")
+    match = _PREMISE_ID_RE.search(own)
+    if match is None or int(match[1]) != index:
+        raise DataFormatError(
+            f"record {record.id}: premise_id {own!r} does not end in -p{index:02d}-dNNNNN-premise, "
+            f"as a draw of pattern {record.pattern_name} does"
+        )
+    return match
+
+
 def classify_number(pattern: Pattern) -> NumberClass:
     if pattern.subject.number is Number.SG and pattern.object.number is Number.SG:
         return NumberClass.ALL_SINGULAR
     return NumberClass.SINGULAR_PLURAL
-
-
-def pattern_inventory_text(patterns: list[Pattern]) -> str:
-    """One canonical name plus government per line, for export."""
-    return "".join(f"{p.name}\t{p.government.value}\n" for p in patterns)
 
 
 def _representative_specs(cls: NPClass, lex: Lexicon, skip_lemmas: set[str]) -> list[NPSpec]:

@@ -31,19 +31,15 @@ from wogli import (
     NumberClass,
     PairRecord,
     PredictionSet,
-    PremiseInstance,
     accuracy,
     agree_verb,
-    article_paradigm,
     classify_number,
     definiteness_groups,
-    derive_h1,
-    derive_h2,
-    derive_h3,
     excluded_patterns,
     extended_patterns,
     gender_groups,
     generate_set,
+    inflect_article,
     inflect_noun,
     inflect_pronoun,
     is_ambiguous,
@@ -52,7 +48,6 @@ from wogli import (
     parse_pattern_name,
     plan_102,
     plan_1037,
-    pronominalize,
     realize_premise,
     render_np,
     sample_augmentation,
@@ -63,6 +58,7 @@ from wogli import (
     write_pairs,
 )
 from wogli.cli import run
+from wogli.morphology import compile_sentence
 
 from test_patterns import EXCLUDED_8, EXTENDED_24, WOGLI_17
 
@@ -119,17 +115,14 @@ def _np(lex, lemma, number=Number.SG, kind=ArticleKind.DEF):
     return NPSpec(entry, entry.gender, number, kind)
 
 
-def _inst(lex, verb_lemma, subj, obj, government=Government.ACCUSATIVE, direct_object=None):
-    def frag(spec):
-        if spec.article is ArticleKind.NONE:
-            return "pnoun"
-        num = "plural" if spec.number is Number.PL else "sing"
-        gen = "masc" if spec.gender is Gender.MASC else "fem"
-        return f"{num}_{gen}"
-
+def _draw(lex, verb_lemma, subj, obj, government=Government.ACCUSATIVE, thing=None):
     verb = next(v for v in lex.verbs(government) if v.lemma == verb_lemma)
-    pattern = parse_pattern_name(f"{frag(subj)}_v_{frag(obj)}", government)
-    return PremiseInstance(pattern, subj, obj, verb, direct_object)
+    return subj, obj, verb, thing
+
+
+def _say(draw, kind=None):
+    """The premise of a draw (kind None), or its hypothesis of kind."""
+    return compile_sentence(draw[2].government.object_case, kind)(*draw)
 
 
 def _premise_count(records):
@@ -163,50 +156,50 @@ class TestC1Goldens:
             for o_kind, o_acc in self._M_ACC.items():
                 s_acc = self._M_ACC[s_kind]
                 o_nom = self._M_NOM[o_kind]
-                inst = _inst(lex, "warnen",
+                draw = _draw(lex, "warnen",
                              _np(lex, "Arzt", kind=s_kind), _np(lex, "Kunde", kind=o_kind))
-                assert realize_premise(inst) == f"{cap(s_nom)} Arzt warnt {o_acc} Kunden."
-                assert derive_h1(inst) == f"{cap(o_nom)} Kunde warnt {s_acc} Arzt."
-                assert derive_h2(inst) == f"{cap(o_acc)} Kunden warnt {s_nom} Arzt."
-                assert derive_h3(inst) == f"{cap(s_acc)} Arzt warnt {o_nom} Kunde."
+                assert _say(draw) == f"{cap(s_nom)} Arzt warnt {o_acc} Kunden."
+                assert _say(draw, HypKind.H1_SO) == f"{cap(o_nom)} Kunde warnt {s_acc} Arzt."
+                assert _say(draw, HypKind.H2_OS) == f"{cap(o_acc)} Kunden warnt {s_nom} Arzt."
+                assert _say(draw, HypKind.H3_OS) == f"{cap(s_acc)} Arzt warnt {o_nom} Kunde."
 
         for s_kind, s_nom in self._M_NOM.items():
             for o_kind, o_art in self._F_PL.items():
                 s_acc = self._M_ACC[s_kind]
-                inst = _inst(lex, "empfehlen",
+                draw = _draw(lex, "empfehlen",
                              _np(lex, "Minister", kind=s_kind),
                              _np(lex, "Autorin", Number.PL, o_kind))
-                assert realize_premise(inst) == f"{cap(s_nom)} Minister empfiehlt {o_art} Autorinnen."
-                assert derive_h1(inst) == f"{cap(o_art)} Autorinnen empfehlen {s_acc} Minister."
-                assert derive_h2(inst) == f"{cap(o_art)} Autorinnen empfiehlt {s_nom} Minister."
-                assert derive_h3(inst) == f"{cap(s_acc)} Minister empfehlen {o_art} Autorinnen."
+                assert _say(draw) == f"{cap(s_nom)} Minister empfiehlt {o_art} Autorinnen."
+                assert _say(draw, HypKind.H1_SO) == f"{cap(o_art)} Autorinnen empfehlen {s_acc} Minister."
+                assert _say(draw, HypKind.H2_OS) == f"{cap(o_art)} Autorinnen empfiehlt {s_nom} Minister."
+                assert _say(draw, HypKind.H3_OS) == f"{cap(s_acc)} Minister empfehlen {o_art} Autorinnen."
 
-        masc = pronominalize(_inst(lex, "warnen", _np(lex, "Arzt"), _np(lex, "Gast")))
-        assert realize_premise(masc) == "Er warnt den Gast."
-        assert derive_h1(masc) == "Der Gast warnt ihn."
-        assert derive_h2(masc) == "Den Gast warnt er."
-        fem = pronominalize(_inst(lex, "warnen", _np(lex, "Autorin"), _np(lex, "Gast")))
-        assert realize_premise(fem) == "Sie warnt den Gast."
-        assert derive_h1(fem) == "Der Gast warnt sie."
-        assert derive_h2(fem) == "Den Gast warnt sie."
+        masc = _draw(lex, "warnen", _np(lex, "Arzt").pronoun, _np(lex, "Gast"))
+        assert _say(masc) == "Er warnt den Gast."
+        assert _say(masc, HypKind.H1_SO) == "Der Gast warnt ihn."
+        assert _say(masc, HypKind.H2_OS) == "Den Gast warnt er."
+        fem = _draw(lex, "warnen", _np(lex, "Autorin").pronoun, _np(lex, "Gast"))
+        assert _say(fem) == "Sie warnt den Gast."
+        assert _say(fem, HypKind.H1_SO) == "Der Gast warnt sie."
+        assert _say(fem, HypKind.H2_OS) == "Den Gast warnt sie."
 
-        dative = _inst(lex, "gratulieren",
+        dative = _draw(lex, "gratulieren",
                        _np(lex, "Richter", kind=ArticleKind.INDEF),
                        _np(lex, "Berater", Number.PL, ArticleKind.DEM),
                        Government.DATIVE)
-        assert realize_premise(dative) == "Ein Richter gratuliert diesen Beratern."
-        assert derive_h1(dative) == "Diese Berater gratulieren einem Richter."
-        assert derive_h2(dative) == "Diesen Beratern gratuliert ein Richter."
+        assert _say(dative) == "Ein Richter gratuliert diesen Beratern."
+        assert _say(dative, HypKind.H1_SO) == "Diese Berater gratulieren einem Richter."
+        assert _say(dative, HypKind.H2_OS) == "Diesen Beratern gratuliert ein Richter."
 
         thing = next(t for t in lex.thing_nouns if t.lemma == "Kuchen")
-        ditrans = _inst(lex, "geben",
+        ditrans = _draw(lex, "geben",
                         _np(lex, "Kellnerin", Number.PL),
                         _np(lex, "Händler", kind=ArticleKind.INDEF),
                         Government.DITRANSITIVE,
                         NPSpec(thing, thing.gender, thing.number, ArticleKind.DEF))
-        assert realize_premise(ditrans) == "Die Kellnerinnen geben einem Händler den Kuchen."
-        assert derive_h1(ditrans) == "Ein Händler gibt den Kellnerinnen den Kuchen."
-        assert derive_h2(ditrans) == "Einem Händler geben die Kellnerinnen den Kuchen."
+        assert _say(ditrans) == "Die Kellnerinnen geben einem Händler den Kuchen."
+        assert _say(ditrans, HypKind.H1_SIO) == "Ein Händler gibt den Kellnerinnen den Kuchen."
+        assert _say(ditrans, HypKind.H2_IOS) == "Einem Händler geben die Kellnerinnen den Kuchen."
 
         assert time.perf_counter() - t0 < 1.0
         print("ACCEPTANCE 1: PASS  golden sentences reproduced byte for byte")
@@ -289,7 +282,14 @@ def _form_lemma_index(lex):
 
 
 def _function_word_forms():
-    skip = {row["form"] for row in article_paradigm() if row["form"]}
+    skip = {
+        inflect_article(kind, gender, number, case)
+        for kind in (ArticleKind.DEF, ArticleKind.INDEF, ArticleKind.DEM)
+        for gender in Gender
+        for number in Number
+        for case in Case
+        if not (kind is ArticleKind.INDEF and number is Number.PL)
+    }
     for gender in (Gender.MASC, Gender.FEM):
         for case in (Case.NOM, Case.ACC):
             skip.add(inflect_pronoun(gender, Number.SG, case))

@@ -20,6 +20,7 @@ from wogli import (
     plan_1037,
     read_pairs,
     sample_augmentation,
+    wogli_patterns,
     write_pairs,
     write_training_rows,
 )
@@ -176,9 +177,13 @@ class TestVerbBalance:
             sample_augmentation(base, plan)
 
 
-def _coverage_record(pid, verb, subj, obj):
+def _coverage_record(draw, verb, subj, obj):
+    """The swap row of draw of sing_masc_v_sing_masc, whose id and
+    premise_id name that pattern's index and the draw, as generate's do."""
+    pattern = [p.name for p in wogli_patterns()].index("sing_masc_v_sing_masc")
+    stem = f"wogli-p{pattern:02d}-d{draw:05d}"
     return PairRecord(
-        id=f"{pid}-h1",
+        id=f"{stem}-h1",
         subset="wogli",
         premise=f"Der {subj} {verb}t den {obj}.",
         hypothesis=f"Der {obj} {verb}t den {subj}.",
@@ -186,7 +191,7 @@ def _coverage_record(pid, verb, subj, obj):
         hyp_kind=HypKind.H1_SO,
         pattern_name="sing_masc_v_sing_masc",
         metadata={
-            "premise_id": f"{pid}-premise",
+            "premise_id": f"{stem}-premise",
             "verb_lemma": verb,
             "subject_kind": "common",
             "object_kind": "common",
@@ -223,9 +228,9 @@ class TestNounFormCoverage:
         # the verb band pins one "b" premise plus one "a" premise, so the
         # third group's forms can never all be present
         records = [
-            _coverage_record("g1", "seh", "Maler", "Boten"),
-            _coverage_record("g2", "seh", "Bauern", "Wirt"),
-            _coverage_record("g3", "hoer", "Grafen", "Vogt"),
+            _coverage_record(1, "seh", "Maler", "Boten"),
+            _coverage_record(2, "seh", "Bauern", "Wirt"),
+            _coverage_record(3, "hoer", "Grafen", "Vogt"),
         ]
         plan = AugmentationPlan(premises_per_pattern=2, verb_min=1, verb_max=1,
                                 require_all_noun_forms=True, seed=0)
@@ -253,13 +258,13 @@ class TestRowFaults:
     ], ids=["kind-missing", "kind-unknown", "kind-list", "premise-id-int", "premise-id-list",
             "verb-null", "premise-id-missing", "short-premise", "empty-hypothesis"])
     def test_format_error_names_the_row(self, metadata, texts, complaint):
-        good = _coverage_record("g1", "seh", "Maler", "Boten")
+        good = _coverage_record(1, "seh", "Maler", "Boten")
         meta = {k: v for k, v in {**good.metadata, **metadata}.items() if v is not self.DROP}
         bad = replace(good, metadata=meta, **texts)
-        records = [bad, _coverage_record("g2", "hoer", "Bauern", "Wirt")]
+        records = [bad, _coverage_record(2, "hoer", "Bauern", "Wirt")]
         plan = AugmentationPlan(premises_per_pattern=1, verb_min=5, verb_max=5,
                                 require_all_noun_forms=True, seed=0)
-        with pytest.raises(DataFormatError, match=f"^record g1-h1: .*{complaint}"):
+        with pytest.raises(DataFormatError, match=f"^record {good.id}: .*{complaint}"):
             sample_augmentation(records, plan)
 
     def test_spaced_period_reads_the_same_heads(self, toy_lex_module):

@@ -234,18 +234,40 @@ class TestDerive:
                     "--lexicon", toy_path, "--out", str(tmp_path / "hard.jsonl")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error[format] record {bad_id}: premise_id must be a string" in err
+        assert f"error[format] record {bad_id}: premise_id is {value!r}, not 'wogli-p00-d00000-premise'" in err
 
     def test_premise_id_of_another_draw(self, toy_path, tmp_path, capsys):
-        # the edited row falls back to draw d00000 of pattern 0, which the
-        # unedited row of its premise names again
+        # the edited row names draw d00001 of its pattern, its id draw d00000
         _, base = _generate(toy_path, tmp_path)
-        bad_id = _rewrite_first(base, lambda r: True, lambda r: r["metadata"].update(premise_id="zzz"))
+        bad_id = _rewrite_first(base, lambda r: True,
+                                lambda r: r["metadata"].update(premise_id="wogli-p00-d00001-premise"))
         out = tmp_path / "hard.jsonl"
         code = run(["derive", "os-hard", "--from", str(base), "--lexicon", toy_path, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error[format]" in err and f"draw p00-d00000 of record {bad_id}, another premise" in err
+        assert (f"error[format] record {bad_id}: premise_id is 'wogli-p00-d00001-premise', "
+                f"not 'wogli-p00-d00000-premise'") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["derive", "sample-augmentation"])
+    @pytest.mark.parametrize("stem", ["wogli-p01-d00099", "wogli-d00099", "g1"],
+                             ids=["another-pattern", "no-pattern", "no-draw"])
+    def test_premise_id_must_name_a_draw_of_its_pattern(self, command, stem, toy_path, tmp_path, capsys):
+        # id and premise_id agree, but do not name a draw of the row's pattern, p00
+        _, base = _generate(toy_path, tmp_path, per="3")
+        bad_id = _rewrite_first(base, lambda r: True, lambda r: (
+            r.update(id=f"{stem}-h1"), r["metadata"].update(premise_id=f"{stem}-premise")))
+        out = tmp_path / "out.jsonl"
+        argv = {
+            "derive": ["derive", "os-hard", "--from", base, "--lexicon", toy_path, "--out", out],
+            "sample-augmentation": ["sample-augmentation", "--plan", "custom", "--in", base,
+                                    "--per-pattern", "1", "--verb-min", "0", "--verb-max", "100",
+                                    "--out-aug", out, "--out-rest", tmp_path / "rest.jsonl"],
+        }[command]
+        assert run([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"wogli: error[format] record {bad_id}: premise_id '{stem}-premise' does not end in "
+            f"-p00-dNNNNN-premise, as a draw of pattern pnoun_v_sing_masc does\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("spaced", [False, True], ids=["period", "spaced-period"])

@@ -34,18 +34,12 @@ from wogli import (
     NPSpec,
     Number,
     NumberClass,
-    PremiseInstance,
     agree_verb,
     classify_number,
-    derive_h1,
-    derive_h2,
-    derive_h3,
     derive_os_hard,
     extended_patterns,
     generate_set,
-    instance_from_record,
     parse_pattern_name,
-    pronominalize,
     realize_premise,
     render_np,
     sample_premises,
@@ -76,39 +70,34 @@ def _np(lex, lemma, number=Number.SG, kind=ArticleKind.DEF):
     return NPSpec(entry, entry.gender, number, kind)
 
 
-def _inst(lex, verb_lemma, subj, obj, government=Government.ACCUSATIVE, direct_object=None):
-    pattern_name = f"{_frag(subj)}_v_{_frag(obj)}"
-    return PremiseInstance(
-        parse_pattern_name(pattern_name, government),
-        subj,
-        obj,
-        _verb(lex, government, verb_lemma),
-        direct_object,
-    )
+def _draw(lex, verb_lemma, subj, obj, government=Government.ACCUSATIVE, thing=None):
+    return subj, obj, _verb(lex, government, verb_lemma), thing
 
 
-def _frag(spec):
-    if spec.article is ArticleKind.NONE:
-        return "pnoun"
-    num = "plural" if spec.number is Number.PL else "sing"
-    gen = "masc" if spec.gender is Gender.MASC else "fem"
-    return f"{num}_{gen}"
+def _say(draw, kind=None, spaced_period=False):
+    """The premise of a draw (kind None), or its hypothesis of kind."""
+    return compile_sentence(draw[2].government.object_case, kind, spaced_period)(*draw)
+
+
+def _read(record, lex):
+    """The (pattern, draw) that a record's metadata names."""
+    return generator._read_record(record, generator._Tables(lex))
 
 
 class TestGoldens:
     def test_base_accusative_triple(self, lex):
-        inst = _inst(lex, "warnen", _np(lex, "Arzt"), _np(lex, "Kunde"))
-        assert realize_premise(inst) == "Der Arzt warnt den Kunden."
-        assert derive_h1(inst) == "Der Kunde warnt den Arzt."
-        assert derive_h2(inst) == "Den Kunden warnt der Arzt."
-        assert derive_h3(inst) == "Den Arzt warnt der Kunde."
+        draw = _draw(lex, "warnen", _np(lex, "Arzt"), _np(lex, "Kunde"))
+        assert _say(draw) == "Der Arzt warnt den Kunden."
+        assert _say(draw, HypKind.H1_SO) == "Der Kunde warnt den Arzt."
+        assert _say(draw, HypKind.H2_OS) == "Den Kunden warnt der Arzt."
+        assert _say(draw, HypKind.H3_OS) == "Den Arzt warnt der Kunde."
 
     def test_plural_object_verb_reagreement(self, lex):
-        inst = _inst(lex, "empfehlen", _np(lex, "Minister"), _np(lex, "Autorin", Number.PL))
-        assert realize_premise(inst) == "Der Minister empfiehlt die Autorinnen."
-        assert derive_h1(inst) == "Die Autorinnen empfehlen den Minister."
-        assert derive_h2(inst) == "Die Autorinnen empfiehlt der Minister."
-        assert derive_h3(inst) == "Den Minister empfehlen die Autorinnen."
+        draw = _draw(lex, "empfehlen", _np(lex, "Minister"), _np(lex, "Autorin", Number.PL))
+        assert _say(draw) == "Der Minister empfiehlt die Autorinnen."
+        assert _say(draw, HypKind.H1_SO) == "Die Autorinnen empfehlen den Minister."
+        assert _say(draw, HypKind.H2_OS) == "Die Autorinnen empfiehlt der Minister."
+        assert _say(draw, HypKind.H3_OS) == "Den Minister empfehlen die Autorinnen."
 
     @pytest.mark.parametrize("subj_kind,subj_art", [
         (ArticleKind.DEF, "Der"), (ArticleKind.DEM, "Dieser"), (ArticleKind.INDEF, "Ein"),
@@ -117,45 +106,45 @@ class TestGoldens:
         (ArticleKind.DEF, "den"), (ArticleKind.DEM, "diesen"), (ArticleKind.INDEF, "einen"),
     ])
     def test_article_kind_grid(self, lex, subj_kind, subj_art, obj_kind, obj_art):
-        inst = _inst(lex, "warnen",
+        draw = _draw(lex, "warnen",
                      _np(lex, "Arzt", kind=subj_kind), _np(lex, "Kunde", kind=obj_kind))
-        assert realize_premise(inst) == f"{subj_art} Arzt warnt {obj_art} Kunden."
+        assert _say(draw) == f"{subj_art} Arzt warnt {obj_art} Kunden."
 
     def test_pronoun_subject_pair(self, lex):
-        inst = pronominalize(_inst(lex, "warnen", _np(lex, "Arzt"), _np(lex, "Gast")))
-        assert realize_premise(inst) == "Er warnt den Gast."
-        assert derive_h1(inst) == "Der Gast warnt ihn."
-        assert derive_h2(inst) == "Den Gast warnt er."
+        draw = _draw(lex, "warnen", _np(lex, "Arzt").pronoun, _np(lex, "Gast"))
+        assert _say(draw) == "Er warnt den Gast."
+        assert _say(draw, HypKind.H1_SO) == "Der Gast warnt ihn."
+        assert _say(draw, HypKind.H2_OS) == "Den Gast warnt er."
 
     def test_feminine_pronoun_subject(self, lex):
-        inst = pronominalize(_inst(lex, "warnen", _np(lex, "Autorin"), _np(lex, "Gast")))
-        assert realize_premise(inst) == "Sie warnt den Gast."
-        assert derive_h1(inst) == "Der Gast warnt sie."
+        draw = _draw(lex, "warnen", _np(lex, "Autorin").pronoun, _np(lex, "Gast"))
+        assert _say(draw) == "Sie warnt den Gast."
+        assert _say(draw, HypKind.H1_SO) == "Der Gast warnt sie."
 
     def test_dative_pair(self, lex):
-        inst = _inst(lex, "gratulieren",
+        draw = _draw(lex, "gratulieren",
                      _np(lex, "Richter", kind=ArticleKind.INDEF),
                      _np(lex, "Berater", Number.PL, ArticleKind.DEM),
                      Government.DATIVE)
-        assert realize_premise(inst) == "Ein Richter gratuliert diesen Beratern."
-        assert derive_h1(inst) == "Diese Berater gratulieren einem Richter."
-        assert derive_h2(inst) == "Diesen Beratern gratuliert ein Richter."
+        assert _say(draw) == "Ein Richter gratuliert diesen Beratern."
+        assert _say(draw, HypKind.H1_SO) == "Diese Berater gratulieren einem Richter."
+        assert _say(draw, HypKind.H2_OS) == "Diesen Beratern gratuliert ein Richter."
 
     def test_ditransitive_pair(self, lex):
         thing = next(t for t in lex.thing_nouns if t.lemma == "Kuchen")
-        inst = _inst(lex, "geben",
+        draw = _draw(lex, "geben",
                      _np(lex, "Kellnerin", Number.PL),
                      _np(lex, "Händler", kind=ArticleKind.INDEF),
                      Government.DITRANSITIVE,
                      NPSpec(thing, thing.gender, thing.number, ArticleKind.DEF))
-        assert realize_premise(inst) == "Die Kellnerinnen geben einem Händler den Kuchen."
-        assert derive_h1(inst) == "Ein Händler gibt den Kellnerinnen den Kuchen."
-        assert derive_h2(inst) == "Einem Händler geben die Kellnerinnen den Kuchen."
+        assert _say(draw) == "Die Kellnerinnen geben einem Händler den Kuchen."
+        assert _say(draw, HypKind.H1_SIO) == "Ein Händler gibt den Kellnerinnen den Kuchen."
+        assert _say(draw, HypKind.H2_IOS) == "Einem Händler geben die Kellnerinnen den Kuchen."
 
     def test_spaced_period_layout(self, lex):
-        inst = _inst(lex, "begrüßen", _np(lex, "Freundin"), _np(lex, "David", kind=ArticleKind.NONE))
-        assert realize_premise(inst, spaced_period=True) == "Die Freundin begrüßt David ."
-        assert derive_h1(inst, spaced_period=True) == "David begrüßt die Freundin ."
+        draw = _draw(lex, "begrüßen", _np(lex, "Freundin"), _np(lex, "David", kind=ArticleKind.NONE))
+        assert _say(draw, spaced_period=True) == "Die Freundin begrüßt David ."
+        assert _say(draw, HypKind.H1_SO, spaced_period=True) == "David begrüßt die Freundin ."
 
 
 class TestDerivations:
@@ -171,23 +160,24 @@ class TestDerivations:
         assert kind.subject_nominative is subject_nominative
         assert kind.label is label
 
-    def test_h3_rejects_non_accusative(self, lex):
-        inst = _inst(lex, "gratulieren", _np(lex, "Arzt"), _np(lex, "Kunde"), Government.DATIVE)
-        with pytest.raises(ValueError):
-            derive_h3(inst)
-
-    def test_pronominalize_rejects_non_accusative(self, lex):
-        inst = _inst(lex, "gratulieren", _np(lex, "Arzt"), _np(lex, "Kunde"), Government.DATIVE)
-        with pytest.raises(ValueError):
-            pronominalize(inst)
-
     def test_pronominalize_keeps_gender_and_number(self, lex):
-        inst = _inst(lex, "warnen", _np(lex, "Autorin"), _np(lex, "Gast"))
-        pro = pronominalize(inst)
-        assert pro.subject.head is PRONOUN
-        assert pro.subject.gender is Gender.FEM
-        assert pro.subject.number is Number.SG
-        assert pro.object == inst.object
+        pro = _np(lex, "Autorin").pronoun
+        assert pro.head is PRONOUN
+        assert pro.gender is Gender.FEM
+        assert pro.number is Number.SG
+        # each p-subject premise is the base set's draw of its index, its
+        # subject replaced by that subject's pronoun
+        tables = generator._Tables(lex)
+        base = {r.id.removeprefix("wogli-")[:-3]: generator._read_record(r, tables)[1]
+                for r in generate_set(GenerationSet.WOGLI, lex, seed=0, per_pattern=3)}
+        records = generate_set(GenerationSet.P_SUBJECT, lex, seed=0, per_pattern=3)
+        assert records
+        for r in records:
+            subject, *rest = generator._read_record(r, tables)[1]
+            base_subject, *base_rest = base[r.id.removeprefix("wogli-p-subject-")[:-3]]
+            assert subject is base_subject.pronoun, r.id
+            assert (subject.gender, subject.number) == (base_subject.gender, base_subject.number)
+            assert rest == base_rest, r.id
 
 
 def _premises(records):
@@ -299,10 +289,9 @@ class TestGenerateSet:
     def test_hypotheses_match_the_derivations(self, toy_lex):
         records = generate_set(GenerationSet.WOGLI, toy_lex, seed=4, per_pattern=2)
         for r in records:
-            inst = instance_from_record(r, toy_lex)
-            assert realize_premise(inst) == r.premise
-            want = derive_h1(inst) if r.hyp_kind is HypKind.H1_SO else derive_h2(inst)
-            assert r.hypothesis == want
+            _, draw = _read(r, toy_lex)
+            assert _say(draw) == r.premise
+            assert _say(draw, r.hyp_kind) == r.hypothesis
 
     def test_metadata_fields(self, toy_lex):
         r = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)[0]
@@ -329,10 +318,10 @@ class TestGenerateSet:
 
     def test_p_subject_collapses_same_surface(self, toy_lex):
         # two premises that differ only in the subject NP pronominalize to one
-        a = pronominalize(_inst(toy_lex, "sehen", _np(toy_lex, "Arzt"), _np(toy_lex, "Autorin")))
-        b = pronominalize(_inst(toy_lex, "sehen",
-                                _np(toy_lex, "Kunde", kind=ArticleKind.DEM), _np(toy_lex, "Autorin")))
-        assert realize_premise(a) == realize_premise(b) == "Er sieht die Autorin."
+        a = _draw(toy_lex, "sehen", _np(toy_lex, "Arzt").pronoun, _np(toy_lex, "Autorin"))
+        b = _draw(toy_lex, "sehen",
+                  _np(toy_lex, "Kunde", kind=ArticleKind.DEM).pronoun, _np(toy_lex, "Autorin"))
+        assert _say(a) == _say(b) == "Er sieht die Autorin."
 
     def test_os_hard_set(self, toy_lex):
         base = generate_set(GenerationSet.WOGLI, toy_lex, seed=9, per_pattern=2)
@@ -343,7 +332,7 @@ class TestGenerateSet:
         assert all(r.label is Label.NOT_ENTAILED for r in hard)
         assert [r.premise for r in hard] == [r.premise for r in base[::2]]
         for r in hard:
-            assert r.hypothesis == derive_h3(instance_from_record(r, toy_lex))
+            assert r.hypothesis == _say(_read(r, toy_lex)[1], HypKind.H3_OS)
 
     def test_dative_set_shape(self, toy_lex):
         records = generate_set(GenerationSet.DATIVE, toy_lex, seed=1, per_pattern=1)
@@ -412,34 +401,34 @@ class TestRecordRoundTrip:
     def test_reconstruction_errors(self, toy_lex):
         record = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)[0]
         with pytest.raises(DataFormatError, match="metadata"):
-            instance_from_record(replace(record, metadata={}), toy_lex)
+            _read(replace(record, metadata={}), toy_lex)
         bad_verb = dict(record.metadata, verb_lemma="tanzen")
         with pytest.raises(DataFormatError, match="tanzen"):
-            instance_from_record(replace(record, metadata=bad_verb), toy_lex)
+            _read(replace(record, metadata=bad_verb), toy_lex)
         bad_noun = dict(record.metadata, subject_lemma="Hund")
         with pytest.raises(DataFormatError, match="Hund"):
-            instance_from_record(replace(record, metadata=bad_noun), toy_lex)
+            _read(replace(record, metadata=bad_noun), toy_lex)
         # a lexicon whose tables hold none of the class the pattern names
         fem = next(r for r in generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)
                    if r.pattern_name.startswith("sing_fem_"))
         with pytest.raises(DataFormatError, match=f"record {fem.id}: class sing_fem has no subject"):
-            instance_from_record(fem, make_toy(fem_common=[]))
+            _read(fem, make_toy(fem_common=[]))
 
     def test_a_pronoun_lemma_must_be_its_pronoun(self, toy_lex):
         record = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=1, per_pattern=1)[0]
         assert record.metadata["subject_kind"] == "pronoun"
-        inst = instance_from_record(record, toy_lex)
-        assert inst.subject.lemma == record.metadata["subject_lemma"]
+        _, (subject, *_) = _read(record, toy_lex)
+        assert subject.lemma == record.metadata["subject_lemma"]
         quatsch = dict(record.metadata, subject_lemma="Quatsch")
         with pytest.raises(DataFormatError, match=f"record {record.id}: subject_lemma is 'Quatsch'"):
-            instance_from_record(replace(record, metadata=quatsch), toy_lex)
+            _read(replace(record, metadata=quatsch), toy_lex)
 
     def test_only_a_subject_can_be_a_pronoun(self, toy_lex):
         records = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)
         record = next(r for r in records if r.metadata["object_kind"] == "proper")
         as_pronoun = dict(record.metadata, object_kind="pronoun")
         with pytest.raises(DataFormatError, match=f"record {record.id}: object: only a subject"):
-            instance_from_record(replace(record, metadata=as_pronoun), toy_lex)
+            _read(replace(record, metadata=as_pronoun), toy_lex)
 
     @pytest.mark.parametrize("key, value", [
         ("subject_definiteness", "indefinite"),
@@ -451,15 +440,14 @@ class TestRecordRoundTrip:
                       and r.metadata["object_kind"] == "common")
         edited = dict(record.metadata, **{key: value})
         with pytest.raises(DataFormatError, match=f"record {record.id}: {key} is {value!r}"):
-            instance_from_record(replace(record, metadata=edited), toy_lex)
+            _read(replace(record, metadata=edited), toy_lex)
 
     def test_dative_records_round_trip(self, toy_lex):
-        derivations = {HypKind.H1_SO: derive_h1, HypKind.H2_OS: derive_h2}
         for record in generate_set(GenerationSet.DATIVE, toy_lex, seed=4, per_pattern=2):
-            inst = instance_from_record(record, toy_lex)
-            assert inst.pattern.government is Government.DATIVE
-            assert realize_premise(inst) == record.premise
-            assert derivations[record.hyp_kind](inst) == record.hypothesis
+            pattern, draw = _read(record, toy_lex)
+            assert pattern.government is Government.DATIVE
+            assert _say(draw) == record.premise
+            assert _say(draw, record.hyp_kind) == record.hypothesis
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -469,20 +457,18 @@ class TestRecordRoundTrip:
             records = generate_set(name, toy_lex_module, seed=seed, per_pattern=2,
                                    with_replacement=with_replacement, spaced_period=spaced)
             for r in records:
-                inst = instance_from_record(r, toy_lex_module)
-                assert realize_premise(inst, spaced) == r.premise, r.id
-                hypothesis_of = compile_sentence(inst.pattern.government.object_case, r.hyp_kind, spaced)
-                draw = (inst.subject, inst.object, inst.verb, inst.direct_object)
-                assert hypothesis_of(*draw) == r.hypothesis, r.id
+                pattern, draw = _read(r, toy_lex_module)
+                case = pattern.government.object_case
+                assert compile_sentence(case, None, spaced)(*draw) == r.premise, r.id
+                assert compile_sentence(case, r.hyp_kind, spaced)(*draw) == r.hypothesis, r.id
                 assert r.label is r.hyp_kind.label, r.id
 
     def test_ditransitive_records_round_trip(self, lex):
         for record in generate_set(GenerationSet.DITRANSITIVE, lex, seed=5, per_pattern=2):
-            inst = instance_from_record(record, lex)
-            assert inst.pattern.government is Government.DITRANSITIVE
-            assert inst.direct_object.lemma == record.metadata["direct_object_lemma"]
-            assert realize_premise(inst) == record.premise
-            draw = (inst.subject, inst.object, inst.verb, inst.direct_object)
+            pattern, draw = _read(record, lex)
+            assert pattern.government is Government.DITRANSITIVE
+            assert draw[3].lemma == record.metadata["direct_object_lemma"]
+            assert _say(draw) == record.premise
             assert compile_sentence(Case.DAT, record.hyp_kind)(*draw) == record.hypothesis
 
     def test_a_direct_object_must_be_one_its_verb_takes(self):
@@ -499,12 +485,12 @@ class TestRecordRoundTrip:
         with pytest.raises(DataFormatError, match=re.escape(
                 f"record {record.id}: direct_object_lemma is 'Brief', "
                 f"but its direct_object writes 'Kuchen' (verb 'geben')")):
-            instance_from_record(brief, toy)
+            _read(brief, toy)
         # a direct object on a row of another set stays a format error
         wogli_row = generate_set(GenerationSet.WOGLI, toy, seed=1, per_pattern=1)[0]
         with_thing = replace(wogli_row, metadata={**wogli_row.metadata, **brief.metadata})
         with pytest.raises(DataFormatError, match="only ditransitive records have a direct object"):
-            instance_from_record(with_thing, toy)
+            _read(with_thing, toy)
 
     @pytest.mark.parametrize("row_id, change, premise, why", UNDRAWABLE_ROWS,
                              ids=["plural-subject", "self-pair"])
@@ -513,7 +499,7 @@ class TestRecordRoundTrip:
         record = next(r for r in records if r.id == row_id)
         edited = replace(record, premise=premise, metadata=dict(record.metadata, **change))
         with pytest.raises(DataFormatError, match=re.escape(f"record {row_id}: {why}")):
-            instance_from_record(edited, lex)
+            _read(edited, lex)
 
     def test_derive_os_hard_matches_direct_generation(self, toy_lex):
         base = generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=2)
@@ -522,18 +508,29 @@ class TestRecordRoundTrip:
         assert [(r.id, r.premise, r.hypothesis, r.label) for r in derived] == \
                [(r.id, r.premise, r.hypothesis, r.label) for r in direct]
 
-    def test_derive_os_hard_without_premise_ids(self, toy_lex):
+    @pytest.mark.parametrize("stripped", ["all", "second-premise"])
+    def test_derive_os_hard_without_premise_ids(self, toy_lex, stripped):
+        # a row without one names no draw; its derived ids would be guesses
         base = generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=2)
-        stripped = [
+        at = 0 if stripped == "all" else 2
+        edited = [
             replace(r, metadata={k: v for k, v in r.metadata.items() if k != "premise_id"})
-            for r in base
+            if i >= at else r
+            for i, r in enumerate(base)
         ]
-        derived = derive_os_hard(stripped, toy_lex)
-        assert len(derived) == len(base) // 2
-        assert [r.hypothesis for r in derived] == \
-               [derive_h3(instance_from_record(b, toy_lex)) for b in base[::2]]
-        ids = [r.id for r in derived]
-        assert len(set(ids)) == len(ids)
+        own = base[at].metadata["premise_id"]
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"record {base[at].id}: premise_id is None, not {own!r}")):
+            derive_os_hard(edited, toy_lex)
+
+    def test_derive_os_hard_rejects_one_draw_under_two_subsets(self, toy_lex):
+        # both sets name draw p00-d00000, so their derived ids would repeat
+        base = generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=2)
+        psub = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=3, per_pattern=2)
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"record {psub[0].id}: premise {psub[0].metadata['premise_id']!r} has the draw "
+                f"p00-d00000 of record {base[0].id}, another premise")):
+            derive_os_hard(base + psub, toy_lex)
 
     def test_derive_os_hard_needs_metadata(self, toy_lex):
         base = generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=1)
@@ -594,8 +591,6 @@ def test_every_spec_owns_its_metadata_and_pronoun(lex):
             assert tables.np(verb, "direct_object", meta, "spec") is thing, (verb, thing)
             things.add(thing.head)
     assert things == {*lex.thing_nouns}
-    for inst in sample_premises(GenerationSet.WOGLI, lex, seed=0, per_pattern=3):
-        assert pronominalize(inst).subject is inst.subject.pronoun
 
 
 def _reference_sentence(subject, obj, verb, object_case, kind, thing, spaced_period):

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-private module-level name it defines is mentioned somewhere else.
+"""Every module of the package uses each name it imports, every private
+module-level name it defines is mentioned somewhere else, and every name
+the bench takes from the package exists.
 
 Read with the standard library's ast only. The package's __init__ exists
 to re-export, and `from __future__ import annotations` binds no name, so
@@ -12,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -140,3 +142,63 @@ def test_modules_and_unknown_names():
         wogli.generate
     with pytest.raises(ImportError):
         exec("from wogli import no_such_name", {})
+
+
+
+BENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def wogli_references(source: str) -> list[tuple[str, str]]:
+    """(where, name) for each name source imports from wogli or a wogli
+    module, where being the dotted path it is imported from, and for each
+    attribute it reads of a name so imported, directly or by getattr with a
+    literal name; where is then that name's own dotted path."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> the dotted path it was imported as
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "wogli":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                refs.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner, name = node.value.id, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[0], ast.Name)
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            owner, name = node.args[0].id, node.args[1].value
+        else:
+            continue
+        if owner in bound:
+            refs.append((bound[owner], name))
+    return refs
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("workloads.py", ("wogli.generator", "_patterns_for")),
+    ("run.py", ("wogli", "sample_augmentation")),
+])
+def test_what_the_bench_imports_exists(name, witness):
+    """Each name the bench imports from wogli, and each attribute it reads
+    of a wogli module it imports, exists, so that a deletion which would
+    break the bench fails here. Attributes of imported classes are not
+    followed: a dataclass field is no class attribute."""
+    refs = wogli_references((BENCH / name).read_text(encoding="utf-8"))
+    assert witness in refs
+    missing = []
+    for where, attr in refs:
+        owner = wogli
+        for part in where.split(".")[1:]:
+            owner = getattr(owner, part, None)
+        if isinstance(owner, types.ModuleType) and not hasattr(owner, attr):
+            missing.append(f"{where}.{attr}")
+    assert missing == []
+
+
+def test_the_bench_reference_check_itself():
+    source = ("from wogli import a, generator as g\nfrom wogli.x import y\n"
+              "g.f()\ngetattr(g, '_c', None)\na.b\nother.z\n")
+    assert sorted(wogli_references(source)) == [
+        ("wogli", "a"), ("wogli", "generator"), ("wogli.a", "b"), ("wogli.generator", "_c"),
+        ("wogli.generator", "f"), ("wogli.x", "y")]

@@ -19,7 +19,6 @@ from wogli import (
     lexicon_from_text,
     load_lexicon,
     serialize_lexicon,
-    surface_form_count,
     surface_forms,
     validate_lexicon,
 )
@@ -56,8 +55,8 @@ def test_bundled_inventory_counts(lex):
 
 
 def test_surface_form_count(lex):
-    assert surface_form_count(lex) == 181
     forms = surface_forms(lex)
+    assert len(forms) == 181
     # weak masc: two distinct surfaces, plural-invariant -er noun: one
     assert {"Kunde", "Kunden"} <= forms
     assert "Berater" in forms

@@ -12,13 +12,12 @@ from wogli import (
     Number,
     PRONOUN,
     agree_verb,
-    article_paradigm,
     inflect_article,
     inflect_noun,
     inflect_pronoun,
-    pronoun_paradigm,
     render_np,
 )
+from wogli.morphology import _ARTICLES, _PRONOUNS
 
 DEF, INDEF, DEM = ArticleKind.DEF, ArticleKind.INDEF, ArticleKind.DEM
 M, F, N = Gender.MASC, Gender.FEM, Gender.NEUT
@@ -57,13 +56,12 @@ def test_indefinite_has_no_plural():
 
 
 def test_article_paradigm_rows_match_inflect():
-    rows = article_paradigm()
-    assert len(rows) == 33  # 3 kinds x 3 genders x sg + 2 kinds x pl, 3 cases each
-    for row in rows:
-        kind = ArticleKind(row["article"])
-        number = Number(row["number"])
-        gender = M if row["gender"] == "any" else Gender(row["gender"])
-        assert inflect_article(kind, gender, number, Case(row["case"])) == row["form"]
+    # 3 kinds x 3 genders in the singular, 2 kinds in the plural, whose
+    # forms hold for every gender
+    assert len(_ARTICLES) == 11
+    for (kind, gender, number), forms in _ARTICLES.items():
+        for g in (M, F, N) if gender is None else (gender,):
+            assert tuple(inflect_article(kind, g, number, c) for c in (NOM, ACC, DAT)) == forms
 
 
 def find_noun(lex, lemma):
@@ -163,10 +161,9 @@ def test_dative_pronoun_unsupported():
 
 
 def test_pronoun_paradigm_rows():
-    rows = pronoun_paradigm()
-    assert {(r["gender"], r["number"], r["case"]): r["form"] for r in rows}[
-        ("masc", "sg", "acc")
-    ] == "ihn"
+    assert _PRONOUNS[(M, SG)] == ("er", "ihn")
+    for (gender, number), forms in _PRONOUNS.items():
+        assert tuple(inflect_pronoun(gender, number, c) for c in (NOM, ACC)) == forms
 
 
 def test_agree_verb(lex):

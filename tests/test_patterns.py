@@ -18,7 +18,6 @@ from wogli import (
     extended_patterns,
     is_ambiguous,
     parse_pattern_name,
-    pattern_inventory_text,
     wogli_patterns,
 )
 
@@ -149,13 +148,6 @@ class TestParse:
     def test_non_canonical_names_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_pattern_name(bad, Government.ACCUSATIVE)
-
-    def test_inventory_text_format(self):
-        text = pattern_inventory_text(wogli_patterns())
-        lines = text.splitlines()
-        assert len(lines) == 17
-        assert lines[0] == "pnoun_v_sing_masc\taccusative"
-        assert text.endswith("\n")
 
 
 class TestNPClass:
