@@ -508,19 +508,31 @@ class TestRecordRoundTrip:
         assert [(r.id, r.premise, r.hypothesis, r.label) for r in derived] == \
                [(r.id, r.premise, r.hypothesis, r.label) for r in direct]
 
-    @pytest.mark.parametrize("stripped", ["all", "second-premise"])
-    def test_derive_os_hard_without_premise_ids(self, toy_lex, stripped):
-        # a row without one names no draw; its derived ids would be guesses
+    @staticmethod
+    def _strip_premise_ids(toy_lex, at):
+        """WOGLI rows with premise_id dropped from row at onwards, and the row at."""
         base = generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=2)
-        at = 0 if stripped == "all" else 2
         edited = [
             replace(r, metadata={k: v for k, v in r.metadata.items() if k != "premise_id"})
             if i >= at else r
             for i, r in enumerate(base)
         ]
-        own = base[at].metadata["premise_id"]
+        return edited, base[at]
+
+    def test_derive_os_hard_without_premise_ids(self, toy_lex):
+        # a row without one names no draw; its derived ids would be guesses
+        edited, first = self._strip_premise_ids(toy_lex, 0)
+        own = first.metadata["premise_id"]
         with pytest.raises(DataFormatError, match=re.escape(
-                f"record {base[at].id}: premise_id is None, not {own!r}")):
+                f"record {first.id}: premise_id is None, not {own!r}")):
+            derive_os_hard(edited, toy_lex)
+
+    def test_derive_os_hard_without_second_premise_id(self, toy_lex):
+        # the rows before it are read; the first row without one is named
+        edited, row = self._strip_premise_ids(toy_lex, 2)
+        own = row.metadata["premise_id"]
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"record {row.id}: premise_id is None, not {own!r}")):
             derive_os_hard(edited, toy_lex)
 
     def test_derive_os_hard_rejects_one_draw_under_two_subsets(self, toy_lex):
