@@ -1,9 +1,9 @@
 """Group-wise evaluation of model predictions over generated pair files.
 
-Everything here works on PairRecord lists (the gold side) joined with a
-PredictionSet (one or more runs of model labels). Accuracies are computed
-per run with exact correct/total counts; spreads default to the population
-standard deviation.
+Everything here works on any iterable of PairRecords (the gold side) joined
+with a PredictionSet (one or more runs of model labels). Accuracies are
+computed per run with exact correct/total counts; spreads default to the
+population standard deviation.
 """
 
 from __future__ import annotations
@@ -288,41 +288,36 @@ def build_report(
 
     Accuracy rows cover the whole file, each hypothesis kind, and the
     requested group family; each group pair also gets a pooled z-test on the
-    majority-voted ensemble labels.
+    majority-voted ensemble labels. gold is iterated once. The error is the
+    first faulty record's, in gold's order: a missing prediction, then the
+    groups in report order. Prediction ids gold lacks are reported after the
+    pass, majority-vote ties after them.
     """
-    gold = list(gold)
     if groups not in ("all", "gender", "definiteness", "number"):
         raise ValueError(f"unknown group family {groups!r}")
-    gold_ids = {r.id for r in gold}
-    unknown = [rid for rid in preds.labels if rid not in gold_ids]
-    if unknown:
-        raise PredictionJoinError(
-            f"{len(unknown)} prediction id(s) not in the gold file, first {unknown[0]!r}"
-        )
     pairs = list(_comparisons(groups))
     kinds = [GroupSpec(kind.value, lambda r, k=kind: r.hyp_kind is k) for kind in HypKind]
     specs = [GroupSpec("all", lambda r: True), *kinds, *(s for _, pair in pairs for s in pair)]
     # one pass: records counted by the specs they match, the runs that got
     # them right and their gold label; each combination of fields is classified once
-    memo, cells = {}, Counter()
-    try:
-        for record in gold:
-            labels = _joined_labels(record, preds)
-            key = (record.hyp_kind, record.pattern_name,
-                   *map(record.metadata.get, _GROUP_FIELDS, _ABSENT))
-            try:
-                matched = memo[key]
-            except (KeyError, TypeError):  # unseen, or an unhashable metadata value
-                matched = tuple(i for i, spec in enumerate(specs) if spec.matches(record))
-                with suppress(TypeError):
-                    memo[key] = matched
-            cells[matched, tuple(map(is_, labels, repeat(record.label))), record.label] += 1
-    except DataFormatError:
-        # the error the group scans meet first, after every prediction joined
-        accuracy(gold, preds)
-        for spec in specs:
-            spec.select(gold)
-        raise
+    memo, cells, gold_ids = {}, Counter(), set()
+    for record in gold:
+        labels = _joined_labels(record, preds)
+        key = (record.hyp_kind, record.pattern_name,
+               *map(record.metadata.get, _GROUP_FIELDS, _ABSENT))
+        try:
+            matched = memo[key]
+        except (KeyError, TypeError):  # unseen, or an unhashable metadata value
+            matched = tuple(i for i, spec in enumerate(specs) if spec.matches(record))
+            with suppress(TypeError):
+                memo[key] = matched
+        cells[matched, tuple(map(is_, labels, repeat(record.label))), record.label] += 1
+        gold_ids.add(record.id)
+    unknown = [rid for rid in preds.labels if rid not in gold_ids]
+    if unknown:
+        raise PredictionJoinError(
+            f"{len(unknown)} prediction id(s) not in the gold file, first {unknown[0]!r}"
+        )
     runs = preds.runs
     n, k, voted = [0] * len(specs), [[0] * runs for _ in specs], [0] * len(specs)
     for (matched, hits, label), count in cells.items():
@@ -338,7 +333,7 @@ def build_report(
     tied = not tie_break_not_entailed and any(2 * sum(hits) == runs for _, hits, _ in cells)
 
     rows = []
-    lines = [f"records: {len(gold)}  runs: {runs}"]
+    lines = [f"records: {n[0]}  runs: {runs}"]
     for i, spec in enumerate(specs):
         if spec in kinds and not n[i]:
             continue  # a hypothesis kind the gold file lacks gets no row

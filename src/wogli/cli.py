@@ -175,9 +175,9 @@ def analyze(gold, predictions, runs, groups, out, tie_break_ne, sample_sd):
 
     if runs < 1:
         raise click.UsageError("--runs must be positive")
-    gold_records = read_pairs(gold)
     preds = read_predictions(predictions, runs)
-    text, rows = build_report(gold_records, preds, groups, tie_break_ne, sample_sd)
+    with closing(_read_records(gold)) as records:  # the gold rows are counted as they are read
+        text, rows = build_report(_unique(records, set()), preds, groups, tie_break_ne, sample_sd)
     click.echo(text, nl=False)
     if out is not None:
         _write_lines(out, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))

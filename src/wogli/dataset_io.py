@@ -158,11 +158,6 @@ def _unique(records, seen: set):
         yield record
 
 
-def _check_ids(records) -> None:
-    for _ in _unique(records, set()):
-        pass
-
-
 def _tsv_fields(record: PairRecord) -> tuple[str, ...]:
     fields = (
         record.id,
@@ -277,16 +272,17 @@ def _tsv_row(line: str, lineno: int) -> dict:
     return dict(zip(TSV_HEADER, fields), metadata={})
 
 
-def _row_objects(lines, share):
-    """(line number, object) of each non-blank row line, as json.loads reads
-    it. A line _ROW_RE matches is read as its seven fields and its metadata
-    text, decoded once for a run of lines with one text (a premise's rows);
-    each object gets its own shallow copy, whose keys and string values go
-    through share. Every other line, and one whose metadata text is not one
-    JSON object, goes through _json_row.
+def _row_objects(numbered, share):
+    """(line number, object) of each non-blank line of numbered, its (line
+    number, line) pairs, as json.loads reads it. A line _ROW_RE matches is
+    read as its seven fields and its metadata text, decoded once for a run
+    of lines with one text (a premise's rows); each object gets its own
+    shallow copy, whose keys and string values go through share. Every
+    other line, and one whose metadata text is not one JSON object, goes
+    through _json_row.
     """
     text = meta = keys = None  # keys: the last shared metadata's, through share
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in numbered:
         if not line or line.isspace():
             continue
         obj = match.groupdict() if (match := _ROW_RE.fullmatch(line)) else None
@@ -355,32 +351,30 @@ def read_pairs(source) -> list[PairRecord]:
 
     The records of one call share equal strings: a subset, premise or
     pattern, and a metadata key or string value, is one object however many
-    rows repeat it. Each record still owns its metadata dict.
+    rows repeat it. Each record still owns its metadata dict. The file is
+    read once, and its first faulty line, a repeated id included, is the
+    error.
     """
-    records = list(_read_records(source))
-    _check_ids(records)
-    return records
+    return list(_unique(_read_records(source), set()))
 
 
 def _read_records(source):
     """read_pairs' records, each one read as it is consumed, ids unchecked."""
     share = {}.setdefault  # str -> str only: 1, True and 1.0 would hash equal
     with closing(_lines(source)) as lines:
-        ahead = []
-        for line in lines:
-            ahead.append(line)
+        numbered = enumerate(lines, start=1)
+        for lineno, line in numbered:  # the first non-blank line shows the format
             if line and not line.isspace():
                 break
         else:
             return
-        lines = chain(ahead, lines)
         if line.lstrip()[0] in "{[":
-            rows = _row_objects(lines, share)
-        else:
-            header = next(lines).split("\t")
+            rows = _row_objects(chain([(lineno, line)], numbered), share)
+        else:  # the TSV header
+            header = line.split("\t")
             if tuple(header) != TSV_HEADER:
                 raise DataFormatError(f"bad header: expected {list(TSV_HEADER)}, found {header}")
-            rows = ((n, _tsv_row(line, n)) for n, line in enumerate(lines, start=2) if line)
+            rows = ((n, _tsv_row(line, n)) for n, line in numbered if line)
         for lineno, obj in rows:
             yield _record_from_row(obj, lineno, share)
 

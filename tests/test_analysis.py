@@ -447,14 +447,27 @@ def _accuracy_row(result):
 
 def _reference_rows(gold, preds, groups, tie_break, sample_sd):
     """build_report's rows from the public pieces: one accuracy call per
-    group, the z-test on majority-voted labels, in the report's order."""
+    group, the z-test on majority-voted labels, in the report's order. The
+    error is the first faulty record's, in gold's order: its join, then each
+    group in report order; then prediction ids gold lacks; then ties."""
+    names = ("definiteness", "number", "gender") if groups == "all" else (groups,)
+    pairs = [pair for name in names for pair in _FAMILIES[name]()]
+    for record in gold:
+        accuracy([record], preds)
+        for _, pair in pairs:
+            for spec in pair:
+                spec.select([record])
+    gold_ids = {r.id for r in gold}
+    unknown = [rid for rid in preds.labels if rid not in gold_ids]
+    if unknown:
+        raise PredictionJoinError(
+            f"{len(unknown)} prediction id(s) not in the gold file, first {unknown[0]!r}"
+        )
     rows = [_accuracy_row(accuracy(gold, preds, None, sample_sd))]
     for kind in HypKind:
         if any(r.hyp_kind is kind for r in gold):
             spec = GroupSpec(kind.value, lambda r, k=kind: r.hyp_kind is k)
             rows.append(_accuracy_row(accuracy(gold, preds, spec, sample_sd)))
-    names = ("definiteness", "number", "gender") if groups == "all" else (groups,)
-    pairs = [pair for name in names for pair in _FAMILIES[name]()]
     for _, (group_a, group_b) in pairs:
         rows.append(_accuracy_row(accuracy(gold, preds, group_a, sample_sd)))
         rows.append(_accuracy_row(accuracy(gold, preds, group_b, sample_sd)))
@@ -516,7 +529,7 @@ class TestReportAgainstReference:
     @given(seed=st.integers(0, 10**6), runs=st.integers(1, 4),
            groups=st.sampled_from(["all", "definiteness", "number", "gender"]),
            tie_break=st.booleans(), sample_sd=st.booleans(),
-           damage=st.lists(st.tuples(st.sampled_from(["meta", "pattern", "prediction"]),
+           damage=st.lists(st.tuples(st.sampled_from(["meta", "pattern", "prediction", "unknown"]),
                                      st.integers(0, len(_REPORT_GOLD) - 1),
                                      st.sampled_from(["subject_kind", "subject_gender",
                                                       "object_definiteness",
@@ -536,21 +549,45 @@ class TestReportAgainstReference:
             elif fault == "pattern":
                 gold[i] = PairRecord(r.id, r.subset, r.premise, r.hypothesis, r.label,
                                      r.hyp_kind, "foo_v_bar", r.metadata)
-            else:
+            elif fault == "prediction":
                 labels.pop(r.id, None)
+            else:  # a prediction id gold lacks
+                labels[f"{r.id}-unknown"] = (NE,) * runs
         self._check(gold, PredictionSet(runs, labels), groups, tie_break, sample_sd)
 
-    def test_error_order_follows_the_group_scans(self):
+    def test_error_order_follows_the_file(self):
         # a bad pattern early (number family) and a missing field late
-        # (definiteness family): the definiteness scan runs first
+        # (definiteness family): the early record's fault is the error
         late = _rec("b", pattern="sing_masc_v_plural_fem")
         del late.metadata["object_definiteness"]
         gold = [_rec("a", pattern="foo_v_bar"), late]
         both = PredictionSet(runs=1, labels={"a": (NE,), "b": (NE,)})
-        assert "object_definiteness" in self._check(gold, both, "all")[1]
-        # a missing prediction anywhere comes before every grouping error
-        one = PredictionSet(runs=1, labels={"a": (NE,)})
-        assert self._check(gold, one, "all")[0] == "PredictionJoinError"
+        assert self._check(gold, both, "all") == (
+            "DataFormatError", "record a: not a canonical pattern name: 'foo_v_bar'")
+        assert "record b: grouping needs metadata field 'object_definiteness'" in (
+            self._check(gold[::-1], both, "all")[1])
+        # within a record the join comes first, then the groups in report order
+        no_a = PredictionSet(runs=1, labels={"b": (NE,)})
+        assert self._check(gold, no_a, "all") == (
+            "PredictionJoinError", "no prediction for record 'a'")
+        early = _rec("a", pattern="foo_v_bar")
+        del early.metadata["object_definiteness"]
+        assert "record a: grouping needs metadata field 'object_definiteness'" in (
+            self._check([early, late], both, "all")[1])
+        # a record's fault comes before a missing prediction of a later one
+        no_b = PredictionSet(runs=1, labels={"a": (NE,)})
+        assert self._check(gold, no_b, "all")[1].startswith("record a:")
+        # a prediction id gold lacks is reported after the pass, before voting
+        extra = PredictionSet(runs=2, labels={"x": (E, NE), "a": (E, NE), "b": (E, NE)})
+        assert self._check(gold, extra, "all")[1].startswith("record a:")
+        fine = [_rec("a"), _rec("b", pattern="sing_masc_v_plural_fem")]
+        assert self._check(fine, extra, "number") == (
+            "PredictionJoinError", "1 prediction id(s) not in the gold file, first 'x'")
+
+    def test_gold_is_read_once(self):
+        gold = [_rec("a"), _rec("b", pattern="sing_masc_v_plural_fem")]
+        preds = PredictionSet(runs=1, labels={"a": (NE,), "b": (E,)})
+        assert build_report(iter(gold), preds, "all") == build_report(gold, preds, "all")
 
     def test_ties_break_toward_not_entailed(self):
         # swap records labelled entailed lose a broken tie, the others win it

@@ -774,6 +774,36 @@ class TestWrongJsonTypes:
         assert "error[format]" in err and message in err
 
 
+class TestFirstFaultInFileOrder:
+    """Every command that reads a pair file reads it once, so a file's first
+    faulty line is the error, whichever command reads it."""
+
+    @pytest.mark.parametrize("command", ["derive", "sample-augmentation", "merge", "analyze"])
+    def test_duplicate_id_before_a_missing_field(self, command, toy_path, tmp_path, capsys):
+        _, pairs = _generate(toy_path, tmp_path, per="3")
+        preds, base, out = tmp_path / "preds.tsv", tmp_path / "base.tsv", tmp_path / "out.txt"
+        _write_predictions(preds, read_pairs(pairs))
+        base.write_text("Ein Satz.\tNoch einer.\tentailment\n", encoding="utf-8")
+        rows = [json.loads(line) for line in pairs.read_text(encoding="utf-8").splitlines()]
+        rows[1]["id"] = rows[0]["id"]  # line 2 repeats line 1's id
+        del rows[2]["premise"]  # line 3 lacks a field
+        pairs.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                         encoding="utf-8")
+        argv = {
+            "derive": ["derive", "os-hard", "--from", pairs, "--lexicon", toy_path, "--out", out],
+            "sample-augmentation": ["sample-augmentation", "--plan", "custom", "--in", pairs,
+                                    "--per-pattern", "1", "--verb-min", "0", "--verb-max", "100",
+                                    "--out-aug", out, "--out-rest", tmp_path / "rest.jsonl"],
+            "merge": ["merge", "--base", base, "--aug", pairs, "--out", out],
+            "analyze": ["analyze", "--gold", pairs, "--predictions", preds, "--runs", "1", "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"wogli: error[format] duplicate record id {rows[0]['id']!r}\n")
+        assert not out.exists()
+
+
 class TestUndecodableInput:
     """A pair, prediction or training file that is not UTF-8 is a format
     error naming the file and the line of its first bad byte."""

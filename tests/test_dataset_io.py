@@ -29,7 +29,7 @@ from wogli import (
 )
 from wogli import dataset_io
 from wogli.dataset_io import (
-    _CHUNK_LINES, _META_SEP, _PREDICTION_LABELS, _ROW_RE, _check_ids, _record_from_row,
+    _CHUNK_LINES, _META_SEP, _PREDICTION_LABELS, _ROW_RE, _record_from_row,
 )
 
 from conftest import make_toy
@@ -321,8 +321,9 @@ def test_rows_round_trip_byte_for_byte(lex, name, seed, with_replacement, spaced
 
 
 def _reference_rows(text):
-    """read_pairs of a rows text, with one json.loads per line."""
-    records = []
+    """read_pairs of a rows text, with one json.loads per line and each id
+    checked against the earlier lines' as its line is read."""
+    records, seen = [], set()
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -330,8 +331,11 @@ def _reference_rows(text):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        records.append(_record_from_row(obj, lineno))
-    _check_ids(records)
+        record = _record_from_row(obj, lineno)
+        if record.id in seen:
+            raise DataFormatError(f"duplicate record id {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
     return records
 
 
@@ -475,6 +479,10 @@ class TestTsvFormat:
         with pytest.raises(DataFormatError, match="line 2: label 'non-entailed'.*'h2_os'"):
             read_pairs(io.StringIO(text))
 
+    def test_bad_header_after_blank_lines_is_shown(self):
+        with pytest.raises(DataFormatError, match=r"^bad header: .* found \['ids', 'premise'\]$"):
+            read_pairs(io.StringIO("\n \nids\tpremise\n"))
+
     @pytest.mark.parametrize("sep", ["\t", "\n"])
     def test_separator_characters_in_fields_rejected_on_write(self, sep):
         rec = _rec("a", premise=f"Der{sep}Arzt sieht den Kunden.")
@@ -493,6 +501,19 @@ class TestCommon:
         line = json.dumps(obj)
         with pytest.raises(DataFormatError, match="duplicate"):
             read_pairs(io.StringIO(line + "\n" + line + "\n"))
+
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    @pytest.mark.parametrize("blank", ["\n", "\n \n", "\t\n\r\n"], ids=["one", "space", "tab-crlf"])
+    def test_leading_blank_lines_count_toward_line_numbers(self, records, fmt, blank):
+        buf = io.StringIO()
+        write_pairs(records[:2], buf, fmt=fmt)
+        text = blank + buf.getvalue()
+        assert read_pairs(io.StringIO(text)) == read_pairs(io.StringIO(buf.getvalue()))
+        bad = '{"id": "z"}' if fmt == "rows" else "z\tb\tc"
+        lineno = len(io.StringIO(text).readlines()) + 1
+        message = "missing field 'subset'" if fmt == "rows" else "expected 7 fields, found 3"
+        with pytest.raises(DataFormatError, match=rf"^line {lineno}: {message}"):
+            read_pairs(io.StringIO(text + bad + "\n"))
 
     def test_unknown_format_rejected(self, records):
         with pytest.raises(ValueError):
