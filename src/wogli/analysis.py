@@ -289,9 +289,9 @@ def build_report(
     Accuracy rows cover the whole file, each hypothesis kind, and the
     requested group family; each group pair also gets a pooled z-test on the
     majority-voted ensemble labels. gold is iterated once. The error is the
-    first faulty record's, in gold's order: a missing prediction, then the
-    groups in report order. Prediction ids gold lacks are reported after the
-    pass, majority-vote ties after them.
+    first faulty record's, in gold's order: a repeated id, a missing
+    prediction, then the groups in report order. Prediction ids gold lacks
+    are reported after the pass, majority-vote ties after them.
     """
     if groups not in ("all", "gender", "definiteness", "number"):
         raise ValueError(f"unknown group family {groups!r}")
@@ -302,6 +302,9 @@ def build_report(
     # them right and their gold label; each combination of fields is classified once
     memo, cells, gold_ids = {}, Counter(), set()
     for record in gold:
+        if record.id in gold_ids:
+            raise DataFormatError(f"duplicate record id {record.id!r}")
+        gold_ids.add(record.id)
         labels = _joined_labels(record, preds)
         key = (record.hyp_kind, record.pattern_name,
                *map(record.metadata.get, _GROUP_FIELDS, _ABSENT))
@@ -312,7 +315,6 @@ def build_report(
             with suppress(TypeError):
                 memo[key] = matched
         cells[matched, tuple(map(is_, labels, repeat(record.label))), record.label] += 1
-        gold_ids.add(record.id)
     unknown = [rid for rid in preds.labels if rid not in gold_ids]
     if unknown:
         raise PredictionJoinError(

@@ -255,7 +255,7 @@ def _training_lines(rows):
 
 
 def write_training_rows(rows, dest) -> int:
-    """Write merged training rows as a headerless TSV, a chunk at a time, as
+    """Write merged training rows as a headerless TSV, a line at a time, as
     write_pairs writes; returns bytes written. A field holding a tab or line
     break is a DataFormatError, and leaves the destination as it was."""
     return _write_lines(dest, _training_lines(rows))

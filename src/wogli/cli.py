@@ -68,7 +68,7 @@ def generate(setname, seed, per_pattern, lexicon_path, out, fmt,
     if per_pattern < 1:
         raise click.UsageError("--per-pattern must be positive")
     lex = _load_checked_lexicon(lexicon_path)
-    # rows go from draws to disk a chunk at a time, JSON rows as encoded lines
+    # rows go from draws to disk a line at a time, JSON rows as encoded lines
     build = _Records(name, spaced_period, encode=fmt == "rows")
     _write_built(build, _set_records(name, lex, seed, per_pattern, with_replacement_dedup, build), out)
 
@@ -177,7 +177,7 @@ def analyze(gold, predictions, runs, groups, out, tie_break_ne, sample_sd):
         raise click.UsageError("--runs must be positive")
     preds = read_predictions(predictions, runs)
     with closing(_read_records(gold)) as records:  # the gold rows are counted as they are read
-        text, rows = build_report(_unique(records, set()), preds, groups, tie_break_ne, sample_sd)
+        text, rows = build_report(records, preds, groups, tie_break_ne, sample_sd)
     click.echo(text, nl=False)
     if out is not None:
         _write_lines(out, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))

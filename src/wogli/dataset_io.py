@@ -7,13 +7,14 @@ line breaks, and writers refuse records that would violate that.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import stat
 from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder as _c_make_encoder, encode_basestring as _encode_str
 from operator import itemgetter
 
@@ -34,7 +35,6 @@ _HYP_KIND_JSON = {m.value: _encode_str(m.value) for m in HypKind}
 _META_SEP = ', "metadata": '
 _STR = {str}
 _BOM = "\ufeff"  # a UTF-8 byte-order mark, which no wogli file starts with
-_CHUNK_LINES = 2048  # lines per write: about 1.3 MB of wogli rows
 
 # three-way prediction labels collapse onto the binary scheme
 _PREDICTION_LABELS = {
@@ -90,13 +90,6 @@ def _undecodable(source, exc: UnicodeDecodeError, error=DataFormatError) -> Wogl
     return error(f"{source}: not valid UTF-8")  # the file changed while it was read
 
 
-def _chunks(lines):
-    """The lines joined _CHUNK_LINES at a time."""
-    lines = iter(lines)
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        yield "".join(chunk)
-
-
 def _replace(path: str, lines, mode) -> int:
     """Write lines into a new file in path's directory, then move it over
     path; returns bytes written. The new file gets the umask's bits, or mode
@@ -108,14 +101,12 @@ def _replace(path: str, lines, mode) -> int:
     except OSError as exc:  # name the destination, as open(path) would
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
-        size = 0
-        with open(fd, "wb") as handle:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
             if mode is not None:
                 os.fchmod(fd, mode)
-            for text in _chunks(lines):
-                data = text.encode("utf-8")
-                handle.write(data)
-                size += len(data)
+            handle.writelines(lines)
+            handle.flush()
+            size = os.fstat(fd).st_size
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -125,11 +116,11 @@ def _replace(path: str, lines, mode) -> int:
 
 
 def _write_lines(dest, lines) -> int:
-    """Write encoded lines, any iterable of them, to a path or text stream a
-    chunk at a time; returns bytes written. A failed write writes nothing:
-    a regular or missing file (a symlink's target, for a symlink) is
-    replaced by a new one only once the last line is in it, and a stream,
-    FIFO or device gets its first byte only once every line is encoded."""
+    """Write lines, any iterable of them, to a path or text stream a line at
+    a time; returns bytes written as UTF-8. A failed write writes nothing: a
+    regular or missing file (a symlink's target, for a symlink) is replaced
+    by a new one only once the last line is in it, and a stream, FIFO or
+    device gets its first byte only once every line is encoded, in memory."""
     stream = hasattr(dest, "write")
     if not stream:
         path = os.path.realpath(dest)
@@ -139,14 +130,12 @@ def _write_lines(dest, lines) -> int:
             return _replace(path, lines, None)
         if stat.S_ISREG(mode):
             return _replace(path, lines, stat.S_IMODE(mode))
-    chunks = list(_chunks(lines))
-    size = 0
+    buffer = io.BytesIO()
+    buffer.writelines(map(str.encode, lines))  # as UTF-8, so a lone surrogate raises here
+    data = buffer.getvalue()
     with nullcontext(dest) if stream else open(dest, "wb") as handle:
-        for text in chunks:
-            data = text.encode("utf-8")
-            handle.write(text if stream else data)
-            size += len(data)
-    return size
+        handle.write(data.decode() if stream else data)
+    return len(data)
 
 
 def _unique(records, seen: set):
@@ -241,7 +230,7 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
 
     "rows" gives JSON lines in stable key order (no records give an empty
     file); "tsv" gives a header plus one row per record. Records are
-    encoded and written a chunk at a time, and a record that cannot be
+    encoded and written a line at a time, and a record that cannot be
     written (a duplicate id, a non-string field, a tab in a TSV field), or
     an exception raised by the iterable, leaves the destination as it was,
     or absent. A path is written into a new file in its directory that then
@@ -258,9 +247,15 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
 
 def _json_row(line: str, lineno: int):
     try:
-        return json.loads(line)
+        obj = json.loads(line)
+        if "\\u" in line:  # an escape can decode to a lone surrogate, which UTF-8 cannot encode
+            _ROW_ENCODER.encode(obj).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    except UnicodeEncodeError as exc:
+        raise DataFormatError(f"line {lineno}: a JSON escape decodes to a lone surrogate "
+                              f"(U+{ord(exc.object[exc.start]):04X}), which UTF-8 cannot encode") from None
+    return obj
 
 
 def _tsv_row(line: str, lineno: int) -> dict:
@@ -278,8 +273,8 @@ def _row_objects(numbered, share):
     read as its seven fields and its metadata text, decoded once for a run
     of lines with one text (a premise's rows); each object gets its own
     shallow copy, whose keys and string values go through share. Every
-    other line, and one whose metadata text is not one JSON object, goes
-    through _json_row.
+    other line, and one whose metadata text holds a \\u escape or is not
+    one JSON object, goes through _json_row.
     """
     text = meta = keys = None  # keys: the last shared metadata's, through share
     for lineno, line in numbered:
@@ -288,8 +283,8 @@ def _row_objects(numbered, share):
         obj = match.groupdict() if (match := _ROW_RE.fullmatch(line)) else None
         if obj is not None and obj["metadata"] != text:
             text = obj["metadata"]
-            try:
-                meta = json.loads(text)
+            try:  # _json_row checks what a \u escape decodes to
+                meta = None if "\\u" in text else json.loads(text)
             except json.JSONDecodeError:  # say '{"a": 1}, "b": {}': the line has a ninth key
                 meta = None
             if type(meta) is dict and set(map(type, vals := meta.values())) <= _STR:

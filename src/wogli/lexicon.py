@@ -160,11 +160,19 @@ def _field(fields: dict, name: str, where: str, types=str):
 def _word(value, name: str, where: str):
     """value, a lemma or form: one token of a sentence, so neither empty
     nor holding whitespace (a token count, or a TSV field, would break),
-    and not "-", which a TSV cell reads as empty."""
-    if value is not None and value.split() != [value]:
+    not "-", which a TSV cell reads as empty, and without a lone surrogate
+    (a JSON escape such as \\ud800 gives one), which UTF-8 cannot encode."""
+    if value is None:
+        return value
+    if value.split() != [value]:
         raise LexiconError(f"{where}: {name} {value!r} is empty or holds whitespace")
     if value == "-":
         raise LexiconError(f"{where}: {name} '-' is the TSV mark of an empty cell")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise LexiconError(f"{where}: {name} {value!r} holds a lone surrogate "
+                           f"(U+{ord(value[exc.start]):04X}), which UTF-8 cannot encode") from None
     return value
 
 

@@ -7,6 +7,7 @@ independent high-precision reference, not against their own formulas.
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -409,6 +410,18 @@ class TestBuildReport:
         })
         with pytest.raises(PredictionJoinError, match=r"^2 prediction id\(s\) .* first 'x'$"):
             build_report(gold, preds, groups="number")
+
+    def test_repeated_id_is_refused_before_its_row_is_read(self, small_gold):
+        # the repeat of "c" has no metadata, which its definiteness group
+        # would refuse: the repeated id is the error, as read_pairs reports it
+        repeat = PairRecord("c", "wogli", "P.", "H.", NE, HypKind.H1_SO, "sing_masc_v_sing_fem")
+        preds = PredictionSet(runs=1, labels={r.id: (NE,) for r in small_gold})
+        with pytest.raises(DataFormatError, match=r"^duplicate record id 'c'$"):
+            build_report(iter([*small_gold, repeat]), preds)
+        bare = replace(repeat, id="e")
+        preds.labels["e"] = (NE,)
+        with pytest.raises(DataFormatError, match="row-format"):
+            build_report(iter([*small_gold, bare]), preds)
 
     def test_unknown_family_rejected(self, small_gold):
         preds = PredictionSet(runs=1, labels={r.id: (NE,) for r in small_gold})

@@ -371,6 +371,15 @@ class TestSampleAugmentation:
         assert code == 1
         assert "custom plans need" in capsys.readouterr().err
 
+    def test_custom_plan_with_verb_min_above_verb_max(self, toy_path, tmp_path, capsys):
+        _, base = _generate(toy_path, tmp_path, per="3")
+        aug, rest = tmp_path / "a.jsonl", tmp_path / "r.jsonl"
+        code = run(["sample-augmentation", "--plan", "custom", "--in", str(base), "--per-pattern", "1",
+                    "--verb-min", "5", "--verb-max", "2", "--out-aug", str(aug), "--out-rest", str(rest)])
+        assert code == 1
+        assert capsys.readouterr().err == "wogli: need 0 <= verb_min <= verb_max\n"
+        assert not aug.exists() and not rest.exists()
+
     def test_preset_plans_reject_sizing_options(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, per="3")
         code = run(["sample-augmentation", "--plan", "102", "--in", str(base),
@@ -578,6 +587,39 @@ class TestValidateLexicon:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
             f"wogli: error[lexicon] {path}: fem_proper[0]: name 'An\\tna' is empty or holds whitespace\n")
+
+
+class TestLoneSurrogates:
+    """A JSON escape such as \\ud800 decodes to half of a surrogate pair,
+    which UTF-8 cannot encode: a pair row or lexicon entry holding one is
+    refused as it is read, and nothing is written."""
+
+    def test_merge_refuses_a_lone_surrogate_and_reads_a_pair(self, toy_path, tmp_path, capsys):
+        _, aug = _generate(toy_path, tmp_path)
+        lines = aug.read_text(encoding="utf-8").splitlines()
+        base, out = tmp_path / "base.tsv", tmp_path / "train.tsv"
+        base.write_text("Ein Satz.\tNoch einer.\tentailment\n", encoding="utf-8")
+
+        def merge(escape):  # line 2's premise starts with escape
+            edited = [*lines[:1], lines[1].replace('"premise": "', f'"premise": "{escape}', 1), *lines[2:]]
+            aug.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            return run(["merge", "--base", str(base), "--aug", str(aug), "--out", str(out)])
+
+        assert merge("\\ud800") == 2 and not out.exists()
+        assert capsys.readouterr().err == ("wogli: error[format] line 2: a JSON escape decodes to a "
+                                           "lone surrogate (U+D800), which UTF-8 cannot encode\n")
+        assert merge("\\ud83d\\ude00") == 0  # a whole pair is one character
+        assert "\U0001F600" in out.read_text(encoding="utf-8")
+
+    def test_generate_refuses_a_lone_surrogate_in_a_lexicon(self, tmp_path, capsys):
+        path, out = tmp_path / "lexicon.json", tmp_path / "out.jsonl"
+        doc = dict(TOY_LEXICON, masc_proper=["Mo\ud800ritz", "Paul"])
+        path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII: the name holds \\ud800
+        code = run(["generate", "wogli", "--seed", "0", "--lexicon", str(path), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"wogli: error[lexicon] {path}: masc_proper[0]: name 'Mo\\ud800ritz' holds a lone "
+            "surrogate (U+D800), which UTF-8 cannot encode\n")
 
 
 class TestUndecodableLexicon:

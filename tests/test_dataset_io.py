@@ -7,7 +7,7 @@ import re
 import stat
 import threading
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 
 import pytest
@@ -28,9 +28,7 @@ from wogli import (
     write_pairs,
 )
 from wogli import dataset_io
-from wogli.dataset_io import (
-    _CHUNK_LINES, _META_SEP, _PREDICTION_LABELS, _ROW_RE, _record_from_row,
-)
+from wogli.dataset_io import _META_SEP, _PREDICTION_LABELS, _ROW_RE, _record_from_row
 
 from conftest import make_toy
 
@@ -149,6 +147,46 @@ class TestRowTypes:
     def test_non_string_field_rejected_on_write(self):
         with pytest.raises(TypeError, match="must be a string"):
             write_pairs([_rec(7)], io.StringIO(), fmt="rows")
+
+    def test_blank_lines_between_rows_are_skipped_and_counted(self):
+        text = _row() + "\n\n \n" + _row(id="b") + "\n\t\n"
+        assert [r.id for r in read_pairs(io.StringIO(text))] == ["a", "b"]
+        with pytest.raises(DataFormatError, match=r"^line 6: missing field 'subset'$"):
+            read_pairs(io.StringIO(text + '{"id": "c"}\n'))
+
+
+def _escaped(field: str, escape: str) -> str:
+    """A row whose premise, or metadata value, starts with a JSON escape."""
+    key = "premise" if field == "premise" else "subject_lemma"
+    return _row(id="b").replace(f'"{key}": "', f'"{key}": "{escape}', 1)
+
+
+class TestLoneSurrogates:
+    """A \\u escape can decode to half of a surrogate pair, which no UTF-8
+    file can hold: a row holding one is refused as it is read, naming its
+    line, in its head fields (which _ROW_RE never matches with a backslash)
+    and in its metadata (which it does)."""
+
+    @pytest.mark.parametrize("escape,code", [
+        ("\\ud800", "D800"), ("\\udc00", "DC00"), ("\\ude00\\ud83d", "DE00"),
+    ], ids=["high", "low", "reversed-pair"])
+    @pytest.mark.parametrize("field", ["premise", "metadata"])
+    def test_refused_naming_the_line(self, field, escape, code):
+        row = _escaped(field, escape)
+        assert bool(_ROW_RE.fullmatch(row)) == (field == "metadata")
+        with pytest.raises(DataFormatError) as info:
+            read_pairs(io.StringIO(_row() + "\n" + row + "\n"))
+        assert str(info.value) == (
+            f"line 2: a JSON escape decodes to a lone surrogate (U+{code}), which UTF-8 cannot encode")
+
+    @pytest.mark.parametrize("field", ["premise", "metadata"])
+    def test_an_escaped_pair_reads(self, field):
+        (record,) = read_pairs(io.StringIO(_escaped(field, "\\ud83d\\ude00") + "\n"))
+        text = record.premise if field == "premise" else record.metadata["subject_lemma"]
+        assert text.startswith("\U0001F600")
+        buf = io.StringIO()
+        write_pairs([record], buf)
+        assert read_pairs(io.StringIO(buf.getvalue())) == [record]
 
 
 def _reference_line(r):
@@ -585,18 +623,20 @@ _FAILED_WRITES = {
     "rows-non-string-last": ("rows", _rec(7), TypeError),
     "tsv-tab-last": ("tsv", _rec("z", premise="Der\tArzt sieht den Kunden."), DataFormatError),
     "duplicate-id": ("rows", _rec("r0"), DataFormatError),
+    "rows-lone-surrogate-last": ("rows", _rec("z", premise="Der Arzt\ud800 sieht den Kunden."),
+                                 UnicodeEncodeError),
 }
 
 
 class TestAllOrNothingWrites:
-    """More records than one write chunk, the last one faulty: nothing is
-    written, whether the destination exists or not."""
+    """Thousands of records, the last one faulty: nothing is written,
+    whether the destination exists or not."""
 
     @pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
     @pytest.mark.parametrize("fault", list(_FAILED_WRITES))
     def test_failed_write_leaves_destination_untouched(self, fault, exists, tmp_path):
         fmt, last, error = _FAILED_WRITES[fault]
-        records = [_rec(f"r{i}") for i in range(_CHUNK_LINES + 1)] + [last]
+        records = [_rec(f"r{i}") for i in range(5_000)] + [last]
         path = tmp_path / "pairs"
         if exists:
             path.write_bytes(b"earlier contents\n")
@@ -612,8 +652,8 @@ class TestAllOrNothingWrites:
     @pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_raising_iterable_leaves_destination_untouched(self, error, exists, tmp_path):
-        def records():  # more than two chunks are written before it raises
-            for i in range(2 * _CHUNK_LINES + 1):
+        def records():  # thousands of lines are written before it raises
+            for i in range(5_000):
                 yield _rec(f"r{i}")
             raise error("interrupted")
 
@@ -628,6 +668,40 @@ class TestAllOrNothingWrites:
         else:
             assert not path.exists()
         assert sorted(os.listdir(tmp_path)) == listing
+
+    @staticmethod
+    def _unencodable():
+        """3,000 records, the 2,501st with a lone surrogate in its premise."""
+        records = [_rec(f"r{i}") for i in range(3_000)]
+        records[2_500] = _rec("r2500", premise="Der Arzt\ud800 sieht den Kunden.")
+        return records
+
+    def test_unencodable_row_sends_no_byte_to_a_stream(self):
+        stream = io.StringIO()
+        with pytest.raises(UnicodeEncodeError):
+            write_pairs(self._unencodable(), stream)
+        assert stream.getvalue() == ""
+
+    def test_unencodable_row_sends_no_byte_to_a_fifo(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as handle:
+                got.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        with pytest.raises(UnicodeEncodeError):
+            write_pairs(self._unencodable(), fifo)
+        for _ in range(1000):  # a FIFO the writer never opened is opened here, so the read ends
+            with suppress(OSError):  # ENXIO: the reader has not opened its end yet
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=0.01)
+            if not reader.is_alive():
+                break
+        assert got == [b""]
 
 
 def _umask() -> int:

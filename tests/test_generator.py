@@ -220,6 +220,27 @@ class TestSampling:
         with pytest.raises(ExhaustionError, match="pnoun_v_pnoun|sing_masc"):
             sample_premises(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=10_000)
 
+    def test_surfaces_fewer_than_draws_exhaust_enumeration(self):
+        # Kim is both a masculine and a feminine name: six draws of
+        # pnoun_v_sing_masc render three distinct premises
+        toy = make_toy(masc_proper=["Kim"], fem_proper=["Kim"],
+                       masc_common=[{"lemma": "Arzt", "plural_nom": "Ärzte"}],
+                       verbs_accusative=[{"lemma": "sehen", "form_3sg": "sieht", "form_3pl": "sehen"}])
+        with pytest.raises(ExhaustionError) as info:
+            generate_set(GenerationSet.WOGLI, toy, 0, 6)
+        assert str(info.value) == ("pattern pnoun_v_sing_masc: 6 distinct premises requested, "
+                                   "only 3 distinct surfaces exist")
+
+    def test_rejection_sampling_stops_at_its_miss_budget(self, toy_lex, monkeypatch):
+        # every pattern rejection-samples; at seed 0 a repeated premise is
+        # drawn before the third of sing_masc_v_pnoun's, a miss over budget 0
+        monkeypatch.setattr(generator, "_ENUMERATION_CUTOFF", 0)
+        assert len(generate_set(GenerationSet.WOGLI, toy_lex, 0, 3)) == 17 * 3 * 2
+        monkeypatch.setattr(generator, "_REJECTION_MISS_BUDGET", 0)
+        with pytest.raises(ExhaustionError) as info:
+            generate_set(GenerationSet.WOGLI, toy_lex, 0, 3)
+        assert str(info.value) == "pattern sing_masc_v_pnoun: could not find 3 distinct premises"
+
     def test_replacement_mode_exhausts_an_empty_space(self):
         # one masculine noun leaves sing_masc_v_sing_masc no pair of distinct
         # lemmas; run apart, so that a redraw loop fails on the timeout

@@ -262,6 +262,18 @@ _EXTRA_ROW = len(TSV_DOC.splitlines()) + 1
      "thing rows leave form2 empty ('-'), found 'Bücher'"),
     (_tsv_with("thing\tBuch\t-\t\tneut\tsg\tgiving"), f"doc:{_EXTRA_ROW}",
      "thing rows leave form3 empty ('-'), found ''"),
+    ('{"masc_proper": ["Peter",\n  "Paul",]}\n', "doc", "invalid JSON at line 2: Expecting value"),
+    # a JSON escape can decode to half of a surrogate pair, which UTF-8
+    # cannot encode; a text, unlike a file, can also hold one as a character
+    (_json_with(masc_proper=["Mo\ud800ritz"]), "doc: masc_proper[0]",
+     "name 'Mo\\ud800ritz' holds a lone surrogate (U+D800), which UTF-8 cannot encode"),
+    (_json_with(verbs_accusative=[{"lemma": "warnen", "form_3sg": "warn\udc00t", "form_3pl": "warnen"}]),
+     "doc: verbs_accusative[0]",
+     "form_3sg 'warn\\udc00t' holds a lone surrogate (U+DC00)"),
+    (_json_with(fem_common=[{"lemma": "Autorin", "plural_nom": "\ude00\ud83d"}]), "doc: fem_common[0]",
+     "plural_nom '\\ude00\\ud83d' holds a lone surrogate (U+DE00)"),
+    (_tsv_with("thing\tBuch\ud800\t-\t-\tneut\tsg\tgiving"), f"doc:{_EXTRA_ROW}",
+     "lemma 'Buch\\ud800' holds a lone surrogate (U+D800)"),
 ], ids=[
     "tsv-unknown-class",
     "tsv-short-row",
@@ -288,6 +300,11 @@ _EXTRA_ROW = len(TSV_DOC.splitlines()) + 1
     "tsv-noun-form3",
     "tsv-thing-form2",
     "tsv-thing-form3",
+    "json-invalid",
+    "json-name-lone-surrogate",
+    "json-form-lone-surrogate",
+    "json-plural-reversed-pair",
+    "tsv-lemma-lone-surrogate",
 ])
 def test_reader_errors_name_their_place(text, where, message):
     with pytest.raises(LexiconError) as info:
@@ -367,6 +384,12 @@ def test_the_empty_cell_mark_is_no_word(text, where, field):
     with pytest.raises(LexiconError) as info:
         lexicon_from_text(text, "doc")
     assert str(info.value) == f"{where}: {field} '-' is the TSV mark of an empty cell"
+
+
+def test_an_escaped_surrogate_pair_reads():
+    text = _json_with(masc_proper=["Mo\U0001F600ritz", "Paul"])
+    assert "\\ud83d\\ude00" in text
+    assert lexicon_from_text(text, "doc").masc_proper[0].lemma == "Mo\U0001F600ritz"
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
