@@ -10,13 +10,16 @@ a silently unbalanced subset.
 
 from __future__ import annotations
 
+import errno
+import os
 import random
+import stat
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 from .core import Label, PairRecord
-from .dataset_io import _lines, _write_lines
+from .dataset_io import _copy_rows, _lines, _records, _staged, _unique, _write_lines
 from .errors import ConstraintError, DataFormatError
 from .patterns import _premise_draw
 
@@ -72,38 +75,36 @@ def _heads(record: PairRecord, text: str, roles) -> list[str]:
     return heads
 
 
-@dataclass(frozen=True, eq=False)  # groups are compared by identity
+@dataclass(eq=False, slots=True)  # groups are compared by identity
 class _PremiseGroup:
     pattern: str
     verb: str
-    forms: frozenset[str]  # argument head forms of the premise and its swap
-    records: tuple[PairRecord, ...]
+    forms: set[str]  # argument head forms of the premise and, once a row shows them, its swap's
+    swapped: bool = False
 
 
-def _build_groups(records) -> list[_PremiseGroup]:
-    by_id: dict[str, list[PairRecord]] = {}
-    for record in records:
-        for field in ("premise_id", "verb_lemma"):
-            if type(record.metadata.get(field)) is not str:
-                raise DataFormatError(
-                    f"record {record.id}: augmentation needs row-format input "
-                    f"with a string {field} in its metadata"
-                )
-        _premise_draw(record)  # its premise_id names its own draw of its own pattern
-        premise_id = record.metadata["premise_id"]
-        by_id.setdefault(premise_id, []).append(record)
-    groups = []
-    for members in by_id.values():
-        first = members[0]
-        forms = _heads(first, first.premise, ("subject", "object"))
-        # an argument swap marks each argument with the case it lacks in the premise
-        swap = next((r for r in members if not r.hyp_kind.subject_nominative), None)
-        if swap is not None:
-            roles = ("subject", "object") if swap.hyp_kind.subject_first else ("object", "subject")
-            forms += _heads(swap, swap.hypothesis, roles)
-        groups.append(_PremiseGroup(first.pattern_name, first.metadata["verb_lemma"],
-                                    frozenset(forms), tuple(members)))
-    return groups
+def _group(record: PairRecord, groups: dict) -> _PremiseGroup:
+    """The group of record's premise in groups, a dict by premise_id, made
+    from its first row or completed by its first argument-swap row. Each
+    row is checked as it arrives, so the first faulty row is the error."""
+    for field in ("premise_id", "verb_lemma"):
+        if type(record.metadata.get(field)) is not str:
+            raise DataFormatError(
+                f"record {record.id}: augmentation needs row-format input "
+                f"with a string {field} in its metadata"
+            )
+    _premise_draw(record)  # its premise_id names its own draw of its own pattern
+    group = groups.get(premise_id := record.metadata["premise_id"])
+    if group is None:
+        group = groups[premise_id] = _PremiseGroup(
+            record.pattern_name, record.metadata["verb_lemma"],
+            set(_heads(record, record.premise, ("subject", "object"))))
+    # an argument swap marks each argument with the case it lacks in the premise
+    if not group.swapped and not record.hyp_kind.subject_nominative:
+        roles = ("subject", "object") if record.hyp_kind.subject_first else ("object", "subject")
+        group.forms.update(_heads(record, record.hypothesis, roles))
+        group.swapped = True
+    return group
 
 
 def _verb_swap(plan, by_pattern, selected, counts):
@@ -165,14 +166,9 @@ def _coverage_swap(plan, by_pattern, selected, counts, targets):
     raise ConstraintError(f"no swap can bring noun form {form!r} into the subset")
 
 
-def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecord], list[PairRecord]]:
-    """Split records into (augmentation, remainder) premise-wise.
-
-    Strata are the input's patterns; each contributes exactly
-    plan.premises_per_pattern premises. All records of one premise travel
-    together, in input order on both sides.
-    """
-    groups = _build_groups(records)
+def _select(groups: list[_PremiseGroup], plan: AugmentationPlan) -> set[_PremiseGroup]:
+    """The groups of the augmentation subset: plan.premises_per_pattern of
+    each pattern's, drawn with the plan's seed and repaired by swaps."""
     by_pattern: dict[str, list[_PremiseGroup]] = {}
     for group in groups:
         by_pattern.setdefault(group.pattern, []).append(group)
@@ -207,12 +203,76 @@ def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecor
             selected[pattern].add(into)
             counts[by_pattern[pattern][out].verb] -= 1
             counts[by_pattern[pattern][into].verb] += 1
+    return {by_pattern[pattern][i] for pattern, indices in selected.items() for i in indices}
 
-    chosen = {by_pattern[pattern][i] for pattern, indices in selected.items() for i in indices}
+
+def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecord], list[PairRecord]]:
+    """Split records into (augmentation, remainder) premise-wise.
+
+    Strata are the input's patterns; each contributes exactly
+    plan.premises_per_pattern premises. All records of one premise travel
+    together, in input order on both sides.
+    """
+    groups: dict[str, _PremiseGroup] = {}
+    rows = [(_group(record, groups), record) for record in records]
+    chosen = _select(list(groups.values()), plan)
     aug, rest = [], []
-    for group in groups:
-        (aug if group in chosen else rest).extend(group.records)
+    for group, record in rows:
+        (aug if group in chosen else rest).append(record)
     return aug, rest
+
+
+def _split_file(source, plan: AugmentationPlan, out_aug, out_rest, fmt: str):
+    """sample_augmentation on a pair file: write what write_pairs writes in
+    format fmt for the augmentation subset of read_pairs(source) to out_aug
+    and for the remainder to out_rest; returns the (records, bytes) written
+    to each.
+
+    A first pass reads and checks every row as read_pairs does, a repeated
+    id included, and groups it; it keeps no record, only each row's group
+    and whether its line is canonical, the line _row_lines writes for it.
+    One later pass for each output reads the input again and copies each
+    canonical row of its side as its own line. A regular file is held open
+    and read again from its start; any other input (a FIFO, a stream) has
+    its lines kept by the first pass. Neither output replaces its path
+    before both are written, so an output may name the input. A regular
+    input whose size or modification time has changed by then is an
+    OSError naming it, and leaves both outputs as they were.
+    """
+    stream = hasattr(source, "read")
+    with nullcontext(source) if stream else open(source, "r", encoding="utf-8") as handle:
+        status = None if stream else os.fstat(handle.fileno())
+        kept = None if status is not None and stat.S_ISREG(status.st_mode) else []
+
+        def unchanged():
+            if kept is None:
+                now = os.fstat(handle.fileno())
+                if (now.st_size, now.st_mtime_ns) != (status.st_size, status.st_mtime_ns):
+                    raise OSError(errno.EIO, "changed while it was read", source)
+
+        lines = _lines(source, handle)
+        if kept is not None:
+            lines = (kept.append(line) or line for line in lines)
+        groups, routes, canonical = {}, [], bytearray()
+        for record in _unique(_records(lines, canonical), set()):
+            routes.append(_group(record, groups))
+        chosen = _select(list(groups.values()), plan)
+
+        def side(aug: bool):
+            if kept is None:
+                handle.seek(0)
+            return _copy_rows(_lines(source, handle) if kept is None else kept,
+                              ((group in chosen) == aug for group in routes), canonical, fmt)
+
+        try:
+            with _staged(out_rest, side(False)) as size_rest:
+                with _staged(out_aug, side(True)) as size_aug:
+                    unchanged()
+        except (DataFormatError, ValueError):  # a changed input can fail to read, or miss or add rows
+            unchanged()
+            raise
+    count_aug = sum(group in chosen for group in routes)
+    return (count_aug, size_aug), (len(routes) - count_aug, size_rest)
 
 
 _NE_TRAINING_LABELS = ("neutral", "contradiction")

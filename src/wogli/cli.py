@@ -15,7 +15,7 @@ from contextlib import closing
 import click
 
 from .dataset_io import (
-    _read_records, _tsv_lines, _unique, _write_lines, read_pairs, read_predictions, write_pairs,
+    _read_records, _tsv_lines, _unique, _write_lines, read_pairs, read_predictions,
 )
 from .errors import LexiconError, WogliError
 from .generator import _SETS, GenerationSet, _os_hard_records, _Records, _set_records
@@ -109,7 +109,7 @@ def derive(target, source, lexicon_path, out, fmt, spaced_period):
 def sample_augmentation_cmd(plan_name, seed, source, out_aug, out_rest, fmt,
                             per_pattern, verb_min, verb_max, require_all_nouns):
     """Split a pair file into a balanced augmentation subset and the rest."""
-    from .augment import AugmentationPlan, plan_102, plan_1037, sample_augmentation
+    from .augment import AugmentationPlan, _split_file, plan_102, plan_1037
 
     if plan_name == "custom":
         if per_pattern is None or verb_min is None or verb_max is None:
@@ -128,13 +128,10 @@ def sample_augmentation_cmd(plan_name, seed, source, out_aug, out_rest, fmt,
     if os.path.realpath(out_aug) == os.path.realpath(out_rest) or (
             os.path.exists(out_aug) and os.path.exists(out_rest) and os.path.samefile(out_aug, out_rest)):
         raise click.UsageError("--out-aug and --out-rest must be different files")
-    records = read_pairs(source)
-    aug, rest = sample_augmentation(records, plan)
-    size_aug = write_pairs(aug, out_aug, fmt)
-    size_rest = write_pairs(rest, out_rest, fmt)
+    (count_aug, size_aug), (count_rest, size_rest) = _split_file(source, plan, out_aug, out_rest, fmt)
     click.echo(
-        f"wrote {len(aug)} pairs ({size_aug} bytes) to {out_aug}, "
-        f"{len(rest)} pairs ({size_rest} bytes) to {out_rest}"
+        f"wrote {count_aug} pairs ({size_aug} bytes) to {out_aug}, "
+        f"{count_rest} pairs ({size_rest} bytes) to {out_rest}"
     )
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import re
 import stat
-from contextlib import closing, nullcontext, suppress
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import c_make_encoder as _c_make_encoder, encode_basestring as _encode_str
@@ -35,6 +35,7 @@ _HYP_KIND_JSON = {m.value: _encode_str(m.value) for m in HypKind}
 _META_SEP = ', "metadata": '
 _STR = {str}
 _BOM = "\ufeff"  # a UTF-8 byte-order mark, which no wogli file starts with
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # three-way prediction labels collapse onto the binary scheme
 _PREDICTION_LABELS = {
@@ -46,25 +47,28 @@ _PREDICTION_LABELS = {
 }
 
 
-def _lines(source):
+def _lines(source, handle=None):
     """The lines of a path or text stream, without their ends. Lines break
     only at LF, CRLF and CR, as a text-mode file breaks them; str.splitlines
     would also break at U+2028, U+0085 or a form feed inside a field. Text
     that is not UTF-8 is a DataFormatError naming the file (and, for a
     path, the line) where it starts, and text that starts with a byte-order
-    mark one naming the file and line 1."""
+    mark one naming the file and line 1. A stream's line holding a lone
+    surrogate, which no UTF-8 text decodes to, is one naming the line. With
+    handle, a text handle open on the path source, the lines are read from
+    it, from where it stands, and it is left open."""
     stream = hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if stream else source
+    if stream:
+        handle = source
     try:
-        with nullcontext(source) if stream else open(source, "r", encoding="utf-8") as handle:
-            if stream:  # a stream need not translate line ends
-                lines = chain.from_iterable(
-                    line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-                    for line in handle)
+        with open(source, "r", encoding="utf-8") if handle is None else nullcontext(handle) as handle:
+            if stream:  # a stream need not translate line ends, nor hold UTF-8 text
+                lines = _encodable(_stream_lines(handle), name)
             else:  # text mode translates CRLF and CR
                 lines = map(str.removesuffix, handle, repeat("\n"))
             for first in lines:
                 if first.startswith(_BOM):
-                    name = getattr(source, "name", "<stream>") if stream else source
                     raise DataFormatError(f"{name}: line 1: starts with a byte-order mark (U+FEFF)")
                 yield first
                 break
@@ -73,12 +77,31 @@ def _lines(source):
         raise _undecodable(source, exc) from None
 
 
+def _stream_lines(handle):
+    """The lines of a text stream, broken at LF, CRLF and CR, without their ends."""
+    return chain.from_iterable(
+        line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+        for line in handle)
+
+
+def _encodable(lines, name):
+    """lines, each of which must hold no lone surrogate (U+D800 to U+DFFF)."""
+    for lineno, line in enumerate(lines, start=1):
+        if found := _SURROGATE.search(line):
+            raise DataFormatError(f"{name}: line {lineno}: holds a lone surrogate "
+                                  f"(U+{ord(found[0]):04X}), which UTF-8 cannot encode")
+        yield line
+
+
 def _undecodable(source, exc: UnicodeDecodeError, error=DataFormatError) -> WogliError:
-    """The error for a path or stream that is not valid UTF-8. For a path,
-    its first bad byte and the line that holds it, counted as _lines counts
-    lines; a stream's decoder reads ahead, so only the reason is known."""
+    """The error for a path or stream that is not valid UTF-8. For a regular
+    file, its first bad byte and the line that holds it, counted as _lines
+    counts lines; a stream's decoder reads ahead, and a FIFO or device
+    cannot be read again, so for those only the reason is known."""
     if hasattr(source, "read"):
         return error(f"{getattr(source, 'name', '<stream>')}: not valid UTF-8 ({exc.reason})")
+    if not stat.S_ISREG(os.stat(source).st_mode):
+        return error(f"{source}: not valid UTF-8 ({exc.reason})")
     with open(source, "rb") as handle:
         data = handle.read()
     try:
@@ -90,10 +113,12 @@ def _undecodable(source, exc: UnicodeDecodeError, error=DataFormatError) -> Wogl
     return error(f"{source}: not valid UTF-8")  # the file changed while it was read
 
 
-def _replace(path: str, lines, mode) -> int:
-    """Write lines into a new file in path's directory, then move it over
-    path; returns bytes written. The new file gets the umask's bits, or mode
-    when given; on any exception it is removed and path is left as it was."""
+@contextmanager
+def _replacing(path: str, lines, mode):
+    """Write lines into a new file in path's directory and yield bytes
+    written; the new file is moved over path when the with block ends. It
+    gets the umask's bits, or mode when given; on any exception it is
+    removed and path is left as it was."""
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
@@ -107,35 +132,47 @@ def _replace(path: str, lines, mode) -> int:
             handle.writelines(lines)
             handle.flush()
             size = os.fstat(fd).st_size
+        yield size
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-    return size
 
 
-def _write_lines(dest, lines) -> int:
-    """Write lines, any iterable of them, to a path or text stream a line at
-    a time; returns bytes written as UTF-8. A failed write writes nothing: a
-    regular or missing file (a symlink's target, for a symlink) is replaced
-    by a new one only once the last line is in it, and a stream, FIFO or
-    device gets its first byte only once every line is encoded, in memory."""
+@contextmanager
+def _staged(dest, lines):
+    """Write lines, any iterable of them, for a path or text stream a line
+    at a time, and yield bytes written as UTF-8; dest gets them when the
+    with block ends without an exception, and is left as it was otherwise.
+    A regular or missing file (a symlink's target, for a symlink) is
+    replaced by a new one that holds the lines, and a stream, FIFO or
+    device gets every line encoded, in memory, and then written."""
     stream = hasattr(dest, "write")
     if not stream:
         path = os.path.realpath(dest)
         try:
             mode = os.stat(path).st_mode
         except FileNotFoundError:
-            return _replace(path, lines, None)
-        if stat.S_ISREG(mode):
-            return _replace(path, lines, stat.S_IMODE(mode))
+            mode = None
+        if mode is None or stat.S_ISREG(mode):
+            with _replacing(path, lines, None if mode is None else stat.S_IMODE(mode)) as size:
+                yield size
+            return
     buffer = io.BytesIO()
     buffer.writelines(map(str.encode, lines))  # as UTF-8, so a lone surrogate raises here
     data = buffer.getvalue()
+    yield len(data)
     with nullcontext(dest) if stream else open(dest, "wb") as handle:
         handle.write(data.decode() if stream else data)
-    return len(data)
+
+
+def _write_lines(dest, lines) -> int:
+    """Write lines, any iterable of them, to a path or text stream a line at
+    a time, as _staged writes them; returns bytes written as UTF-8. A failed
+    write writes nothing."""
+    with _staged(dest, lines) as size:
+        return size
 
 
 def _unique(records, seen: set):
@@ -202,10 +239,14 @@ def _row_lines(records):
     """JSON lines in stable key order, each field encoded as json.dumps would.
     A run of records with the same metadata dict, or with equal metadata
     whose keys and values are all strings, in the same key order (a
-    premise's records), shares one encoding of it."""
+    premise's records), shares one encoding of it. A string among the
+    records is a line already encoded, and passes through."""
     encode_metadata = _metadata_encoder()
     last = keys = meta = None  # keys: the last metadata's, if all strings
     for r in records:
+        if type(r) is str:
+            yield r
+            continue
         m = r.metadata
         if m is not last and (keys is None or m != last or list(m) != keys):
             meta = encode_metadata(m)
@@ -267,19 +308,22 @@ def _tsv_row(line: str, lineno: int) -> dict:
     return dict(zip(TSV_HEADER, fields), metadata={})
 
 
-def _row_objects(numbered, share):
-    """(line number, object) of each non-blank line of numbered, its (line
-    number, line) pairs, as json.loads reads it. A line _ROW_RE matches is
-    read as its seven fields and its metadata text, decoded once for a run
-    of lines with one text (a premise's rows); each object gets its own
-    shallow copy, whose keys and string values go through share. Every
-    other line, and one whose metadata text holds a \\u escape or is not
-    one JSON object, goes through _json_row.
+def _row_objects(rows, share, canonical=False):
+    """(line number, object, canonical) of each of rows, (line number, line)
+    pairs, as json.loads reads the line. A line _ROW_RE matches is read as
+    its seven fields and its metadata text, decoded once for a run of lines
+    with one text (a premise's rows); each object gets its own shallow
+    copy, whose keys and string values go through share. Every other line,
+    and one whose metadata text holds a \\u escape or is not one JSON
+    object, goes through _json_row. With canonical, the third item says
+    whether the line is the one _row_lines writes for the row's record:
+    _ROW_RE matched it and its metadata text is its own encoding, checked
+    once per run; without, it is False.
     """
     text = meta = keys = None  # keys: the last shared metadata's, through share
-    for lineno, line in numbered:
-        if not line or line.isspace():
-            continue
+    same = False  # whether text is the encoding of meta
+    encode = _metadata_encoder()
+    for lineno, line in rows:
         obj = match.groupdict() if (match := _ROW_RE.fullmatch(line)) else None
         if obj is not None and obj["metadata"] != text:
             text = obj["metadata"]
@@ -287,15 +331,16 @@ def _row_objects(numbered, share):
                 meta = None if "\\u" in text else json.loads(text)
             except json.JSONDecodeError:  # say '{"a": 1}, "b": {}': the line has a ninth key
                 meta = None
+            same = canonical and meta is not None and encode(meta) == text
             if type(meta) is dict and set(map(type, vals := meta.values())) <= _STR:
                 if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
                     keys = tuple(map(share, meta, meta))
                 meta = dict(zip(keys, map(share, vals, vals)))
         if obj is None or meta is None:
-            obj = _json_row(line, lineno)
+            yield lineno, _json_row(line, lineno), False
         else:
             obj["metadata"] = meta.copy()
-        yield lineno, obj
+            yield lineno, obj, same
 
 
 def _own(key: str, value: str) -> str:
@@ -355,23 +400,60 @@ def read_pairs(source) -> list[PairRecord]:
 
 def _read_records(source):
     """read_pairs' records, each one read as it is consumed, ids unchecked."""
-    share = {}.setdefault  # str -> str only: 1, True and 1.0 would hash equal
     with closing(_lines(source)) as lines:
-        numbered = enumerate(lines, start=1)
-        for lineno, line in numbered:  # the first non-blank line shows the format
-            if line and not line.isspace():
-                break
-        else:
-            return
-        if line.lstrip()[0] in "{[":
-            rows = _row_objects(chain([(lineno, line)], numbered), share)
-        else:  # the TSV header
-            header = line.split("\t")
-            if tuple(header) != TSV_HEADER:
-                raise DataFormatError(f"bad header: expected {list(TSV_HEADER)}, found {header}")
-            rows = ((n, _tsv_row(line, n)) for n, line in numbered if line)
-        for lineno, obj in rows:
-            yield _record_from_row(obj, lineno, share)
+        yield from _records(lines)
+
+
+def _rows(lines):
+    """Whether a pair file's lines are TSV, as its first non-blank line
+    shows, and the (line number, line) of each of its rows: each
+    non-blank line from that one on, or each non-empty line after a TSV
+    header."""
+    numbered = enumerate(lines, start=1)
+    for lineno, line in numbered:
+        if line and not line.isspace():
+            break
+    else:
+        return False, iter(())
+    if line.lstrip()[0] in "{[":
+        return False, ((n, line) for n, line in chain([(lineno, line)], numbered)
+                       if line and not line.isspace())
+    header = line.split("\t")
+    if tuple(header) != TSV_HEADER:
+        raise DataFormatError(f"bad header: expected {list(TSV_HEADER)}, found {header}")
+    return True, ((n, line) for n, line in numbered if line)
+
+
+def _records(lines, canonical=None):
+    """The records of a pair file's lines, each read as it is consumed, ids
+    unchecked. canonical, if given, is a list or bytearray that gets, before
+    each record is yielded, whether its row's line is the one _row_lines
+    writes for it."""
+    share = {}.setdefault  # str -> str only: 1, True and 1.0 would hash equal
+    tsv, rows = _rows(lines)
+    if tsv:
+        objects = ((lineno, _tsv_row(line, lineno), False) for lineno, line in rows)
+    else:
+        objects = _row_objects(rows, share, canonical is not None)
+    for lineno, obj, same in objects:
+        record = _record_from_row(obj, lineno, share)
+        if canonical is not None:
+            canonical.append(same)
+        yield record
+
+
+def _copy_rows(lines, keep, canonical, fmt: str):
+    """The lines write_pairs writes in format fmt for the records of those
+    rows of lines, a pair file's, that keep selects, one bool per row.
+    canonical holds one flag per row, as _records fills it: in "rows", a
+    flagged row is copied as its own line. Any other row is read again, by
+    the reader's code for one line, and encoded."""
+    tsv, rows = _rows(lines)
+    copy = fmt == "rows"
+    return _LINES[fmt](
+        line + "\n" if copy and same else
+        _record_from_row(_tsv_row(line, lineno) if tsv else _json_row(line, lineno), lineno)
+        for (lineno, line), kept, same in zip(rows, keep, canonical, strict=True) if kept)
 
 
 @dataclass(frozen=True)

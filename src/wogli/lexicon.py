@@ -36,7 +36,7 @@ from .core import (
     ThingNounEntry,
     VerbEntry,
 )
-from .dataset_io import _BOM, _lines, _undecodable
+from .dataset_io import _BOM, _stream_lines, _undecodable
 from .errors import LexiconError
 from .morphology import Case, inflect_noun
 
@@ -236,7 +236,7 @@ def _tsv_rows(text: str, name: str):
     holding "-" is empty: no plural, no category. Lines break as in pair
     files, so U+0085, U+2028 or a form feed stays in its cell."""
     header_seen = False
-    for lineno, line in enumerate(_lines(io.StringIO(text)), start=1):
+    for lineno, line in enumerate(_stream_lines(io.StringIO(text)), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         where = f"{name}:{lineno}"

@@ -24,7 +24,7 @@ from wogli import (
     write_pairs,
     write_training_rows,
 )
-from wogli.augment import _build_groups
+from wogli.augment import _group, _split_file
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,14 @@ def _noun_forms(records):
 WIDE = dict(verb_min=0, verb_max=10_000, require_all_noun_forms=False)
 
 
+def _groups(records):
+    """Each premise group augmentation makes of records, with its records."""
+    groups, members = {}, {}
+    for record in records:
+        members.setdefault(_group(record, groups), []).append(record)
+    return members.items()
+
+
 class TestPlans:
     def test_preset_parameters(self):
         assert plan_1037(3) == AugmentationPlan(61, 18, 25, True, 3)
@@ -110,6 +118,15 @@ class TestSampling:
         # both halves keep the input's record order
         assert aug_ids == [r.id for r in base if r.id in set(aug_ids)]
         assert rest_ids == [r.id for r in base if r.id in set(rest_ids)]
+
+    def test_interleaved_premises_keep_input_order(self, base):
+        # every premise's second row comes after all first rows
+        records = base[0::2] + base[1::2]
+        aug, rest = sample_augmentation(records, AugmentationPlan(premises_per_pattern=1, seed=5, **WIDE))
+        for side in (aug, rest):
+            ids = {r.id for r in side}
+            assert [r.id for r in side] == [r.id for r in records if r.id in ids]
+        assert len(aug) == 17 * 2
 
     def test_premises_travel_whole(self, base):
         plan = AugmentationPlan(premises_per_pattern=2, seed=5, **WIDE)
@@ -217,7 +234,7 @@ class TestNounFormCoverage:
         # four head forms, so a premise's group must not depend on the set
         def forms_by_premise(name):
             records = generate_set(name, lex, seed=0, per_pattern=50)
-            return {g.records[0].premise: g.forms for g in _build_groups(records)}
+            return {rows[0].premise: g.forms for g, rows in _groups(records)}
 
         os_hard = forms_by_premise(GenerationSet.OS_HARD)
         wogli = forms_by_premise(GenerationSet.WOGLI)
@@ -267,16 +284,55 @@ class TestRowFaults:
         with pytest.raises(DataFormatError, match=f"^record {good.id}: .*{complaint}"):
             sample_augmentation(records, plan)
 
+    def test_first_faulty_row_is_the_error(self):
+        # the first row's head forms cannot be read, the second row has no
+        # premise_id: rows are checked in file order, heads included
+        good = _coverage_record(1, "seh", "Maler", "Boten")
+        early = replace(good, metadata={**good.metadata, "subject_kind": "article"})
+        late = _coverage_record(2, "hoer", "Bauern", "Wirt")
+        late = replace(late, metadata={k: v for k, v in late.metadata.items() if k != "premise_id"})
+        plan = AugmentationPlan(premises_per_pattern=1, verb_min=0, verb_max=5,
+                                require_all_noun_forms=False, seed=0)
+        with pytest.raises(DataFormatError, match=f"^record {early.id}: subject_kind"):
+            sample_augmentation([early, late], plan)
+
     def test_spaced_period_reads_the_same_heads(self, toy_lex_module):
         def groups(spaced):
             records = generate_set(GenerationSet.WOGLI, toy_lex_module, seed=2, per_pattern=3,
                                    spaced_period=spaced)
-            return [(g.pattern, g.verb, g.forms, [r.id for r in g.records])
-                    for g in _build_groups(records)]
+            return [(g.pattern, g.verb, g.forms, [r.id for r in rows])
+                    for g, rows in _groups(records)]
 
         spaced = groups(True)
         assert spaced == groups(False)
         assert all(len(forms) > 1 for _, _, forms, _ in spaced)
+
+
+class TestSplitFile:
+    """The command's split of a text stream, whose lines the first pass keeps."""
+
+    def test_a_stream_gives_the_lists_bytes(self, base, tmp_path):
+        plan = AugmentationPlan(premises_per_pattern=1, seed=5, **WIDE)
+        buf = io.StringIO()
+        write_pairs(base, buf)
+        out_aug, out_rest = tmp_path / "aug.jsonl", tmp_path / "rest.jsonl"
+        counts = _split_file(io.StringIO(buf.getvalue()), plan, out_aug, out_rest, "rows")
+        aug, rest = sample_augmentation(base, plan)
+        assert counts == ((len(aug), write_pairs(aug, io.StringIO())),
+                          (len(rest), write_pairs(rest, io.StringIO())))
+        assert read_pairs(out_aug) == aug and read_pairs(out_rest) == rest
+
+    def test_a_lone_surrogate_in_a_stream_writes_nothing(self, base, tmp_path):
+        # a canonical line is copied, never encoded, so the reader refuses it
+        buf = io.StringIO()
+        write_pairs(base, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"premise": "', '"premise": "\ud800', 1)
+        out_aug, out_rest = tmp_path / "aug.jsonl", tmp_path / "rest.jsonl"
+        plan = AugmentationPlan(premises_per_pattern=1, seed=5, **WIDE)
+        with pytest.raises(DataFormatError, match=r"^<stream>: line 4: holds a lone surrogate \(U\+D800\)"):
+            _split_file(io.StringIO("".join(lines)), plan, out_aug, out_rest, "rows")
+        assert not out_aug.exists() and not out_rest.exists()
 
 
 BASE_TSV = (

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -395,6 +396,116 @@ class TestSampleAugmentation:
                     "--out-rest", str(tmp_path / "r.jsonl")])
         assert code == 2
         assert "error[constraint]" in capsys.readouterr().err
+
+
+def _non_canonical(lines):
+    """lines, rows of a generated file, with five rows rewritten as valid rows
+    that _row_lines would not write: an escape for a non-ASCII character,
+    keys in another order, other spacing, and metadata holding numbers, one
+    written as the encoder writes it and one not."""
+    rows = [json.loads(line) for line in lines]
+    plain = next(i for i, row in enumerate(rows) if not row["premise"].isascii())
+    lines[plain] = json.dumps(rows[plain])  # say \u00e4 for ä
+    lines[2] = json.dumps(dict(reversed(rows[2].items())), ensure_ascii=False)
+    lines[3] = json.dumps(rows[3], ensure_ascii=False, separators=(" ,", ":"))
+    lines[4] = json.dumps(dict(rows[4], metadata={**rows[4]["metadata"], "score": 0.5, "n": None}),
+                          ensure_ascii=False)  # canonical, though not all strings
+    lines[5] = lines[5].replace('"metadata": {', '"metadata": {"scale": 1E2, ')  # encodes as 100.0
+    return lines
+
+
+class TestSampleAugmentationBytes:
+    """sample-augmentation writes the bytes write_pairs writes for
+    sample_augmentation of read_pairs, whatever lines its input holds: a
+    canonical row is copied, any other is read again and encoded."""
+
+    ARGS = ["sample-augmentation", "--plan", "custom", "--seed", "5", "--per-pattern", "1",
+            "--verb-min", "0", "--verb-max", "100"]
+    PLAN = wogli.AugmentationPlan(1, 0, 100, False, 5)
+
+    def _expected(self, source, fmt):
+        aug, rest = wogli.sample_augmentation(read_pairs(source), self.PLAN)
+        return [_bytes_of(records, fmt) for records in (aug, rest)]
+
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    @pytest.mark.parametrize("layout", ["canonical", "mixed", "crlf-blank-lines"])
+    def test_equals_the_library(self, layout, fmt, toy_path, tmp_path):
+        _, base = _generate(toy_path, tmp_path, per="3")
+        lines = base.read_text(encoding="utf-8").splitlines()
+        if layout == "mixed":
+            base.write_text("\n".join(_non_canonical(lines)) + "\n", encoding="utf-8")
+        elif layout == "crlf-blank-lines":
+            base.write_bytes("\r\n\r\n  \r\n".join(lines).encode() + b"\r\n")
+        out_aug, out_rest = tmp_path / "aug", tmp_path / "rest"
+        assert run([*self.ARGS, "--in", str(base), "--out-aug", str(out_aug),
+                    "--out-rest", str(out_rest), "--format", fmt]) == 0
+        assert [out_aug.read_bytes(), out_rest.read_bytes()] == self._expected(base, fmt)
+
+    def test_fifo_input(self, toy_path, tmp_path):
+        _, base = _generate(toy_path, tmp_path, per="3")
+        lines = _non_canonical(base.read_text(encoding="utf-8").splitlines())
+        base.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as handle:
+                handle.write(base.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out_aug, out_rest = tmp_path / "aug", tmp_path / "rest"
+        code = run([*self.ARGS, "--in", str(fifo), "--out-aug", str(out_aug), "--out-rest", str(out_rest)])
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == 0
+        assert [out_aug.read_bytes(), out_rest.read_bytes()] == self._expected(base, "rows")
+
+    @pytest.mark.parametrize("output", ["--out-aug", "--out-rest"])
+    def test_an_output_that_is_the_input(self, output, toy_path, tmp_path):
+        # the input is held open, and replaced only once both outputs are written
+        _, base = _generate(toy_path, tmp_path, per="3")
+        base.write_text("\n".join(_non_canonical(base.read_text(encoding="utf-8").splitlines())) + "\n",
+                        encoding="utf-8")
+        expected = self._expected(base, "rows")
+        other = tmp_path / "other"
+        outs = {"--out-aug": other, "--out-rest": other, output: base}
+        assert run([*self.ARGS, "--in", str(base), *(str(a) for item in outs.items() for a in item)]) == 0
+        assert [outs["--out-aug"].read_bytes(), outs["--out-rest"].read_bytes()] == expected
+
+    @pytest.mark.parametrize("change", ["row-dropped", "same-size"])
+    def test_input_changed_between_passes(self, change, toy_path, tmp_path, monkeypatch, capsys):
+        _, base = _generate(toy_path, tmp_path, per="3")
+        out_aug, out_rest = tmp_path / "aug", tmp_path / "rest"
+        out_aug.write_bytes(b"old aug\n")
+        select = wogli.augment._select
+
+        def rewrite_then_select(groups, plan):
+            data = base.read_bytes()
+            if change == "row-dropped":
+                data = data.split(b"\n", 1)[1]
+            else:  # the case of a premise's first letter
+                at = data.index(b'"premise": "') + len(b'"premise": "')
+                data = data[:at] + data[at:at + 1].swapcase() + data[at + 1:]
+            with open(base, "r+b") as handle:  # in place: the open input sees it
+                handle.write(data)
+                handle.truncate()
+            status = base.stat()  # a write within one clock tick may keep the modification time
+            os.utime(base, ns=(status.st_atime_ns, status.st_mtime_ns + 1_000_000))
+            return select(groups, plan)
+
+        monkeypatch.setattr(wogli.augment, "_select", rewrite_then_select)
+        code = run([*self.ARGS, "--in", str(base), "--out-aug", str(out_aug), "--out-rest", str(out_rest)])
+        assert code == 2
+        assert capsys.readouterr().err == f"wogli: error[io] changed while it was read: {base}\n"
+        assert out_aug.read_bytes() == b"old aug\n" and not out_rest.exists()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []
+
+
+def _bytes_of(records, fmt):
+    buf = io.StringIO()
+    write_pairs(records, buf, fmt)
+    return buf.getvalue().encode()
 
 
 class TestMerge:

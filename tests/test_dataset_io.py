@@ -180,6 +180,17 @@ class TestLoneSurrogates:
             f"line 2: a JSON escape decodes to a lone surrogate (U+{code}), which UTF-8 cannot encode")
 
     @pytest.mark.parametrize("field", ["premise", "metadata"])
+    def test_a_character_in_a_stream_is_refused_naming_the_line(self, field):
+        # a text stream, unlike a UTF-8 file, can hold one as a character,
+        # on a line _ROW_RE matches
+        row = _escaped(field, "\\ud800").replace("\\ud800", "\ud800")
+        assert _ROW_RE.fullmatch(row)
+        with pytest.raises(DataFormatError) as info:
+            read_pairs(io.StringIO(_row() + "\n" + row + "\n"))
+        assert str(info.value) == (
+            "<stream>: line 2: holds a lone surrogate (U+D800), which UTF-8 cannot encode")
+
+    @pytest.mark.parametrize("field", ["premise", "metadata"])
     def test_an_escaped_pair_reads(self, field):
         (record,) = read_pairs(io.StringIO(_escaped(field, "\\ud83d\\ude00") + "\n"))
         text = record.premise if field == "premise" else record.metadata["subject_lemma"]
@@ -603,6 +614,33 @@ class TestLineBreaks:
         stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8", newline="")
         with pytest.raises(DataFormatError, match="not valid UTF-8"):
             read_pairs(stream)
+
+    def test_undecodable_fifo_is_named(self, records, tmp_path):
+        # a FIFO cannot be read again to find the line: it names the reason
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        buf = io.StringIO()
+        write_pairs(records[:2], buf, fmt="rows")
+
+        def feed():
+            with open(fifo, "wb") as handle:
+                handle.write(buf.getvalue().encode() + b"\xe4\n")
+
+        errors = []
+
+        def read():
+            try:
+                read_pairs(fifo)
+            except DataFormatError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [f"{fifo}: not valid UTF-8 (invalid continuation byte)"]
 
     @pytest.mark.parametrize("via", ["path", "stream"])
     @pytest.mark.parametrize("fmt", ["rows", "tsv"])
