@@ -288,10 +288,12 @@ def build_report(
 
     Accuracy rows cover the whole file, each hypothesis kind, and the
     requested group family; each group pair also gets a pooled z-test on the
-    majority-voted ensemble labels. gold is iterated once. The error is the
-    first faulty record's, in gold's order: a repeated id, a missing
-    prediction, then the groups in report order. Prediction ids gold lacks
-    are reported after the pass, majority-vote ties after them.
+    majority-voted ensemble labels. gold is iterated once, and none of its
+    ids is kept: each is struck from a copy of preds.labels, and one already
+    struck is a repeat. The error is the first faulty record's, in gold's
+    order: a repeated id, a missing prediction, then the groups in report
+    order. Prediction ids gold lacks, those left in the copy, are reported
+    after the pass, majority-vote ties after them.
     """
     if groups not in ("all", "gender", "definiteness", "number"):
         raise ValueError(f"unknown group family {groups!r}")
@@ -300,12 +302,13 @@ def build_report(
     specs = [GroupSpec("all", lambda r: True), *kinds, *(s for _, pair in pairs for s in pair)]
     # one pass: records counted by the specs they match, the runs that got
     # them right and their gold label; each combination of fields is classified once
-    memo, cells, gold_ids = {}, Counter(), set()
+    memo, cells, unjoined = {}, Counter(), dict(preds.labels)
     for record in gold:
-        if record.id in gold_ids:
-            raise DataFormatError(f"duplicate record id {record.id!r}")
-        gold_ids.add(record.id)
-        labels = _joined_labels(record, preds)
+        labels = unjoined.pop(record.id, None)
+        if labels is None:
+            if record.id in preds.labels:
+                raise DataFormatError(f"duplicate record id {record.id!r}")
+            _joined_labels(record, preds)  # raises: no prediction
         key = (record.hyp_kind, record.pattern_name,
                *map(record.metadata.get, _GROUP_FIELDS, _ABSENT))
         try:
@@ -315,10 +318,9 @@ def build_report(
             with suppress(TypeError):
                 memo[key] = matched
         cells[matched, tuple(map(is_, labels, repeat(record.label))), record.label] += 1
-    unknown = [rid for rid in preds.labels if rid not in gold_ids]
-    if unknown:
+    if unjoined:
         raise PredictionJoinError(
-            f"{len(unknown)} prediction id(s) not in the gold file, first {unknown[0]!r}"
+            f"{len(unjoined)} prediction id(s) not in the gold file, first {next(iter(unjoined))!r}"
         )
     runs = preds.runs
     n, k, voted = [0] * len(specs), [[0] * runs for _ in specs], [0] * len(specs)

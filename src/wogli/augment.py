@@ -77,16 +77,27 @@ def _heads(record: PairRecord, text: str, roles) -> list[str]:
 
 @dataclass(eq=False, slots=True)  # groups are compared by identity
 class _PremiseGroup:
+    """One premise as augmentation selects it. A split holds a group per
+    premise but few distinct strings across them, so forms is a sorted
+    tuple of distinct head forms, not a set, and _group passes each string
+    through one memo per split."""
+
     pattern: str
     verb: str
-    forms: set[str]  # argument head forms of the premise and, once a row shows them, its swap's
+    forms: tuple[str, ...]  # argument head forms of the premise and, once a row shows them, its swap's
     swapped: bool = False
 
 
-def _group(record: PairRecord, groups: dict) -> _PremiseGroup:
+def _forms(heads, share) -> tuple[str, ...]:
+    return tuple(sorted({share(head, head) for head in heads}))
+
+
+def _group(record: PairRecord, groups: dict, share) -> _PremiseGroup:
     """The group of record's premise in groups, a dict by premise_id, made
-    from its first row or completed by its first argument-swap row. Each
-    row is checked as it arrives, so the first faulty row is the error."""
+    from its first row or completed by its first argument-swap row; its
+    strings go through share(value, value), a memo's setdefault for the
+    groups of one split. Each row is checked as it arrives, so the first
+    faulty row is the error."""
     for field in ("premise_id", "verb_lemma"):
         if type(record.metadata.get(field)) is not str:
             raise DataFormatError(
@@ -96,13 +107,14 @@ def _group(record: PairRecord, groups: dict) -> _PremiseGroup:
     _premise_draw(record)  # its premise_id names its own draw of its own pattern
     group = groups.get(premise_id := record.metadata["premise_id"])
     if group is None:
+        verb = record.metadata["verb_lemma"]
         group = groups[premise_id] = _PremiseGroup(
-            record.pattern_name, record.metadata["verb_lemma"],
-            set(_heads(record, record.premise, ("subject", "object"))))
+            share(record.pattern_name, record.pattern_name), share(verb, verb),
+            _forms(_heads(record, record.premise, ("subject", "object")), share))
     # an argument swap marks each argument with the case it lacks in the premise
     if not group.swapped and not record.hyp_kind.subject_nominative:
         roles = ("subject", "object") if record.hyp_kind.subject_first else ("object", "subject")
-        group.forms.update(_heads(record, record.hypothesis, roles))
+        group.forms = _forms([*group.forms, *_heads(record, record.hypothesis, roles)], share)
         group.swapped = True
     return group
 
@@ -214,7 +226,8 @@ def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecor
     together, in input order on both sides.
     """
     groups: dict[str, _PremiseGroup] = {}
-    rows = [(_group(record, groups), record) for record in records]
+    share = {}.setdefault
+    rows = [(_group(record, groups, share), record) for record in records]
     chosen = _select(list(groups.values()), plan)
     aug, rest = [], []
     for group, record in rows:
@@ -253,9 +266,9 @@ def _split_file(source, plan: AugmentationPlan, out_aug, out_rest, fmt: str):
         lines = _lines(source, handle)
         if kept is not None:
             lines = (kept.append(line) or line for line in lines)
-        groups, routes, canonical = {}, [], bytearray()
+        groups, routes, canonical, share = {}, [], bytearray(), {}.setdefault
         for record in _unique(_records(lines, canonical), set()):
-            routes.append(_group(record, groups))
+            routes.append(_group(record, groups, share))
         chosen = _select(list(groups.values()), plan)
 
         def side(aug: bool):

@@ -318,7 +318,9 @@ def _row_objects(rows, share, canonical=False):
     object, goes through _json_row. With canonical, the third item says
     whether the line is the one _row_lines writes for the row's record:
     _ROW_RE matched it and its metadata text is its own encoding, checked
-    once per run; without, it is False.
+    once per run; without, it is False. A non-empty text without a
+    backslash whose values are all strings holds each of them as it is, so
+    it is checked against their plain join, not encoded.
     """
     text = meta = keys = None  # keys: the last shared metadata's, through share
     same = False  # whether text is the encoding of meta
@@ -331,8 +333,14 @@ def _row_objects(rows, share, canonical=False):
                 meta = None if "\\u" in text else json.loads(text)
             except json.JSONDecodeError:  # say '{"a": 1}, "b": {}': the line has a ninth key
                 meta = None
-            same = canonical and meta is not None and encode(meta) == text
-            if type(meta) is dict and set(map(type, vals := meta.values())) <= _STR:
+            strings = type(meta) is dict and set(map(type, vals := meta.values())) <= _STR
+            if not canonical or meta is None:
+                same = False
+            elif strings and meta and "\\" not in text:
+                same = text == '{"' + '", "'.join(map('": "'.join, meta.items())) + '"}'
+            else:
+                same = encode(meta) == text
+            if strings:
                 if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
                     keys = tuple(map(share, meta, meta))
                 meta = dict(zip(keys, map(share, vals, vals)))
@@ -395,13 +403,14 @@ def read_pairs(source) -> list[PairRecord]:
     read once, and its first faulty line, a repeated id included, is the
     error.
     """
-    return list(_unique(_read_records(source), set()))
+    return list(_unique(_read_records(source, {}.setdefault), set()))
 
 
-def _read_records(source):
-    """read_pairs' records, each one read as it is consumed, ids unchecked."""
+def _read_records(source, share=_own):
+    """The records of a pair file, each one read as it is consumed, ids
+    unchecked, their strings passed through share as _records passes them."""
     with closing(_lines(source)) as lines:
-        yield from _records(lines)
+        yield from _records(lines, share=share)
 
 
 def _rows(lines):
@@ -424,12 +433,15 @@ def _rows(lines):
     return True, ((n, line) for n, line in numbered if line)
 
 
-def _records(lines, canonical=None):
+def _records(lines, canonical=None, share=_own):
     """The records of a pair file's lines, each read as it is consumed, ids
     unchecked. canonical, if given, is a list or bytearray that gets, before
     each record is yielded, whether its row's line is the one _row_lines
-    writes for it."""
-    share = {}.setdefault  # str -> str only: 1, True and 1.0 would hash equal
+    writes for it. Each subset, premise and pattern, and each metadata key
+    and string value, goes through share(value, value): the default keeps
+    every string the row's own, so a caller that keeps no record holds no
+    string of one, and a memo's setdefault, which only str values reach (1,
+    True and 1.0 would hash equal), makes equal strings one object."""
     tsv, rows = _rows(lines)
     if tsv:
         objects = ((lineno, _tsv_row(line, lineno), False) for lineno, line in rows)
@@ -471,12 +483,13 @@ def read_predictions(source, runs: int) -> PredictionSet:
     """Parse a prediction TSV (header id/run/label) into a PredictionSet.
 
     Three-way labels are collapsed to the binary scheme. Every id must carry
-    exactly one label per run index 0..runs-1.
+    exactly one label per run index 0..runs-1. Ids with the same labels
+    share one tuple of them, so there are at most 2**runs tuples.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     run_indices = {str(i): i for i in range(runs)}
-    table: dict[str, list] = {}
+    table = {}  # id -> its labels by run, a list until every line is read
     with closing(_lines(source)) as lines:
         if tuple(next(lines, "").split("\t")) != ("id", "run", "label"):
             raise DataFormatError("prediction file must start with an id/run/label header")
@@ -506,7 +519,9 @@ def read_predictions(source, runs: int) -> PredictionSet:
             elif per_run[run] is not None:
                 raise DataFormatError(f"line {lineno}: duplicate prediction for {rid!r} run {run}")
             per_run[run] = label
+    combinations = {}
     for rid, per_run in table.items():
         if None in per_run:
             raise PredictionJoinError(f"id {rid!r} has no prediction for run {per_run.index(None)}")
-    return PredictionSet(runs=runs, labels={rid: tuple(per_run) for rid, per_run in table.items()})
+        table[rid] = combinations.setdefault(labels := tuple(per_run), labels)
+    return PredictionSet(runs=runs, labels=table)

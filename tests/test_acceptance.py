@@ -57,6 +57,7 @@ from wogli import (
     wogli_patterns,
     write_pairs,
 )
+from wogli import dataset_io
 from wogli.cli import run
 from wogli.morphology import compile_sentence
 
@@ -675,3 +676,19 @@ class TestC10ByteContract:
             got = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()[:16]
             assert got == want, name
         print("ACCEPTANCE 10: PASS  seed-0 digests of all five sets match")
+
+    def test_c10_generated_rows_are_canonical(self, full_sets, replacement_base, monkeypatch):
+        # sample-augmentation copies a canonical row as it is; every metadata
+        # text written here holds strings only, so its plain join, never the
+        # encoder, must find each row canonical
+        sets, _ = full_sets
+        for records in [*sets.values(), replacement_base]:
+            buf = io.StringIO()
+            write_pairs(records, buf)
+            encoded, canonical = [], bytearray()
+            with monkeypatch.context() as patch:
+                patch.setattr(dataset_io, "_metadata_encoder", lambda: encoded.append)
+                for _ in dataset_io._records(buf.getvalue().splitlines(), canonical):
+                    pass
+            assert len(canonical) == len(records) and all(canonical)
+            assert encoded == []

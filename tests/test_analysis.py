@@ -423,6 +423,21 @@ class TestBuildReport:
         with pytest.raises(DataFormatError, match="row-format"):
             build_report(iter([*small_gold, bare]), preds)
 
+    def test_join_errors_keep_their_messages_and_order(self):
+        # gold ids are struck from the predictions as they are read, not kept
+        preds = PredictionSet(runs=1, labels={"a": (NE,), "b": (E,)})
+        # a repeat with a prediction is the error at its row, before a later fault
+        with pytest.raises(DataFormatError, match=r"^duplicate record id 'a'$"):
+            build_report(iter([_rec("a"), _rec("b"), _rec("a"), _rec("c", pattern="foo_v_bar")]), preds)
+        # a repeat without one fails at its first row, for want of it
+        with pytest.raises(PredictionJoinError, match=r"^no prediction for record 'x'$"):
+            build_report(iter([_rec("a"), _rec("x"), _rec("x")]), preds)
+        # ids gold lacks are named in the prediction file's order
+        extra = PredictionSet(runs=1, labels={"b": (E,), "y": (NE,), "a": (NE,), "x": (E,)})
+        with pytest.raises(PredictionJoinError,
+                           match=r"^2 prediction id\(s\) not in the gold file, first 'y'$"):
+            build_report(iter([_rec("a"), _rec("b")]), extra)
+
     def test_unknown_family_rejected(self, small_gold):
         preds = PredictionSet(runs=1, labels={r.id: (NE,) for r in small_gold})
         with pytest.raises(ValueError):

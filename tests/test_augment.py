@@ -24,6 +24,7 @@ from wogli import (
     write_pairs,
     write_training_rows,
 )
+from wogli import augment
 from wogli.augment import _group, _split_file
 
 
@@ -71,9 +72,9 @@ WIDE = dict(verb_min=0, verb_max=10_000, require_all_noun_forms=False)
 
 def _groups(records):
     """Each premise group augmentation makes of records, with its records."""
-    groups, members = {}, {}
+    groups, members, share = {}, {}, {}.setdefault
     for record in records:
-        members.setdefault(_group(record, groups), []).append(record)
+        members.setdefault(_group(record, groups, share), []).append(record)
     return members.items()
 
 
@@ -306,6 +307,29 @@ class TestRowFaults:
         spaced = groups(True)
         assert spaced == groups(False)
         assert all(len(forms) > 1 for _, _, forms, _ in spaced)
+
+
+class TestGroupShapes:
+    """A premise group holds its distinct head forms as a sorted tuple, and
+    the groups of one split hold one object per distinct form, pattern and
+    verb, both in the library and in the command."""
+
+    def test_groups_hold_sorted_tuples_of_shared_strings(self, base, tmp_path, monkeypatch):
+        made = []
+        select = augment._select
+        monkeypatch.setattr(augment, "_select", lambda groups, plan: select(made.append(groups) or groups, plan))
+        plan = AugmentationPlan(premises_per_pattern=1, seed=5, **WIDE)
+        sample_augmentation(base, plan)
+        write_pairs(base, tmp_path / "base.jsonl")
+        _split_file(tmp_path / "base.jsonl", plan, tmp_path / "aug.jsonl", tmp_path / "rest.jsonl", "rows")
+        library, command = made
+        assert [(g.pattern, g.verb, g.forms) for g in library] == [(g.pattern, g.verb, g.forms) for g in command]
+        for groups in made:
+            assert all(type(g.forms) is tuple and list(g.forms) == sorted({*g.forms}) for g in groups)
+            assert any(len(g.forms) > 2 for g in groups)  # a swap row added its forms
+            for strings in ([f for g in groups for f in g.forms], [g.pattern for g in groups],
+                            [g.verb for g in groups]):
+                assert len({*map(id, strings)}) == len({*strings})
 
 
 class TestSplitFile:

@@ -277,6 +277,44 @@ class TestMetadataRuns:
         assert second.metadata == meta
 
 
+class TestCanonicalCheck:
+    """A row is canonical, copied as it is by sample-augmentation, when its
+    line is the one _row_lines writes for its record. A metadata text
+    without a backslash whose values are all strings is checked against
+    their plain join, any other by encoding it; both give one answer."""
+
+    @pytest.mark.parametrize("text,canonical", [
+        ('{"premise_id": "p", "verb_lemma": "sehen"}', True),
+        ('{"verb_lemma": "sehen", "premise_id": "p"}', True),  # the record keeps this order
+        ('{"a": "b, c", "d e": ": ä"}', True),
+        ("{}", True),
+        ('{"name": "Pe\\"ter"}', True),  # an escape: the encoder decides
+        ('{"n": 1, "a": "b"}', True),  # a number as the encoder writes it
+        ('{"a":"b"}', False),
+        ('{"a": "b" }', False),
+        ('{ "a": "b"}', False),
+        ('{"a": "\\u00e4"}', False),  # an escape for ä
+        ('{"scale": 1E2}', False),  # encodes as 100.0
+        ('{"a": "b", "n": 1.50}', False),
+    ])
+    def test_metadata_text(self, text, canonical):
+        line = _row(metadata="@").replace('"@"', text)
+        flags = bytearray()
+        [record] = dataset_io._records([line], flags)
+        assert list(flags) == [canonical]
+        assert (dataset_io._metadata_encoder()(record.metadata) == text) is canonical
+
+    def test_another_row_layout_is_not_canonical(self):
+        row = json.loads(_row(premise="Ä."))
+        lines = [json.dumps(dict(reversed(row.items())), ensure_ascii=False),  # keys reordered
+                 json.dumps(row, ensure_ascii=False, separators=(",", ": ")),
+                 json.dumps(row),  # \u00c4 for Ä
+                 _row(premise="Ä.")]
+        flags = bytearray()
+        assert len(list(dataset_io._records(lines, flags))) == 4
+        assert list(flags) == [False, False, False, True]
+
+
 class TestSharedStrings:
     """Records read in one call hold one object per distinct string, while
     each still owns its metadata dict; only strings are shared."""
@@ -311,6 +349,20 @@ class TestSharedStrings:
         got[0].metadata["subject_lemma"] = "x"
         del got[0].metadata["verb_lemma"]
         assert [r.metadata for r in got[1:]] == [r.metadata for r in records[1:]]
+
+    def test_streaming_records_keep_no_memo(self, records):
+        """_records, which derive, analyze and augmentation's first pass read
+        through, gives the records read_pairs gives, each with strings of
+        its own, so a caller that keeps no record keeps none of them."""
+        buf = io.StringIO()
+        write_pairs(records, buf)
+        shared = read_pairs(io.StringIO(buf.getvalue()))
+        own = list(dataset_io._records(buf.getvalue().splitlines()))
+        assert own == shared
+        assert shared[0].premise is shared[1].premise
+        assert own[0].premise == own[1].premise and own[0].premise is not own[1].premise
+        for field in ("subset", "pattern_name"):
+            assert len({id(getattr(r, field)) for r in own}) == len(own), field
 
     def test_only_strings_are_shared(self):
         values = [1, "1", True, 1.0, "1", True, ["1"], None, "true"]
@@ -841,6 +893,16 @@ def _pred_text(rows):
 
 
 class TestPredictions:
+    def test_equal_labels_share_one_tuple(self):
+        # bit r of i says whether run r is entailed, in one of two spellings
+        names = ("entailment", "neutral", "entailed", "contradiction")
+        rows = [(f"r{i}", run, names[(i >> run) % 2 + 2 * (i % 3 == 0)])
+                for i in range(300) for run in range(3)]
+        preds = read_predictions(io.StringIO(_pred_text(rows)), runs=3)
+        tuples = list(preds.labels.values())
+        assert len(tuples) == 300
+        assert len({*map(id, tuples)}) == len({*tuples}) == 2**3
+
     def test_basic_read(self):
         preds = read_predictions(io.StringIO(_pred_text([
             ("a", 0, "entailed"), ("a", 1, "non-entailed"),
