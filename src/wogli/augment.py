@@ -19,7 +19,7 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 from .core import Label, PairRecord
-from .dataset_io import _copy_rows, _lines, _records, _staged, _unique, _write_lines
+from .dataset_io import _copy_rows, _lines, _read_records, _records, _staged, _unique, _write_lines
 from .errors import ConstraintError, DataFormatError
 from .patterns import _premise_draw
 
@@ -79,12 +79,14 @@ def _heads(record: PairRecord, text: str, roles) -> list[str]:
 class _PremiseGroup:
     """One premise as augmentation selects it. A split holds a group per
     premise but few distinct strings across them, so forms is a sorted
-    tuple of distinct head forms, not a set, and _group passes each string
-    through one memo per split."""
+    tuple of distinct head forms, not a set, suffixes the suffixes of the
+    premise's row ids so far (its id stem is the group's key), and _group
+    passes each string and suffix tuple through one memo per split."""
 
     pattern: str
     verb: str
     forms: tuple[str, ...]  # argument head forms of the premise and, once a row shows them, its swap's
+    suffixes: tuple[str, ...] = ()
     swapped: bool = False
 
 
@@ -93,22 +95,28 @@ def _forms(heads, share) -> tuple[str, ...]:
 
 
 def _group(record: PairRecord, groups: dict, share) -> _PremiseGroup:
-    """The group of record's premise in groups, a dict by premise_id, made
-    from its first row or completed by its first argument-swap row; its
-    strings go through share(value, value), a memo's setdefault for the
-    groups of one split. Each row is checked as it arrives, so the first
-    faulty row is the error."""
+    """The group of record's premise in groups, a dict by id stem (the id
+    without its last "-" part), made from its first row or completed by
+    its first argument-swap row; its strings go through share(value,
+    value), a memo's setdefault for the groups of one split. Each row is
+    checked as it arrives, so the first faulty row is the error, and a
+    row that repeats an earlier one's id is that error before any other
+    check of it: every earlier row's id is its group's stem and one of its
+    suffixes."""
+    stem, _, suffix = record.id.rpartition("-")
+    group = groups.get(stem)
+    if group is not None and suffix in group.suffixes:
+        raise DataFormatError(f"duplicate record id {record.id!r}")
     for field in ("premise_id", "verb_lemma"):
         if type(record.metadata.get(field)) is not str:
             raise DataFormatError(
                 f"record {record.id}: augmentation needs row-format input "
                 f"with a string {field} in its metadata"
             )
-    _premise_draw(record)  # its premise_id names its own draw of its own pattern
-    group = groups.get(premise_id := record.metadata["premise_id"])
+    _premise_draw(record)  # its premise_id is stem-premise, and names its own draw of its own pattern
     if group is None:
         verb = record.metadata["verb_lemma"]
-        group = groups[premise_id] = _PremiseGroup(
+        group = groups[stem] = _PremiseGroup(
             share(record.pattern_name, record.pattern_name), share(verb, verb),
             _forms(_heads(record, record.premise, ("subject", "object")), share))
     # an argument swap marks each argument with the case it lacks in the premise
@@ -116,6 +124,7 @@ def _group(record: PairRecord, groups: dict, share) -> _PremiseGroup:
         roles = ("subject", "object") if record.hyp_kind.subject_first else ("object", "subject")
         group.forms = _forms([*group.forms, *_heads(record, record.hypothesis, roles)], share)
         group.swapped = True
+    group.suffixes = share(suffixes := (*group.suffixes, suffix), suffixes)
     return group
 
 
@@ -223,7 +232,8 @@ def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecor
 
     Strata are the input's patterns; each contributes exactly
     plan.premises_per_pattern premises. All records of one premise travel
-    together, in input order on both sides.
+    together, in input order on both sides. A record that repeats an
+    earlier one's id is a DataFormatError.
     """
     groups: dict[str, _PremiseGroup] = {}
     share = {}.setdefault
@@ -242,8 +252,10 @@ def _split_file(source, plan: AugmentationPlan, out_aug, out_rest, fmt: str):
     to each.
 
     A first pass reads and checks every row as read_pairs does, a repeated
-    id included, and groups it; it keeps no record, only each row's group
-    and whether its line is canonical, the line _row_lines writes for it.
+    id included, and groups it; it keeps no record and no id, only each
+    premise's group, which _group checks a row's id against, and each
+    row's group and whether its line is canonical, the line _row_lines
+    writes for it.
     One later pass for each output reads the input again and copies each
     canonical row of its side as its own line. A regular file is held open
     and read again from its start; any other input (a FIFO, a stream) has
@@ -267,7 +279,7 @@ def _split_file(source, plan: AugmentationPlan, out_aug, out_rest, fmt: str):
         if kept is not None:
             lines = (kept.append(line) or line for line in lines)
         groups, routes, canonical, share = {}, [], bytearray(), {}.setdefault
-        for record in _unique(_records(lines, canonical), set()):
+        for record in _records(lines, canonical):
             routes.append(_group(record, groups, share))
         chosen = _select(list(groups.values()), plan)
 
@@ -291,12 +303,18 @@ def _split_file(source, plan: AugmentationPlan, out_aug, out_rest, fmt: str):
 _NE_TRAINING_LABELS = ("neutral", "contradiction")
 
 
-def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 0) -> list[tuple[str, str, str]]:
-    """Append pair records to a headerless premise/hypothesis/label TSV and
-    shuffle the union with the given seed. Entailed pairs become
-    "entailment"; the not-entailed class is the caller's choice."""
-    if ne_label not in _NE_TRAINING_LABELS:
-        raise ValueError(f"ne_label must be one of {_NE_TRAINING_LABELS}")
+def _training_rows(records, ne_label: str):
+    """The (premise, hypothesis, training label) row of each record:
+    entailed pairs become "entailment", the rest ne_label."""
+    return ((r.premise, r.hypothesis, "entailment" if r.label is Label.ENTAILED else ne_label)
+            for r in records)
+
+
+def _merged(base_source, aug, seed: int) -> list:
+    """Each row of the headerless premise/hypothesis/label TSV base_source,
+    checked and kept as its line, then each (premise, hypothesis, label)
+    row of aug, all shuffled with seed. A shuffle depends on the list's
+    length alone, so the rows land where they would as tuples."""
     rows = []
     with closing(_lines(base_source)) as lines:
         for lineno, line in enumerate(lines, start=1):
@@ -311,24 +329,47 @@ def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 
                 raise DataFormatError(
                     f"base line {lineno}: unknown training label {fields[2]!r}"
                 )
-            rows.append(tuple(fields))
-    for record in records:
-        label = "entailment" if record.label is Label.ENTAILED else ne_label
-        rows.append((record.premise, record.hypothesis, label))
+            rows.append(line)
+    rows.extend(aug)
     random.Random(f"{seed}:merge").shuffle(rows)
     return rows
 
 
-def _training_lines(rows):
-    for row in rows:
-        line = "\t".join(row)
-        if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
-            raise DataFormatError(f"training row {row[0]!r}: field contains a tab or line break")
-        yield line + "\n"
+def merge_training(base_source, records, ne_label: str = "neutral", seed: int = 0) -> list[tuple[str, str, str]]:
+    """Append pair records to a headerless premise/hypothesis/label TSV and
+    shuffle the union with the given seed. Entailed pairs become
+    "entailment"; the not-entailed class is the caller's choice. Every row
+    comes back as a (premise, hypothesis, label) tuple; the base file is
+    read before records."""
+    if ne_label not in _NE_TRAINING_LABELS:
+        raise ValueError(f"ne_label must be one of {_NE_TRAINING_LABELS}")
+    return [tuple(row.split("\t")) if type(row) is str else row
+            for row in _merged(base_source, _training_rows(records, ne_label), seed)]
+
+
+def _merge_file(base_source, aug_source, ne_label: str, seed: int, dest):
+    """What write_training_rows writes for merge_training(base_source,
+    read_pairs(aug_source), ne_label, seed), written to dest; returns the
+    (rows, bytes) written. The pair file is read first, as read_pairs reads
+    it, a repeated id included, and each of its records is kept as a
+    training row tuple; each base row is kept as its line and written as
+    it is, and only the tuples are checked for a tab or line break."""
+    with closing(_read_records(aug_source)) as records:
+        aug = list(_training_rows(_unique(records, set()), ne_label))
+    rows = _merged(base_source, aug, seed)
+    size = _write_lines(dest, (row + "\n" if type(row) is str else _training_line(row) for row in rows))
+    return len(rows), size
+
+
+def _training_line(row) -> str:
+    line = "\t".join(row)
+    if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+        raise DataFormatError(f"training row {row[0]!r}: field contains a tab or line break")
+    return line + "\n"
 
 
 def write_training_rows(rows, dest) -> int:
     """Write merged training rows as a headerless TSV, a line at a time, as
     write_pairs writes; returns bytes written. A field holding a tab or line
     break is a DataFormatError, and leaves the destination as it was."""
-    return _write_lines(dest, _training_lines(rows))
+    return _write_lines(dest, map(_training_line, rows))

@@ -14,9 +14,7 @@ from contextlib import closing
 
 import click
 
-from .dataset_io import (
-    _read_records, _tsv_lines, _unique, _write_lines, read_pairs, read_predictions,
-)
+from .dataset_io import _read_records, _tsv_lines, _write_lines, read_predictions
 from .errors import LexiconError, WogliError
 from .generator import _SETS, GenerationSet, _os_hard_records, _Records, _set_records
 from .lexicon import ValidationProfile, default_lexicon_path, load_lexicon, validate_lexicon
@@ -35,8 +33,8 @@ def _load_checked_lexicon(path):
 def _write_built(build: _Records, rendered, out) -> None:
     """Write what build renders: its JSON lines, or its records as TSV; the
     same bytes write_pairs writes for the records either way."""
-    size = _write_lines(out, rendered if build.encode else _tsv_lines(_unique(rendered, build.ids)))
-    click.echo(f"wrote {len(build.ids)} pairs ({size} bytes) to {out}")
+    size = _write_lines(out, rendered if build.encode else _tsv_lines(rendered))
+    click.echo(f"wrote {build.rows} pairs ({size} bytes) to {out}")
 
 
 @click.group()
@@ -89,7 +87,7 @@ def derive(target, source, lexicon_path, out, fmt, spaced_period):
     # rows go from the input to disk as they are read; no list of either is built
     build = _Records(GenerationSet.OS_HARD, spaced_period, encode=fmt == "rows")
     with closing(_read_records(source)) as records:
-        _write_built(build, _os_hard_records(_unique(records, set()), lex, build), out)
+        _write_built(build, _os_hard_records(records, lex, build), out)
 
 
 @cli.command(name="sample-augmentation")
@@ -146,12 +144,10 @@ def sample_augmentation_cmd(plan_name, seed, source, out_aug, out_rest, fmt,
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def merge(base, aug, ne_label, seed, out):
     """Mix a pair file into a training TSV and shuffle."""
-    from .augment import merge_training, write_training_rows
+    from .augment import _merge_file
 
-    records = read_pairs(aug)
-    rows = merge_training(base, records, ne_label, seed)
-    size = write_training_rows(rows, out)
-    click.echo(f"wrote {len(rows)} rows ({size} bytes) to {out}")
+    count, size = _merge_file(base, aug, ne_label, seed, out)
+    click.echo(f"wrote {count} rows ({size} bytes) to {out}")
 
 
 @cli.command()

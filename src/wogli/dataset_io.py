@@ -484,12 +484,14 @@ def read_predictions(source, runs: int) -> PredictionSet:
 
     Three-way labels are collapsed to the binary scheme. Every id must carry
     exactly one label per run index 0..runs-1. Ids with the same labels
-    share one tuple of them, so there are at most 2**runs tuples.
+    share one tuple of them, so there are at most 2**runs tuples. While the
+    file is read, each id holds one int: bit r says run r was seen, and bit
+    runs + r that its label is entailed.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     run_indices = {str(i): i for i in range(runs)}
-    table = {}  # id -> its labels by run, a list until every line is read
+    table = {}  # id -> its bits
     with closing(_lines(source)) as lines:
         if tuple(next(lines, "").split("\t")) != ("id", "run", "label"):
             raise DataFormatError("prediction file must start with an id/run/label header")
@@ -513,15 +515,20 @@ def read_predictions(source, runs: int) -> PredictionSet:
             label = _PREDICTION_LABELS.get(label_text) or _PREDICTION_LABELS.get(label_text.strip())
             if label is None:
                 raise DataFormatError(f"line {lineno}: unknown label {label_text!r}")
-            per_run = table.get(rid)
-            if per_run is None:
-                per_run = table[rid] = [None] * runs
-            elif per_run[run] is not None:
+            bits = table.get(rid, 0)
+            if bits >> run & 1:
                 raise DataFormatError(f"line {lineno}: duplicate prediction for {rid!r} run {run}")
-            per_run[run] = label
-    combinations = {}
-    for rid, per_run in table.items():
-        if None in per_run:
-            raise PredictionJoinError(f"id {rid!r} has no prediction for run {per_run.index(None)}")
-        table[rid] = combinations.setdefault(labels := tuple(per_run), labels)
+            table[rid] = bits | 1 << run | (label is Label.ENTAILED) << runs + run
+    seen = (1 << runs) - 1
+    combinations = {}  # bits -> the labels they stand for
+    for rid, bits in table.items():
+        if bits & seen != seen:
+            missing = ~bits & seen  # the lowest missing run is its lowest bit
+            raise PredictionJoinError(
+                f"id {rid!r} has no prediction for run {(missing & -missing).bit_length() - 1}")
+        labels = combinations.get(bits)
+        if labels is None:
+            labels = combinations[bits] = tuple(
+                Label.ENTAILED if bits >> runs + run & 1 else Label.NOT_ENTAILED for run in range(runs))
+        table[rid] = labels
     return PredictionSet(runs=runs, labels=table)

@@ -28,7 +28,7 @@ from .dataset_io import _encode_str, _row, _row_tail
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
 from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, compile_sentence
-from .patterns import Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
+from .patterns import _STEM_RE, Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
 _REJECTION_MISS_BUDGET = 100_000
@@ -287,14 +287,16 @@ class _Records:
     PairRecords or, with encode, as the JSON lines write_pairs writes for
     them. What the set and the current pattern fix is worked out once, so
     a line adds only its id, two encoded texts and its metadata to it.
-    Each line's id goes into ids, where a repeated one is a
-    DataFormatError."""
+    rows counts the rows rendered. An id is the pattern's prefix, the draw
+    index and the hypothesis kind's suffix, so the ids are distinct as
+    long as no (pattern, draw index) is rendered twice; the callers see to
+    that, and no id is kept."""
 
     def __init__(self, name: GenerationSet, spaced_period: bool, encode: bool = False):
         self.subset, _, self.kinds, _ = _SETS[name]
         self.spaced_period = spaced_period
         self.encode = encode
-        self.ids = set()
+        self.rows = 0
         self.render = self._rows if encode else self._records
         self.subset_json = _encode_str(self.subset)
 
@@ -311,6 +313,7 @@ class _Records:
 
     def _records(self, draw, premise, draw_index):
         subject, obj, verb, thing = draw
+        self.rows += len(self.hypotheses)
         stem = f"{self.prefix}{draw_index:05d}"
         metadata = {"premise_id": f"{stem}-premise", **subject.metadata["subject"],
                     **obj.metadata["object"], "verb_lemma": verb.lemma}
@@ -324,15 +327,9 @@ class _Records:
             for (kind, suffix, label, hypothesis_of, _), meta in zip(self.hypotheses, owned)
         ]
 
-    def _id(self, stem: str, suffix: str) -> str:
-        rid = stem + suffix
-        if rid in self.ids:
-            raise DataFormatError(f"duplicate record id {rid!r}")
-        self.ids.add(rid)
-        return rid
-
     def _rows(self, draw, premise, draw_index):
         subject, obj, verb, thing = draw
+        self.rows += len(self.hypotheses)
         stem = f"{self.prefix}{draw_index:05d}"
         text = _encode_str(premise)
         # the metadata _records builds, in its key order
@@ -340,7 +337,7 @@ class _Records:
                 f'{obj.fragments["object"]}, "verb_lemma": {_encode_str(verb.lemma)}'
                 f'{"" if thing is None else ", " + thing.fragments["direct_object"]}}}')
         return [
-            _row(_encode_str(self._id(stem, suffix)), self.subset_json, text,
+            _row(_encode_str(stem + suffix), self.subset_json, text,
                  _encode_str(hypothesis_of(*draw)), tail, meta)
             for _, suffix, _, hypothesis_of, tail in self.hypotheses
         ]
@@ -367,7 +364,8 @@ def generate_set(
 
 def _set_records(name, lex, seed, per_pattern, with_replacement, build: _Records):
     """generate_set's rows as build renders them, each premise's built as
-    they are consumed."""
+    they are consumed. Each pattern's draw indexes must rise, so that no id
+    repeats."""
     tables = _Tables(lex)
     drawn = set()  # base premises seen so far, when drawing with replacement
     seen = set()  # pronoun-subject premises seen so far
@@ -376,7 +374,12 @@ def _set_records(name, lex, seed, per_pattern, with_replacement, build: _Records
         pairs = _sample_pattern(
             pattern, i, tables, seed, per_pattern, with_replacement, build.spaced_period
         )
+        last = -1  # the pattern's last draw index
         for premise, draw, d in pairs:
+            if d <= last:
+                rid = f"{build.prefix}{d:05d}{build.hypotheses[0][1]}"
+                raise DataFormatError(f"duplicate record id {rid!r}")
+            last = d
             if with_replacement:
                 if premise in drawn:
                     continue
@@ -424,34 +427,46 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
     an accusative pair file. Every record's premise_id must name its own
     draw (patterns._premise_draw), and the first record of each premise
     must carry the premise text its metadata renders, with either period
-    style."""
+    style. A record that repeats an earlier one's id is a DataFormatError."""
     return list(_os_hard_records(records, lex, _Records(GenerationSet.OS_HARD, spaced_period)))
 
 
 def _os_hard_records(records, lex: Lexicon, build: _Records):
     """derive_os_hard's rows as build renders them, each premise's built as
-    they are consumed."""
+    they are consumed. taken holds, per draw, the first id that names it
+    and a shared tuple of the suffixes of its premise's ids so far; no
+    other id is kept. A row that repeats an earlier id is the duplicate
+    error before any other check of it: every earlier row named a draw (or
+    the error would have been its), and a row whose id stem names no draw
+    repeats none of theirs. Each draw of taken is rendered once, so the
+    output ids are distinct."""
     tables = _Tables(lex)
-    taken = {}  # seed path -> the id of the first record that names it
+    taken = {}  # seed path -> (the first id that names it, the suffixes of its premise's ids)
+    share = {}.setdefault
     current = None  # the (pattern, index) build was last set up for
     for record in records:
+        stem, _, suffix = record.id.rpartition("-")
+        named = _STEM_RE.search(stem)  # it matches for every row _premise_draw passes
+        seed_path = named and (int(named[1]), int(named[2]))
+        first = taken.get(seed_path)
+        if first is not None and suffix in first[1] and first[0].rpartition("-")[0] == stem:
+            raise DataFormatError(f"duplicate record id {record.id!r}")
         if record.subset in _SUBSET_GOVERNMENT:
             raise DataFormatError(
                 f"record {record.id}: os-hard derivation needs accusative records, "
                 f"not subset {record.subset!r}"
             )
-        match = _premise_draw(record)
-        seed_path = int(match[1]), int(match[2])
-        first = taken.get(seed_path)
+        _premise_draw(record)
         if first is not None:
-            if first.rpartition("-")[0] == record.id.rpartition("-")[0]:
-                continue  # another row of that premise
+            if first[0].rpartition("-")[0] == stem:  # another row of that premise
+                taken[seed_path] = first[0], share(suffixes := (*first[1], suffix), suffixes)
+                continue
             # under another subset: its derived ids would repeat that premise's
             raise DataFormatError(
                 f"record {record.id}: premise {record.metadata['premise_id']!r} has the draw "
-                f"p{seed_path[0]:02d}-d{seed_path[1]:05d} of record {first}, another premise"
+                f"p{seed_path[0]:02d}-d{seed_path[1]:05d} of record {first[0]}, another premise"
             )
-        taken[seed_path] = record.id
+        taken[seed_path] = record.id, share(suffixes := (suffix,), suffixes)
         pattern, draw = _read_record(record, tables)
         if (pattern, seed_path[0]) != current:
             current = (pattern, seed_path[0])

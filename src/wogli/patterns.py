@@ -135,9 +135,10 @@ def excluded_patterns() -> list[Pattern]:
     return [parse_pattern_name(n, Government.ACCUSATIVE) for n in _EXCLUDED_NAMES]
 
 
-# the end of an accusative premise id: its pattern's index in wogli_patterns()
-# and its draw's index, as generate writes them
-_PREMISE_ID_RE = re.compile(r"-p([0-9]{2})-d([0-9]{5,})-premise$")
+# the end of an accusative record's id stem (the id without its last "-"
+# part, as in its premise id): its pattern's index in wogli_patterns() and
+# its draw's index, as generate writes them
+_STEM_RE = re.compile(r"-p([0-9]{2})-d([0-9]{5,})$")
 
 
 @cache
@@ -145,27 +146,26 @@ def _wogli_index() -> dict[str, int]:
     return {p.name: i for i, p in enumerate(wogli_patterns())}
 
 
-def _premise_draw(record) -> re.Match:
-    """The match of _PREMISE_ID_RE in an accusative record's premise_id,
-    whose groups are the pattern index and the draw index it names. The
-    premise_id must be the record's id with its last "-" part replaced by
-    "-premise", and end in -pNN-dNNNNN-premise, where NN is the index of
-    the record's pattern among wogli_patterns(); anything else is a
-    DataFormatError naming the record."""
+def _premise_draw(record) -> None:
+    """Check that an accusative record names its own draw: its premise_id
+    must be its id with the last "-" part replaced by "-premise", and end
+    in -pNN-dNNNNN-premise, where NN is the index of the record's pattern
+    among wogli_patterns(), so that _STEM_RE matches its id stem; anything
+    else is a DataFormatError naming the record."""
     premise_id = record.metadata.get("premise_id")
-    own = record.id.rpartition("-")[0] + "-premise"
+    stem = record.id.rpartition("-")[0]
+    own = stem + "-premise"
     if premise_id != own:
         raise DataFormatError(f"record {record.id}: premise_id is {premise_id!r}, not {own!r}")
     index = _wogli_index().get(record.pattern_name)
     if index is None:
         raise DataFormatError(f"record {record.id}: {record.pattern_name!r} is not a wogli pattern")
-    match = _PREMISE_ID_RE.search(own)
+    match = _STEM_RE.search(stem)
     if match is None or int(match[1]) != index:
         raise DataFormatError(
             f"record {record.id}: premise_id {own!r} does not end in -p{index:02d}-dNNNNN-premise, "
             f"as a draw of pattern {record.pattern_name} does"
         )
-    return match
 
 
 def classify_number(pattern: Pattern) -> NumberClass:

@@ -10,6 +10,7 @@ lookups, and statistics are recomputed from scratch in this file.
 import hashlib
 import io
 import math
+import re
 import statistics
 import time
 from collections import Counter, defaultdict
@@ -692,3 +693,48 @@ class TestC10ByteContract:
                     pass
             assert len(canonical) == len(records) and all(canonical)
             assert encoded == []
+
+    def test_c10_ids_name_their_pattern_draw_and_kind(self, full_sets, replacement_base, tmp_path,
+                                                      monkeypatch, capsys):
+        # no command keeps a set of ids: an id is unique because it names its
+        # pattern, its draw and its hypothesis kind, and no draw is written twice
+        sets, _ = full_sets
+        suffix = {HypKind.H1_SO: "h1", HypKind.H1_SIO: "h1", HypKind.H2_OS: "h2",
+                  HypKind.H2_IOS: "h2", HypKind.H3_OS: "h3"}
+        patterns = {name: wogli_patterns() for name in GenerationSet}
+        patterns[GenerationSet.DATIVE] = extended_patterns(Government.DATIVE)
+        patterns[GenerationSet.DITRANSITIVE] = extended_patterns(Government.DITRANSITIVE)
+        premises = {}  # (name, pattern index, draw) -> premise
+        named = [*((name, name, sets[name]) for name in GenerationSet),
+                 ("base", GenerationSet.WOGLI, replacement_base)]
+        for tag, name, records in named:
+            ids = [r.id for r in records]
+            assert len(set(ids)) == len(ids), tag
+            kinds = defaultdict(list)
+            for r in records:
+                m = re.fullmatch(rf"{re.escape(r.subset)}-p(\d\d)-d(\d{{5}})-(h\d)", r.id)
+                assert m is not None, r.id
+                index, draw = int(m[1]), int(m[2])
+                assert patterns[name][index].name == r.pattern_name, r.id
+                assert 0 <= draw < _PER_PATTERN[name], r.id
+                assert m[3] == suffix[r.hyp_kind], r.id
+                assert r.metadata["premise_id"] == f"{r.id.rpartition('-')[0]}-premise", r.id
+                assert premises.setdefault((tag, index, draw), r.premise) == r.premise, r.id
+                kinds[index, draw].append(r.hyp_kind)
+            assert len({tuple(k) for k in kinds.values()}) == 1, tag  # each draw has every kind once
+        # os-hard derives wogli's premises, draw for draw
+        hard = {(i, d): p for (tag, i, d), p in premises.items() if tag == GenerationSet.OS_HARD}
+        assert hard == {(i, d): p for (tag, i, d), p in premises.items() if tag == GenerationSet.WOGLI}
+
+        monkeypatch.delenv("WOGLI_LEXICON", raising=False)
+        for tag, name, records in named:
+            extra = ["--seed", "92", "--with-replacement-dedup"] if tag == "base" else ["--seed", "0"]
+            for fmt, header in (("rows", 0), ("tsv", 1)):
+                out = tmp_path / f"{name.value}.{fmt}"
+                assert run(["generate", name.value, *extra, "--format", fmt, "--out", str(out)]) == 0
+                with out.open(encoding="utf-8") as handle:
+                    rows = sum(1 for _ in handle) - header
+                assert rows == len(records)
+                assert capsys.readouterr().out.startswith(f"wrote {rows} pairs ("), (tag, fmt)
+                out.unlink()
+        print("ACCEPTANCE 10: PASS  every id is distinct and names its pattern, draw and hypothesis kind")

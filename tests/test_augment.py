@@ -311,8 +311,8 @@ class TestRowFaults:
 
 class TestGroupShapes:
     """A premise group holds its distinct head forms as a sorted tuple, and
-    the groups of one split hold one object per distinct form, pattern and
-    verb, both in the library and in the command."""
+    the groups of one split hold one object per distinct form, pattern,
+    verb and tuple of id suffixes, both in the library and in the command."""
 
     def test_groups_hold_sorted_tuples_of_shared_strings(self, base, tmp_path, monkeypatch):
         made = []
@@ -327,8 +327,11 @@ class TestGroupShapes:
         for groups in made:
             assert all(type(g.forms) is tuple and list(g.forms) == sorted({*g.forms}) for g in groups)
             assert any(len(g.forms) > 2 for g in groups)  # a swap row added its forms
+            # each group's id suffixes are one tuple per distinct run of them
+            assert {g.suffixes for g in groups} == {("h1", "h2")}
             for strings in ([f for g in groups for f in g.forms], [g.pattern for g in groups],
-                            [g.verb for g in groups]):
+                            [g.verb for g in groups], [g.suffixes for g in groups],
+                            [x for g in groups for x in g.suffixes]):
                 assert len({*map(id, strings)}) == len({*strings})
 
 

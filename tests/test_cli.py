@@ -1,6 +1,7 @@
 """End-to-end command-line checks through the run() entry point."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,15 +17,21 @@ from hypothesis import strategies as st
 
 import wogli
 from wogli import (
+    AugmentationPlan,
     GenerationSet,
     bundled_lexicon_path,
     derive_os_hard,
     generate_set,
     generator,
+    merge_training,
     read_pairs,
+    sample_augmentation,
     write_pairs,
+    write_training_rows,
 )
+from wogli import dataset_io
 from wogli.cli import run
+from wogli.errors import DataFormatError
 
 from conftest import TOY_LEXICON, UNDRAWABLE_ROWS
 
@@ -539,6 +546,47 @@ class TestMerge:
         assert "error[format] training row" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ne_label", ["neutral", "contradiction"])
+    def test_equals_the_library(self, ne_label, toy_path, tmp_path, capsys):
+        # base rows are kept as their lines and aug rows as tuples; the
+        # shuffle sees only the list's length, so the bytes do not change
+        _, aug = _generate(toy_path, tmp_path)
+        base, out = tmp_path / "base.tsv", tmp_path / "train.tsv"
+        base.write_text("\n".join(f"Satz {i}.\tNoch ein\u2028Satz.\t{('entailment', 'neutral')[i % 2]}"
+                                  for i in range(40)) + "\n\n", encoding="utf-8")
+        for seed in range(5):
+            capsys.readouterr()
+            assert run(["merge", "--base", str(base), "--aug", str(aug), "--ne-label", ne_label,
+                        "--seed", str(seed), "--out", str(out)]) == 0
+            want = io.StringIO()
+            size = write_training_rows(merge_training(base, read_pairs(aug), ne_label, seed), want)
+            assert out.read_bytes() == want.getvalue().encode("utf-8")
+            assert capsys.readouterr().out == f"wrote {40 + 68} rows ({size} bytes) to {out}\n"
+
+    def test_a_tab_in_an_aug_premise(self, toy_path, tmp_path, capsys):
+        _, aug = _generate(toy_path, tmp_path)
+        premise = json.loads(aug.read_text(encoding="utf-8").splitlines()[0])["premise"].replace(" ", "\t", 1)
+        _rewrite_first(aug, lambda r: True, lambda r: r.update(premise=premise))
+        base, out = tmp_path / "base.tsv", tmp_path / "train.tsv"
+        base.write_text("Ein Satz.\tNoch einer.\tentailment\n", encoding="utf-8")
+        assert run(["merge", "--base", str(base), "--aug", str(aug), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"wogli: error[format] training row {premise!r}: field contains a tab or line break\n")
+        assert not out.exists()
+
+    def test_a_bad_aug_file_is_reported_before_a_bad_base_file(self, toy_path, tmp_path, capsys):
+        _, aug = _generate(toy_path, tmp_path)
+        _rewrite_first(aug, lambda r: True, lambda r: r.update(label="maybe"))
+        base, out = tmp_path / "base.tsv", tmp_path / "train.tsv"
+        base.write_text("nur zwei\tfelder\n", encoding="utf-8")
+        argv = ["merge", "--base", str(base), "--aug", str(aug), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "wogli: error[format] line 1: 'maybe' is not a valid Label\n"
+        aug.write_text(aug.read_text(encoding="utf-8").replace('"maybe"', '"non-entailed"', 1), encoding="utf-8")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "wogli: error[format] base line 1: expected premise/hypothesis/label\n"
+        assert not out.exists()
+
     def test_ne_label_choice_is_validated(self, toy_path, tmp_path):
         _, aug = _generate(toy_path, tmp_path)
         base = tmp_path / "base.tsv"
@@ -955,6 +1003,108 @@ class TestFirstFaultInFileOrder:
         assert capsys.readouterr().err == (
             f"wogli: error[format] duplicate record id {rows[0]['id']!r}\n")
         assert not out.exists()
+
+
+def _row_text(records) -> str:
+    """records as JSON rows, unchecked: write_pairs would refuse a repeated id."""
+    return "".join(dataset_io._row_lines(records))
+
+
+def _renamed(record, stem):
+    """record under another id stem, its premise_id the new stem's."""
+    suffix = record.id.rpartition("-")[2]
+    return dataclasses.replace(record, id=f"{stem}-{suffix}",
+                               metadata={**record.metadata, "premise_id": f"{stem}-premise"})
+
+
+class TestRepeatedIds:
+    """derive and sample-augmentation keep no set of ids: a row's id is
+    checked against the earlier rows of its premise. A repeat anywhere in
+    the file is still the error at its row, before any other check of it,
+    in the commands and in the list-based derive_os_hard and
+    sample_augmentation, which until now skipped or passed a repeat."""
+
+    COMMANDS = ["derive", "sample-augmentation", "derive_os_hard", "sample_augmentation"]
+
+    @staticmethod
+    def _error(command, records, toy_path, toy_lex, tmp_path, capsys) -> str:
+        if command == "derive_os_hard":
+            with pytest.raises(DataFormatError) as exc:
+                derive_os_hard(records, toy_lex)
+            return str(exc.value)
+        if command == "sample_augmentation":
+            with pytest.raises(DataFormatError) as exc:
+                sample_augmentation(records, AugmentationPlan(1, 0, 100, False, 0))
+            return str(exc.value)
+        pairs, out = tmp_path / "pairs.jsonl", tmp_path / "out.jsonl"
+        pairs.write_text(_row_text(records), encoding="utf-8")
+        argv = {
+            "derive": ["derive", "os-hard", "--from", pairs, "--lexicon", toy_path, "--out", out],
+            "sample-augmentation": ["sample-augmentation", "--plan", "custom", "--in", pairs,
+                                    "--per-pattern", "1", "--verb-min", "0", "--verb-max", "100",
+                                    "--out-aug", out, "--out-rest", tmp_path / "rest.jsonl"],
+        }[command]
+        capsys.readouterr()
+        assert run([str(arg) for arg in argv]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("wogli: error[format] ") and err.endswith("\n")
+        return err.removeprefix("wogli: error[format] ").removesuffix("\n")
+
+    @pytest.fixture
+    def records(self, toy_lex):
+        # p00-d00000-h1, p00-d00000-h2, p00-d00001-h1, ...
+        return generate_set(GenerationSet.WOGLI, toy_lex, seed=3, per_pattern=3)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_repeat_that_is_not_adjacent(self, command, records, toy_path, toy_lex, tmp_path, capsys):
+        a, b = records[0], records[2]
+        assert a.id.endswith("-h1") and b.id.endswith("-h1") and a.id != b.id
+        for rows, repeat in (([a, b, a], a), ([*records[:5], a, *records[5:]], a),
+                             ([*records, records[-1]], records[-1])):
+            got = self._error(command, rows, toy_path, toy_lex, tmp_path, capsys)
+            assert got == f"duplicate record id {repeat.id!r}"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("fault", ["subset", "premise_id", "verb_lemma", "pattern"])
+    def test_the_repeat_is_the_error_before_a_bad_field(self, command, fault, records, toy_path, toy_lex,
+                                                       tmp_path, capsys):
+        first = records[0]
+        bad = {
+            "subset": lambda r: dataclasses.replace(r, subset="wogli-dative"),
+            "premise_id": lambda r: dataclasses.replace(r, metadata={**r.metadata, "premise_id": "zzz"}),
+            "verb_lemma": lambda r: dataclasses.replace(
+                r, metadata={k: v for k, v in r.metadata.items() if k != "verb_lemma"}),
+            "pattern": lambda r: dataclasses.replace(r, pattern_name="plural_fem_v_plural_fem"),
+        }[fault]
+        got = self._error(command, [*records[:3], bad(first)], toy_path, toy_lex, tmp_path, capsys)
+        assert got == f"duplicate record id {first.id!r}"
+        # the same fault under an id of its own is an error of that row's own
+        # (augmentation reads no subset)
+        fresh = bad(_renamed(first, "wogli-p00-d00099"))
+        if not (fault == "subset" and command.startswith("sample")):
+            got = self._error(command, [*records[:3], fresh], toy_path, toy_lex, tmp_path, capsys)
+            assert got.startswith(f"record {fresh.id}")
+
+    @pytest.mark.parametrize("command", ["derive", "derive_os_hard"])
+    def test_the_same_draw_under_another_prefix(self, command, records, toy_path, toy_lex, tmp_path, capsys):
+        other = _renamed(records[0], "other-p00-d00000")
+        got = self._error(command, [*records[:3], other], toy_path, toy_lex, tmp_path, capsys)
+        assert got == (f"record other-p00-d00000-h1: premise 'other-p00-d00000-premise' has the draw "
+                       f"p00-d00000 of record {records[0].id}, another premise")
+
+    @pytest.mark.parametrize("command", ["derive", "derive_os_hard"])
+    def test_a_repeat_under_another_prefix(self, command, records, toy_path, toy_lex, tmp_path, capsys):
+        # the repeat of other-...-h1 is its row's duplicate error, not "another premise"
+        other = _renamed(records[0], "other-p00-d00000")
+        got = self._error(command, [other, *records[2:4], other], toy_path, toy_lex, tmp_path, capsys)
+        assert got == f"duplicate record id {other.id!r}"
+
+    def test_augmentation_reads_another_prefix_as_its_own_premise(self, records):
+        other = _renamed(records[0], "other-p00-d00000")
+        rows = [*records, other]
+        aug, rest = sample_augmentation(rows, AugmentationPlan(0, 0, 100, False, 0))
+        assert aug == [] and rest == rows
 
 
 class TestUndecodableInput:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import re
 import stat
 import threading
@@ -1007,6 +1008,45 @@ def _reference_predictions(text, runs):
         runs=runs,
         labels={rid: tuple(per_run[i] for i in range(runs)) for rid, per_run in table.items()},
     )
+
+
+@pytest.mark.parametrize("runs", [1, 3, 10])
+def test_prediction_bits_equal_the_reference_reader(runs):
+    """Each id's runs are read into one int of seen and entailed bits: its
+    labels, their sharing and every error are the reference reader's."""
+    rng = random.Random(runs)
+    ids = [f"wogli-p00-d{i:05d}-h{1 + i % 2}" for i in range(60)]
+    lines = [f"{rid}\t{run}\t{rng.choice(list(_PREDICTION_LABELS))}" for rid in ids for run in range(runs)]
+    rng.shuffle(lines)
+
+    def text(lines):
+        return "id\trun\tlabel\n" + "".join(line + "\n" for line in lines)
+
+    want = _reference_predictions(text(lines), runs)
+    got = read_predictions(io.StringIO(text(lines)), runs)
+    assert got == want and list(got.labels) == list(want.labels)
+    # equal labels are one tuple, so there are at most 2**runs of them
+    assert len({*map(id, got.labels.values())}) == len({*got.labels.values()}) <= 2 ** runs
+    last = ids[-1]
+    faults = [
+        [*lines[:40], lines[7], *lines[40:]],  # a repeated prediction
+        [*lines[:9], *lines[10:]],  # a missing one
+        # the lowest of several missing runs is named
+        [line for line in lines if not line.startswith(f"{last}\t") or line.startswith(f"{last}\t{runs - 1}\t")],
+        [*lines, f"{ids[3]}\t{runs}\tentailed"],
+        [*lines[:5], f"{ids[3]}\t0\tmaybe", *lines[5:]],
+    ]
+    errors = 0
+    for faulty in faults:  # with one run, a dropped line drops its id, which is no fault
+        try:
+            want = _reference_predictions(text(faulty), runs)
+        except (DataFormatError, PredictionJoinError) as exc:
+            errors += 1
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                read_predictions(io.StringIO(text(faulty)), runs)
+        else:
+            assert read_predictions(io.StringIO(text(faulty)), runs) == want
+    assert errors == (3 if runs == 1 else 5)
 
 
 _PLANTED = ["", "a\t0", "a\t0\tentailed\tx", "a\tx\tentailed", "b\t-1\tneutral",

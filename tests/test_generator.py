@@ -384,6 +384,27 @@ class TestGenerateSet:
         b = generate_set(GenerationSet.DITRANSITIVE, toy_lex, seed=2, per_pattern=2)
         assert a == b
 
+    @pytest.mark.parametrize("encode", [False, True], ids=["records", "rows"])
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    def test_ids_are_unique_while_draw_indexes_rise(self, encode, with_replacement, toy_lex, monkeypatch):
+        # no id is kept: a pattern whose draw index fails to rise would repeat
+        # its ids, and is refused at its first row, before any row is rendered
+        sample = generator._sample_pattern
+
+        def repeating(*args):
+            for premise, draw, d in sample(*args):
+                yield premise, draw, d
+                if d == 1:
+                    yield premise, draw, d
+
+        monkeypatch.setattr(generator, "_sample_pattern", repeating)
+        build = generator._Records(GenerationSet.WOGLI, False, encode=encode)
+        rows = generator._set_records(GenerationSet.WOGLI, toy_lex, 1, 2, with_replacement, build)
+        with pytest.raises(DataFormatError, match=r"^duplicate record id 'wogli-p00-d00001-h1'$"):
+            for _ in rows:
+                pass
+        assert build.rows == 2 * 2  # the rows of draws 0 and 1
+
 
 class TestInvariants:
     @pytest.mark.parametrize("name", [
