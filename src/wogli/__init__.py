@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "analysis": (
-        "AccuracyResult", "GroupSpec", "ScoreStat", "ZTestResult", "accuracy", "build_report",
-        "definiteness_groups", "gender_groups", "majority_vote", "number_groups", "pll_aggregate",
-        "two_proportion_ztest",
+        "AccuracyResult", "GroupSpec", "ZTestResult", "build_report", "definiteness_groups",
+        "gender_groups", "number_groups", "two_proportion_ztest",
     ),
     "augment": (
         "AugmentationPlan", "merge_training", "plan_102", "plan_1037", "sample_augmentation",
@@ -43,8 +42,8 @@ _EXPORTS = {
         "render_np",
     ),
     "patterns": (
-        "NPClass", "NumberClass", "Pattern", "ambiguity_rule", "classify_number", "excluded_patterns",
-        "extended_patterns", "is_ambiguous", "parse_pattern_name", "wogli_patterns",
+        "NPClass", "NumberClass", "Pattern", "ambiguity_rule", "classify_number", "extended_patterns",
+        "parse_pattern_name", "wogli_patterns",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

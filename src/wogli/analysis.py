@@ -34,9 +34,6 @@ class GroupSpec:
     def matches(self, record: PairRecord) -> bool:
         return self.predicate(record)
 
-    def select(self, records) -> list[PairRecord]:
-        return [r for r in records if self.predicate(r)]
-
 
 def _meta(record: PairRecord, key: str) -> str:
     try:
@@ -133,28 +130,6 @@ def _spread(values, sample: bool) -> float:
     return statistics.stdev(values) if sample else statistics.pstdev(values)
 
 
-def _joined_labels(record: PairRecord, preds: PredictionSet):
-    try:
-        return preds.labels[record.id]
-    except KeyError:
-        raise PredictionJoinError(f"no prediction for record {record.id!r}") from None
-
-
-def accuracy(
-    gold, preds: PredictionSet, group: GroupSpec | None = None, sample_sd: bool = False
-) -> AccuracyResult:
-    """Per-run accuracy over the (optionally group-filtered) gold records."""
-    records = list(gold) if group is None else group.select(gold)
-    k = [0] * preds.runs
-    for record in records:
-        labels = _joined_labels(record, preds)
-        for run, label in enumerate(labels):
-            if label is record.label:
-                k[run] += 1
-    name = group.name if group is not None else "all"
-    return _accuracy_result(name, len(records), preds.runs, k, sample_sd)
-
-
 def _accuracy_result(name: str, n: int, runs: int, k, sample_sd: bool) -> AccuracyResult:
     if n == 0:
         return AccuracyResult(name, 0, runs, (), (), float("nan"), float("nan"))
@@ -170,34 +145,10 @@ def _accuracy_result(name: str, n: int, runs: int, k, sample_sd: bool) -> Accura
     )
 
 
-def majority_vote(preds: PredictionSet, tie_break_not_entailed: bool = False) -> PredictionSet:
-    """Collapse runs into a single-run PredictionSet; a tie is an error
-    unless the flag resolves ties toward the not-entailed label."""
-    out = {}
-    for rid, labels in preds.labels.items():
-        entailed = sum(1 for label in labels if label is Label.ENTAILED)
-        rest = len(labels) - entailed
-        if entailed > rest:
-            out[rid] = (Label.ENTAILED,)
-        elif rest > entailed:
-            out[rid] = (Label.NOT_ENTAILED,)
-        elif tie_break_not_entailed:
-            out[rid] = (Label.NOT_ENTAILED,)
-        else:
-            raise ConstraintError(
-                f"majority vote tie for {rid!r} over {len(labels)} runs; "
-                "use an odd run count or allow tie-breaking"
-            )
-    return PredictionSet(runs=1, labels=out)
-
-
 @dataclass(frozen=True)
 class ZTestResult:
     z: float
     p_value: float
-
-    def significant(self, alpha: float = 0.01) -> bool:
-        return self.p_value < alpha
 
 
 def two_proportion_ztest(k1: int, n1: int, k2: int, n2: int) -> ZTestResult:
@@ -212,50 +163,6 @@ def two_proportion_ztest(k1: int, n1: int, k2: int, n2: int) -> ZTestResult:
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
     z = (k1 / n1 - k2 / n2) / se
     return ZTestResult(z, math.erfc(abs(z) / math.sqrt(2.0)))
-
-
-@dataclass(frozen=True)
-class ScoreStat:
-    group: str
-    n: int
-    mean: float
-    sd: float
-
-
-def pll_aggregate(scores: dict[str, float], gold, sample_sd: bool = False) -> list[ScoreStat]:
-    """Aggregate per-sentence scores into premise and per-hypothesis-kind
-    means. Premises are scored once under their premise id; hypotheses under
-    their record id."""
-    premise_values = []
-    seen_premises = set()
-    by_kind: dict[HypKind, list[float]] = {}
-    for record in gold:
-        pid = _meta(record, "premise_id")
-        if pid not in seen_premises:
-            seen_premises.add(pid)
-            if pid not in scores:
-                raise PredictionJoinError(f"no score for sentence {pid!r}")
-            premise_values.append(scores[pid])
-        if record.id not in scores:
-            raise PredictionJoinError(f"no score for sentence {record.id!r}")
-        by_kind.setdefault(record.hyp_kind, []).append(scores[record.id])
-    stats = []
-    if premise_values:
-        stats.append(
-            ScoreStat(
-                "premise",
-                len(premise_values),
-                statistics.fmean(premise_values),
-                _spread(premise_values, sample_sd),
-            )
-        )
-    for kind in HypKind:
-        values = by_kind.get(kind)
-        if values:
-            stats.append(
-                ScoreStat(kind.value, len(values), statistics.fmean(values), _spread(values, sample_sd))
-            )
-    return stats
 
 
 # every metadata field a comparison group's predicate reads: records that agree
@@ -308,7 +215,7 @@ def build_report(
         if labels is None:
             if record.id in preds.labels:
                 raise DataFormatError(f"duplicate record id {record.id!r}")
-            _joined_labels(record, preds)  # raises: no prediction
+            raise PredictionJoinError(f"no prediction for record {record.id!r}")
         key = (record.hyp_kind, record.pattern_name,
                *map(record.metadata.get, _GROUP_FIELDS, _ABSENT))
         try:
@@ -334,7 +241,7 @@ def build_report(
             n[i] += count
             voted[i] += count * vote_hit
             k[i] = [c + count * hit for c, hit in zip(k[i], hits)]
-    tied = not tie_break_not_entailed and any(2 * sum(hits) == runs for _, hits, _ in cells)
+    tied = not tie_break_not_entailed and any(2 * sum(hits) == len(hits) for _, hits, _ in cells)
 
     rows = []
     lines = [f"records: {n[0]}  runs: {runs}"]
@@ -355,8 +262,11 @@ def build_report(
         a, b = specs.index(group_a), specs.index(group_b)
         if not n[a] or not n[b]:
             continue
-        if tied:
-            majority_vote(preds)  # raises the tie error naming the first tied id
+        if tied:  # every prediction id is in gold by now: name the first tie in preds.labels
+            rid, labels = next((rid, labels) for rid, labels in preds.labels.items()
+                               if 2 * labels.count(Label.ENTAILED) == len(labels))
+            raise ConstraintError(f"majority vote tie for {rid!r} over {len(labels)} runs; "
+                                  "use an odd run count or allow tie-breaking")
         k1, n1, k2, n2 = voted[a], n[a], voted[b], n[b]
         test = two_proportion_ztest(k1, n1, k2, n2)
         rows.append(

@@ -15,7 +15,7 @@ import stat
 from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
-from json.encoder import c_make_encoder as _c_make_encoder, encode_basestring as _encode_str
+from json.encoder import encode_basestring as _encode_str
 from operator import itemgetter
 
 from .core import HypKind, Label, PairRecord
@@ -202,19 +202,6 @@ def _tsv_fields(record: PairRecord) -> tuple[str, ...]:
     return fields
 
 
-def _metadata_encoder():
-    """A function encoding one record's metadata as _ROW_ENCODER.encode
-    would, for one write. A metadata dict goes through one C encoder made
-    here with a fresh markers dict and the row encoder's default, so
-    circular and unserialisable metadata raise as they would there."""
-    if _c_make_encoder is None:
-        return _ROW_ENCODER.encode
-    e = _ROW_ENCODER
-    encode = _c_make_encoder({}, e.default, _encode_str, e.indent, e.key_separator,
-                             e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-    return lambda m: "".join(encode(m, 0)) if type(m) is dict else e.encode(m)
-
-
 def _row_tail(label: Label, hyp_kind: HypKind, pattern_name: str) -> str:
     """The encoded fields of a row after its hypothesis and before its metadata."""
     return (f'"label": {_LABEL_JSON[label._value_]}, "hyp_kind": {_HYP_KIND_JSON[hyp_kind._value_]}, '
@@ -241,7 +228,6 @@ def _row_lines(records):
     whose keys and values are all strings, in the same key order (a
     premise's records), shares one encoding of it. A string among the
     records is a line already encoded, and passes through."""
-    encode_metadata = _metadata_encoder()
     last = keys = meta = None  # keys: the last metadata's, if all strings
     for r in records:
         if type(r) is str:
@@ -249,7 +235,7 @@ def _row_lines(records):
             continue
         m = r.metadata
         if m is not last and (keys is None or m != last or list(m) != keys):
-            meta = encode_metadata(m)
+            meta = _ROW_ENCODER.encode(m)
             keys = list(m) if type(m) is dict and {*map(type, m), *map(type, m.values())} <= _STR else None
             last = m
         yield _row(_encode_str(r.id), _encode_str(r.subset), _encode_str(r.premise),
@@ -324,7 +310,6 @@ def _row_objects(rows, share, canonical=False):
     """
     text = meta = keys = None  # keys: the last shared metadata's, through share
     same = False  # whether text is the encoding of meta
-    encode = _metadata_encoder()
     for lineno, line in rows:
         obj = match.groupdict() if (match := _ROW_RE.fullmatch(line)) else None
         if obj is not None and obj["metadata"] != text:
@@ -339,7 +324,7 @@ def _row_objects(rows, share, canonical=False):
             elif strings and meta and "\\" not in text:
                 same = text == '{"' + '", "'.join(map('": "'.join, meta.items())) + '"}'
             else:
-                same = encode(meta) == text
+                same = _ROW_ENCODER.encode(meta) == text
             if strings:
                 if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
                     keys = tuple(map(share, meta, meta))

@@ -270,9 +270,11 @@ def sample_premises(
 ) -> list[PremiseInstance]:
     """Draw premises for every pattern of the set, pattern-major order.
 
-    In replacement mode the raw draws are returned and duplicate surfaces are
-    collapsed later (keeping the first), matching the construction that gives
-    slightly fewer premises than patterns x per_pattern.
+    For P_SUBJECT and OS_HARD these are the base accusative draws, with
+    noun subjects, not the premises the set writes. With replacement the
+    raw draws are returned and are not deduplicated; the set collapses
+    duplicate surfaces (keeping the first), which gives slightly fewer
+    premises than patterns x per_pattern.
     """
     tables = _Tables(lex)
     return [

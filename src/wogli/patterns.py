@@ -1,25 +1,23 @@
 """Argument-class patterns, the premise ids that name their draws, and the
-morphological-ambiguity oracle.
+closed-form ambiguity rule.
 
 A pattern names the subject and object argument classes of a premise
 (`sing_masc_v_plural_fem` etc.). The generator inventories are fixed: 17
-accusative patterns survive the ambiguity filter, 8 are excluded because
-German marks neither argument distinctly in them, and the dative and
-ditransitive sets share one 24-pattern inventory.
+accusative patterns survive ambiguity_rule, the 8 it drops are those in
+which German marks neither argument distinctly, and the dative and
+ditransitive sets share one 24-pattern inventory. The tests check the rule
+against an enumerating oracle over the lexicon.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cache
 
-from .core import ArticleKind, Gender, Government, HypKind, Number
+from .core import Gender, Government, Number
 from .errors import DataFormatError
-from .lexicon import Lexicon
-from .morphology import _ARTICLE_KINDS, NPSpec, compile_sentence
 
 
 class NPClass(enum.Enum):
@@ -104,17 +102,6 @@ _EXTENDED_NAMES = (
     "sing_fem_v_sing_fem",
 )
 
-_EXCLUDED_NAMES = (
-    "sing_fem_v_pnoun",
-    "pnoun_v_sing_fem",
-    "pnoun_v_pnoun",
-    "sing_fem_v_sing_fem",
-    "plural_fem_v_plural_fem",
-    "plural_masc_v_plural_masc",
-    "plural_masc_v_plural_fem",
-    "plural_fem_v_plural_masc",
-)
-
 
 def wogli_patterns() -> list[Pattern]:
     """The 17 unambiguous accusative patterns: the extended inventory, in its
@@ -128,11 +115,6 @@ def extended_patterns(government: Government) -> list[Pattern]:
     if government is Government.ACCUSATIVE:
         raise ValueError("the extended inventory exists for dative and ditransitive verbs")
     return [parse_pattern_name(n, government) for n in _EXTENDED_NAMES]
-
-
-def excluded_patterns() -> list[Pattern]:
-    """The 8 accusative patterns dropped for argument-marking ambiguity."""
-    return [parse_pattern_name(n, Government.ACCUSATIVE) for n in _EXCLUDED_NAMES]
 
 
 # the end of an accusative record's id stem (the id without its last "-"
@@ -172,63 +154,6 @@ def classify_number(pattern: Pattern) -> NumberClass:
     if pattern.subject.number is Number.SG and pattern.object.number is Number.SG:
         return NumberClass.ALL_SINGULAR
     return NumberClass.SINGULAR_PLURAL
-
-
-def _representative_specs(cls: NPClass, lex: Lexicon, skip_lemmas: set[str]) -> list[NPSpec]:
-    """A small lexicalization cover for one slot: every admissible article kind
-    crossed with nouns of every declension behavior present in the class."""
-    specs = []
-    if cls.is_proper:
-        for gender in (Gender.MASC, Gender.FEM):
-            for noun in lex.proper_nouns(gender):
-                if noun.lemma not in skip_lemmas:
-                    specs.append(NPSpec(noun, gender, Number.SG, ArticleKind.NONE))
-                    break
-        return specs
-    nouns = []
-    pool = [n for n in lex.common_nouns(cls.gender) if n.lemma not in skip_lemmas]
-    for weak in (True, False):
-        for plural_is_lemma in (True, False):
-            for n in pool:
-                if n.weak_declension == weak and (n.plural_nom == n.lemma) == plural_is_lemma:
-                    nouns.append(n)
-                    break
-    for noun in nouns:
-        for kind in _ARTICLE_KINDS[cls.number]:
-            specs.append(NPSpec(noun, cls.gender, cls.number, kind))
-    return specs
-
-
-def is_ambiguous(pattern: Pattern, lex: Lexicon) -> bool:
-    """True iff the argument-swapped SO hypothesis and the reordered OS
-    hypothesis coincide as strings for every lexicalization of the pattern.
-
-    Checked by enumerating article kinds crossed with representative nouns of
-    each declension behavior and two verbs. The surfaces either collide for
-    all lexicalizations or for none, so the cover is decision-equivalent to
-    full enumeration; a shared ditransitive direct object could never break a
-    tie and is left out.
-    """
-    h1_of = compile_sentence(pattern.government.object_case, HypKind.H1_SO)
-    h2_of = compile_sentence(pattern.government.object_case, HypKind.H2_OS)
-    verbs = list(lex.verbs(pattern.government))[:2]
-    subjects = _representative_specs(pattern.subject, lex, set())
-    if not subjects or not verbs:
-        raise ValueError(f"lexicon cannot realize pattern {pattern.name}")
-    subject_lemmas = {s.head.lemma for s in subjects}
-    same_class = pattern.subject is pattern.object
-    objects = _representative_specs(
-        pattern.object, lex, subject_lemmas if same_class else set()
-    )
-    if not objects:
-        raise ValueError(f"lexicon cannot realize pattern {pattern.name}")
-
-    outcomes = set()
-    for subj, verb, obj in itertools.product(subjects, verbs, objects):
-        if subj.head.lemma == obj.head.lemma:
-            continue
-        outcomes.add(h1_of(subj, obj, verb) == h2_of(subj, obj, verb))
-    return outcomes == {True}
 
 
 def ambiguity_rule(pattern: Pattern) -> bool:

@@ -32,19 +32,15 @@ from wogli import (
     NumberClass,
     PairRecord,
     PredictionSet,
-    accuracy,
     agree_verb,
     classify_number,
     definiteness_groups,
-    excluded_patterns,
     extended_patterns,
     gender_groups,
     generate_set,
     inflect_article,
     inflect_noun,
     inflect_pronoun,
-    is_ambiguous,
-    majority_vote,
     number_groups,
     parse_pattern_name,
     plan_102,
@@ -62,6 +58,7 @@ from wogli import dataset_io
 from wogli.cli import run
 from wogli.morphology import compile_sentence
 
+from oracles import accuracy, excluded_patterns, is_ambiguous, majority_vote, select
 from test_patterns import EXCLUDED_8, EXTENDED_24, WOGLI_17
 
 E = Label.ENTAILED
@@ -579,16 +576,16 @@ class TestC8Analysis:
             if r.metadata["object_definiteness"] == "indefinite"
             and r.metadata["subject_definiteness"] == "definite"
         }
-        assert {r.id for r in dispreferred.select(gold)} == want_dis
-        assert {r.id for r in preferred.select(gold)} == {r.id for r in swap} - want_dis
+        assert {r.id for r in select(dispreferred, gold)} == want_dis
+        assert {r.id for r in select(preferred, gold)} == {r.id for r in swap} - want_dis
 
         all_sing, mixed = number_groups()
         want_sing = {
             r.id for r in swap
             if r.metadata["subject_number"] == "sg" and r.metadata["object_number"] == "sg"
         }
-        assert {r.id for r in all_sing.select(gold)} == want_sing
-        assert {r.id for r in mixed.select(gold)} == {r.id for r in swap} - want_sing
+        assert {r.id for r in select(all_sing, gold)} == want_sing
+        assert {r.id for r in select(mixed, gold)} == {r.id for r in swap} - want_sing
 
         by_gender = gender_groups("subject", "common")
         masc = next(g for g in by_gender if g.name.endswith("masc"))
@@ -598,10 +595,10 @@ class TestC8Analysis:
             if r.metadata["subject_kind"] == "common"
             and r.metadata["subject_gender"] == "masc"
         }
-        assert {r.id for r in masc.select(gold)} == want_masc
+        assert {r.id for r in select(masc, gold)} == want_masc
 
         for group in (preferred, dispreferred, all_sing, mixed, masc, fem):
-            subset = group.select(gold)
+            subset = select(group, gold)
             if not subset:
                 continue
             k, per_run = brute(subset)
@@ -688,7 +685,7 @@ class TestC10ByteContract:
             write_pairs(records, buf)
             encoded, canonical = [], bytearray()
             with monkeypatch.context() as patch:
-                patch.setattr(dataset_io, "_metadata_encoder", lambda: encoded.append)
+                patch.setattr(dataset_io._ROW_ENCODER, "encode", encoded.append)
                 for _ in dataset_io._records(buf.getvalue().splitlines(), canonical):
                     pass
             assert len(canonical) == len(records) and all(canonical)

@@ -26,18 +26,16 @@ from wogli import (
     PredictionJoinError,
     PredictionSet,
     WogliError,
-    accuracy,
     build_report,
     definiteness_groups,
     gender_groups,
     generate_set,
-    majority_vote,
     number_groups,
-    pll_aggregate,
     two_proportion_ztest,
 )
 
 from conftest import make_toy
+from oracles import accuracy, majority_vote, select
 
 E = Label.ENTAILED
 NE = Label.NOT_ENTAILED
@@ -122,8 +120,8 @@ class TestNumberGroups:
         all_singular, mixed = number_groups()
         records = generate_set(GenerationSet.WOGLI, toy_lex, seed=2, per_pattern=2)
         # 5 of 17 patterns are all-singular; one H1 record per premise
-        assert len(all_singular.select(records)) == 5 * 2
-        assert len(mixed.select(records)) == 12 * 2
+        assert len(select(all_singular, records)) == 5 * 2
+        assert len(select(mixed, records)) == 12 * 2
 
 
 class TestGenderGroups:
@@ -288,48 +286,8 @@ class TestZTest:
 
     def test_significance_call(self):
         # observed accuracy gap on two groups of very different size
-        assert two_proportion_ztest(4380, 14671, 271, 2300).significant(alpha=0.01)
-        assert not two_proportion_ztest(50, 100, 49, 100).significant()
-
-
-class TestPllAggregate:
-    def test_premise_and_kind_means(self, small_gold):
-        scores = {
-            "a-premise": -2.0, "c-premise": -4.0,
-            "a": -1.0, "b": -5.0, "c": -3.0, "d": -5.0,
-        }
-        stats = {s.group: s for s in pll_aggregate(scores, small_gold)}
-        assert stats["premise"].n == 2
-        assert stats["premise"].mean == pytest.approx(-3.0)
-        assert stats["premise"].sd == pytest.approx(1.0)
-        assert stats["h1_so"].mean == pytest.approx(-2.0)
-        assert stats["h2_os"].mean == pytest.approx(-5.0)
-        assert stats["h2_os"].sd == 0.0
-
-    def test_shared_premise_counted_once(self):
-        gold = [
-            _rec("a", premise_id="p0"),
-            _rec("b", hyp_kind=HypKind.H2_OS, label=E, premise_id="p0"),
-        ]
-        scores = {"p0": -1.0, "a": -1.0, "b": -1.0}
-        stats = {s.group: s for s in pll_aggregate(scores, gold)}
-        assert stats["premise"].n == 1
-        assert stats["premise"].sd == 0.0
-
-    def test_sample_spread_flag(self, small_gold):
-        scores = {
-            "a-premise": -2.0, "c-premise": -4.0,
-            "a": -1.0, "b": -5.0, "c": -3.0, "d": -5.0,
-        }
-        stats = {s.group: s for s in pll_aggregate(scores, small_gold, sample_sd=True)}
-        assert stats["premise"].sd == pytest.approx(math.sqrt(2.0))
-
-    def test_missing_scores_are_join_errors(self, small_gold):
-        scores = {"a-premise": -2.0, "c-premise": -4.0, "a": -1.0, "b": -5.0, "c": -3.0}
-        with pytest.raises(PredictionJoinError, match="'d'"):
-            pll_aggregate(scores, small_gold)
-        with pytest.raises(PredictionJoinError, match="premise"):
-            pll_aggregate({"a": -1.0}, small_gold)
+        assert two_proportion_ztest(4380, 14671, 271, 2300).p_value < 0.01
+        assert not two_proportion_ztest(50, 100, 49, 100).p_value < 0.01
 
 
 class TestBuildReport:
@@ -398,6 +356,17 @@ class TestBuildReport:
             build_report(gold, preds, groups="number")
         text, rows = build_report(gold, preds, groups="number", tie_break_not_entailed=True)
         assert any(r["kind"] == "ztest" for r in rows)
+
+    def test_tie_error_names_the_first_tie_in_the_predictions(self):
+        # gold reads a first, the predictions list b first: b's tie is named
+        gold = [
+            _rec("a", pattern="sing_masc_v_sing_fem"),
+            _rec("b", pattern="sing_masc_v_plural_fem"),
+        ]
+        preds = PredictionSet(runs=2, labels={"b": (NE, E), "a": (E, NE)})
+        with pytest.raises(ConstraintError, match=r"^majority vote tie for 'b' over 2 runs; "
+                                                  r"use an odd run count or allow tie-breaking$"):
+            build_report(gold, preds, groups="number")
 
     def test_prediction_ids_outside_gold_rejected_before_voting(self):
         gold = [
@@ -484,7 +453,7 @@ def _reference_rows(gold, preds, groups, tie_break, sample_sd):
         accuracy([record], preds)
         for _, pair in pairs:
             for spec in pair:
-                spec.select([record])
+                select(spec, [record])
     gold_ids = {r.id for r in gold}
     unknown = [rid for rid in preds.labels if rid not in gold_ids]
     if unknown:
@@ -500,7 +469,7 @@ def _reference_rows(gold, preds, groups, tie_break, sample_sd):
         rows.append(_accuracy_row(accuracy(gold, preds, group_a, sample_sd)))
         rows.append(_accuracy_row(accuracy(gold, preds, group_b, sample_sd)))
     for comparison, (group_a, group_b) in pairs:
-        a, b = group_a.select(gold), group_b.select(gold)
+        a, b = select(group_a, gold), select(group_b, gold)
         if not a or not b:
             continue
         voted = majority_vote(preds, tie_break).labels

@@ -14,12 +14,12 @@ from wogli import (
     Pattern,
     ambiguity_rule,
     classify_number,
-    excluded_patterns,
     extended_patterns,
-    is_ambiguous,
     parse_pattern_name,
     wogli_patterns,
 )
+
+from oracles import excluded_patterns, is_ambiguous
 
 WOGLI_17 = (
     "pnoun_v_sing_masc",
