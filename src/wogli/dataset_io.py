@@ -29,8 +29,8 @@ _LABELS = {m.value: m for m in Label}
 # hyp_kind value -> (member, the label it implies), so no row calls Enum code
 _KIND_LABELS = {m.value: (m, m.label) for m in HypKind}
 # keyed by member value, as an Enum member hashes through Python code
-_LABEL_JSON = {m.value: _encode_str(m.value) for m in Label}
-_HYP_KIND_JSON = {m.value: _encode_str(m.value) for m in HypKind}
+_KIND_JSON = {m.value: f'"label": {_encode_str(m.label.value)}, "hyp_kind": {_encode_str(m.value)}'
+              for m in HypKind}
 # _row puts metadata last in every row
 _META_SEP = ', "metadata": '
 _STR = {str}
@@ -184,28 +184,32 @@ def _unique(records, seen: set):
         yield record
 
 
-def _tsv_fields(record: PairRecord) -> tuple[str, ...]:
-    fields = (
-        record.id,
-        record.subset,
-        record.premise,
-        record.hypothesis,
-        record.label.value,
-        record.hyp_kind.value,
-        record.pattern_name,
-    )
-    for field in fields:
-        if "\t" in field or "\n" in field or "\r" in field:
-            raise DataFormatError(
-                f"record {record.id!r}: field contains a tab or line break"
-            )
-    return fields
+def _tsv_line(record: PairRecord) -> str:
+    fields = (record.id, record.subset, record.premise, record.hypothesis,
+              record.label.value, _kind(record).value, record.pattern_name)
+    try:
+        line = "\t".join(fields)
+    except TypeError:
+        name, value = next((n, v) for n, v in zip(TSV_HEADER, fields) if not isinstance(v, str))
+        raise TypeError(f"record {record.id!r}: field {name!r} must be a string, found {value!r:.40}") from None
+    if "\n" in line or "\r" in line or line.count("\t") != len(fields) - 1:
+        raise DataFormatError(f"record {record.id!r}: field contains a tab or line break")
+    return line + "\n"
 
 
-def _row_tail(label: Label, hyp_kind: HypKind, pattern_name: str) -> str:
-    """The encoded fields of a row after its hypothesis and before its metadata."""
-    return (f'"label": {_LABEL_JSON[label._value_]}, "hyp_kind": {_HYP_KIND_JSON[hyp_kind._value_]}, '
-            f'"pattern": {_encode_str(pattern_name)}')
+def _kind(r: PairRecord) -> HypKind:
+    """r's hyp_kind, which must imply r's label."""
+    kind, implied = _KIND_LABELS[r.hyp_kind._value_]
+    if r.label is not implied:
+        raise DataFormatError(f"record {r.id!r}: label {r.label.value!r} contradicts hyp_kind "
+                              f"{kind.value!r}, which is {implied.value!r}")
+    return kind
+
+
+def _row_tail(hyp_kind: HypKind, pattern_name: str) -> str:
+    """The encoded fields of a row after its hypothesis and before its
+    metadata; the label is the one hyp_kind implies."""
+    return f'{_KIND_JSON[hyp_kind._value_]}, "pattern": {_encode_str(pattern_name)}'
 
 
 def _row(rid: str, subset: str, premise: str, hypothesis: str, tail: str, metadata: str) -> str:
@@ -227,25 +231,28 @@ def _row_lines(records):
     A run of records with the same metadata dict, or with equal metadata
     whose keys and values are all strings, in the same key order (a
     premise's records), shares one encoding of it. A string among the
-    records is a line already encoded, and passes through."""
-    last = keys = meta = None  # keys: the last metadata's, if all strings
+    records is a line already encoded, and passes through. A record whose
+    metadata is not a dict, or whose hyp_kind contradicts its label, is a
+    DataFormatError."""
+    last, keys = object(), None  # last: no metadata is encoded yet; keys: the last metadata's, if all strings
     for r in records:
         if type(r) is str:
             yield r
             continue
         m = r.metadata
         if m is not last and (keys is None or m != last or list(m) != keys):
+            if not isinstance(m, dict):
+                raise DataFormatError(f"record {r.id!r}: metadata must be an object, found {m!r:.40}")
             meta = _ROW_ENCODER.encode(m)
             keys = list(m) if type(m) is dict and {*map(type, m), *map(type, m.values())} <= _STR else None
             last = m
         yield _row(_encode_str(r.id), _encode_str(r.subset), _encode_str(r.premise),
-                   _encode_str(r.hypothesis), _row_tail(r.label, r.hyp_kind, r.pattern_name), meta)
+                   _encode_str(r.hypothesis), _row_tail(_kind(r), r.pattern_name), meta)
 
 
 def _tsv_lines(records):
     yield "\t".join(TSV_HEADER) + "\n"
-    for r in records:
-        yield "\t".join(_tsv_fields(r)) + "\n"
+    yield from map(_tsv_line, records)
 
 
 _LINES = {"rows": _row_lines, "tsv": _tsv_lines}
@@ -258,13 +265,14 @@ def write_pairs(records, dest, fmt: str = "rows") -> int:
     "rows" gives JSON lines in stable key order (no records give an empty
     file); "tsv" gives a header plus one row per record. Records are
     encoded and written a line at a time, and a record that cannot be
-    written (a duplicate id, a non-string field, a tab in a TSV field), or
-    an exception raised by the iterable, leaves the destination as it was,
-    or absent. A path is written into a new file in its directory that then
-    replaces it: a hard link to the old file keeps the old bytes, the new
-    file takes the old one's permission bits, and a symlink's target is
-    replaced, not the link. A stream, FIFO or device gets nothing until
-    every record is encoded.
+    written (a duplicate id, a non-string field, a tab in a TSV field, a
+    label its hyp_kind contradicts, or in "rows" a metadata that is not a
+    dict), or an exception raised by the iterable, leaves the destination
+    as it was, or absent. A path is written into a new file in its
+    directory that then replaces it: a hard link to the old file keeps the
+    old bytes, the new file takes the old one's permission bits, and a
+    symlink's target is replaced, not the link. A stream, FIFO or device
+    gets nothing until every record is encoded.
     """
     lines = _LINES.get(fmt)
     if lines is None:
@@ -294,48 +302,6 @@ def _tsv_row(line: str, lineno: int) -> dict:
     return dict(zip(TSV_HEADER, fields), metadata={})
 
 
-def _row_objects(rows, share, canonical=False):
-    """(line number, object, canonical) of each of rows, (line number, line)
-    pairs, as json.loads reads the line. A line _ROW_RE matches is read as
-    its seven fields and its metadata text, decoded once for a run of lines
-    with one text (a premise's rows); each object gets its own shallow
-    copy, whose keys and string values go through share. Every other line,
-    and one whose metadata text holds a \\u escape or is not one JSON
-    object, goes through _json_row. With canonical, the third item says
-    whether the line is the one _row_lines writes for the row's record:
-    _ROW_RE matched it and its metadata text is its own encoding, checked
-    once per run; without, it is False. A non-empty text without a
-    backslash whose values are all strings holds each of them as it is, so
-    it is checked against their plain join, not encoded.
-    """
-    text = meta = keys = None  # keys: the last shared metadata's, through share
-    same = False  # whether text is the encoding of meta
-    for lineno, line in rows:
-        obj = match.groupdict() if (match := _ROW_RE.fullmatch(line)) else None
-        if obj is not None and obj["metadata"] != text:
-            text = obj["metadata"]
-            try:  # _json_row checks what a \u escape decodes to
-                meta = None if "\\u" in text else json.loads(text)
-            except json.JSONDecodeError:  # say '{"a": 1}, "b": {}': the line has a ninth key
-                meta = None
-            strings = type(meta) is dict and set(map(type, vals := meta.values())) <= _STR
-            if not canonical or meta is None:
-                same = False
-            elif strings and meta and "\\" not in text:
-                same = text == '{"' + '", "'.join(map('": "'.join, meta.items())) + '"}'
-            else:
-                same = _ROW_ENCODER.encode(meta) == text
-            if strings:
-                if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
-                    keys = tuple(map(share, meta, meta))
-                meta = dict(zip(keys, map(share, vals, vals)))
-        if obj is None or meta is None:
-            yield lineno, _json_row(line, lineno), False
-        else:
-            obj["metadata"] = meta.copy()
-            yield lineno, obj, same
-
-
 def _own(key: str, value: str) -> str:
     """The share that shares nothing: every string stays the row's own."""
     return value
@@ -363,19 +329,22 @@ def _record_from_row(obj, lineno: int, share=_own) -> PairRecord:
         raise DataFormatError(
             f"line {lineno}: metadata must be an object, found {json.dumps(metadata)[:40]}"
         )
-    label = _LABELS.get(fields[4])
-    kind, implied = _KIND_LABELS.get(fields[5], (None, None))
-    if label is None or kind is None:
-        bad, enum = (fields[4], "Label") if label is None else (fields[5], "HypKind")
-        raise DataFormatError(f"line {lineno}: {bad!r} is not a valid {enum}")
-    if label is not implied:
-        raise DataFormatError(
-            f"line {lineno}: label {label.value!r} contradicts hyp_kind "
-            f"{kind.value!r}, which is {implied.value!r}"
-        )
+    label, kind = _label_kind(fields[4], fields[5], lineno)
     rid, subset, premise, hypothesis = fields[:4]
     return PairRecord(rid, share(subset, subset), share(premise, premise), hypothesis,
                       label, kind, share(fields[6], fields[6]), metadata)
+
+
+def _label_kind(label: str, hyp_kind: str, lineno: int) -> tuple[Label, HypKind]:
+    """The members a row's label and hyp_kind name, which must agree."""
+    member, (kind, implied) = _LABELS.get(label), _KIND_LABELS.get(hyp_kind, (None, None))
+    if member is None or kind is None:
+        bad, enum = (label, "Label") if member is None else (hyp_kind, "HypKind")
+        raise DataFormatError(f"line {lineno}: {bad!r} is not a valid {enum}")
+    if member is not implied:
+        raise DataFormatError(f"line {lineno}: label {label!r} contradicts hyp_kind "
+                              f"{kind.value!r}, which is {implied.value!r}")
+    return member, kind
 
 
 def read_pairs(source) -> list[PairRecord]:
@@ -420,22 +389,52 @@ def _rows(lines):
 
 def _records(lines, canonical=None, share=_own):
     """The records of a pair file's lines, each read as it is consumed, ids
-    unchecked. canonical, if given, is a list or bytearray that gets, before
-    each record is yielded, whether its row's line is the one _row_lines
-    writes for it. Each subset, premise and pattern, and each metadata key
-    and string value, goes through share(value, value): the default keeps
-    every string the row's own, so a caller that keeps no record holds no
-    string of one, and a memo's setdefault, which only str values reach (1,
-    True and 1.0 would hash equal), makes equal strings one object."""
+    unchecked. A line _ROW_RE matches is read as its seven fields, strings of
+    which only the label rule is checked, and its metadata text, decoded once
+    for a run of lines with one text (a premise's rows); each record gets its
+    own shallow copy. Any other line, or one whose metadata text holds a \\u
+    escape or is not one JSON object, goes through _json_row or _tsv_row and
+    _record_from_row. canonical, if given, is a list or bytearray that gets,
+    before each record is yielded, whether its row's line is the one _row_lines
+    writes for it: _ROW_RE matched it and its metadata text is its own
+    encoding, checked once per run; a non-empty text without a backslash whose
+    values are all strings holds them as they are, so is checked against their
+    plain join. Each subset, premise and pattern, and each metadata key and
+    string value, goes through share(value, value): the default keeps every
+    string the row's own, so a caller that keeps no record holds none of them,
+    and a memo's setdefault, which only str values reach (1, True and 1.0 would
+    hash equal), makes equal strings one object."""
     tsv, rows = _rows(lines)
-    if tsv:
-        objects = ((lineno, _tsv_row(line, lineno), False) for lineno, line in rows)
-    else:
-        objects = _row_objects(rows, share, canonical is not None)
-    for lineno, obj, same in objects:
-        record = _record_from_row(obj, lineno, share)
+    text = meta = keys = same = None  # keys: the last shared metadata's, through share; same: text encodes meta
+    for lineno, line in rows:
+        match = None if tsv else _ROW_RE.fullmatch(line)
+        if match is not None and match[8] != text:
+            text = match[8]
+            try:  # _json_row checks what a \u escape decodes to
+                meta = None if "\\u" in text else json.loads(text)
+            except json.JSONDecodeError:  # say '{"a": 1}, "b": {}': the line has a ninth key
+                meta = None
+            strings = type(meta) is dict and set(map(type, vals := meta.values())) <= _STR
+            if canonical is None or meta is None:
+                same = False
+            elif strings and meta and "\\" not in text:
+                same = text == '{"' + '", "'.join(map('": "'.join, meta.items())) + '"}'
+            else:
+                same = _ROW_ENCODER.encode(meta) == text
+            if strings:
+                if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
+                    keys = tuple(map(share, meta, meta))
+                meta = dict(zip(keys, map(share, vals, vals)))
+        if match is None or meta is None:
+            row = _tsv_row(line, lineno) if tsv else _json_row(line, lineno)
+            record, copy = _record_from_row(row, lineno, share), False
+        else:
+            rid, subset, premise, hypothesis, label, kind, pattern = match.group(1, 2, 3, 4, 5, 6, 7)
+            label, kind = _label_kind(label, kind, lineno)
+            record, copy = PairRecord(rid, share(subset, subset), share(premise, premise), hypothesis,
+                                      label, kind, share(pattern, pattern), meta.copy()), same
         if canonical is not None:
-            canonical.append(same)
+            canonical.append(copy)
         yield record
 
 

@@ -141,6 +141,12 @@ class _Tables:
             return tuple((v, tuple(things[t] for t in compat[v.lemma])) for v in self.lex.verbs_ditrans)
         return self._cached(government, build)
 
+    def verb(self, government: Government, lemma):
+        """The government's verb with this lemma, the first if listed twice, or None."""
+        index = self._cached(("verb", government), lambda: {
+            verb.lemma: verb for verb, _ in reversed(self.verbs(government))})
+        return index.get(lemma) if isinstance(lemma, str) else None
+
     def verb_things(self, government: Government) -> list[tuple]:
         """(verb, thing spec or None) per verb and direct object, in canonical order."""
         return [
@@ -309,7 +315,7 @@ class _Records:
         self.premise_of = compile_sentence(case, None, self.spaced_period)
         self.hypotheses = [
             (kind, "-" + kind.value.split("_")[0], kind.label, compile_sentence(case, kind, self.spaced_period),
-             _row_tail(kind.label, kind, pattern.name))
+             _row_tail(kind, pattern.name))
             for kind in self.kinds
         ]
 
@@ -413,7 +419,7 @@ def _read_record(record: PairRecord, tables: _Tables):
         pattern = tables._cached((name, government), lambda: parse_pattern_name(name, government))
     except ValueError as exc:
         raise DataFormatError(f"{where}: {exc}") from None
-    verb = tables.lex.entry("verb", government, meta.get("verb_lemma"))
+    verb = tables.verb(government, meta.get("verb_lemma"))
     if verb is None:
         raise DataFormatError(f"{where}: verb {meta.get('verb_lemma')!r} not in the lexicon")
     subject = tables.np(pattern.subject, "subject", meta, where)

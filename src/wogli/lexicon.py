@@ -66,17 +66,6 @@ class Lexicon:
     def proper_nouns(self, gender: Gender) -> tuple[NounEntry, ...]:
         return self.masc_proper if gender is Gender.MASC else self.fem_proper
 
-    def entry(self, cls: str, tag, lemma):
-        """The entry of TSV class cls ("verb", "noun", "pnoun", "thing") and
-        government or gender tag with this lemma, or None; the first wins."""
-        return self._index.get((cls, tag, lemma)) if isinstance(lemma, str) else None
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        # each inventory reversed, so that of a lemma listed twice the first wins
-        return {(cls, tag, entry.lemma): entry for field, cls, tag in _INVENTORIES.values()
-                for entry in reversed(getattr(self, field))}
-
 
 # One row per inventory, in document order: JSON key -> (Lexicon field, TSV
 # class, government or gender). Both encodings read and write through it.

@@ -149,6 +149,18 @@ class TestRowTypes:
         with pytest.raises(TypeError, match="must be a string"):
             write_pairs([_rec(7)], io.StringIO(), fmt="rows")
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+    @pytest.mark.parametrize("metadata", [None, [["subject_lemma", "Arzt"]], "x"], ids=["null", "pairs", "string"])
+    def test_metadata_that_is_not_a_dict_rejected_on_write(self, metadata, first):
+        """The reader refuses such a row, so the writer refuses its record,
+        first in the file or not; None is never written as Python's text."""
+        records = [_rec("a"), _rec("b", metadata=metadata)]
+        stream = io.StringIO()
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"record 'b': metadata must be an object, found {metadata!r}")):
+            write_pairs(records[1:] if first else records, stream)
+        assert stream.getvalue() == ""
+
     def test_blank_lines_between_rows_are_skipped_and_counted(self):
         text = _row() + "\n\n \n" + _row(id="b") + "\n\t\n"
         assert [r.id for r in read_pairs(io.StringIO(text))] == ["a", "b"]
@@ -515,6 +527,24 @@ def test_split_row_decoding_equals_json_loads(lines):
     assert len({id(r.metadata) for r in got}) == len(got)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_mutated_rows(), min_size=1, max_size=4))
+def test_canonical_rows_are_the_lines_the_writer_writes(lines):
+    """A line _records flags canonical is the line _row_lines writes for its
+    record, so sample-augmentation may copy it unencoded. The converse does
+    not hold, and need not: a written line with an escaped field is not
+    flagged, and is encoded again."""
+    lines = [json.dumps({**_HEAD, "id": "first", "metadata": {}}), *lines]
+    flags, records = bytearray(), []
+    with suppress(DataFormatError):  # the rows before a faulty one still count
+        for record in dataset_io._records(lines, flags):
+            records.append(record)
+    assert flags[0] and len(flags) == len(records)
+    for line, record, flag in zip(lines, records, flags):
+        if flag:
+            assert line + "\n" == next(dataset_io._row_lines([record]))
+
+
 @pytest.mark.parametrize("lex", ["toy", "escaped"])
 @pytest.mark.parametrize("name", list(GenerationSet))
 def test_written_rows_take_the_fixed_layout_path(lex, name, monkeypatch):
@@ -580,6 +610,14 @@ class TestTsvFormat:
         with pytest.raises(DataFormatError, match=r"^bad header: .* found \['ids', 'premise'\]$"):
             read_pairs(io.StringIO("\n \nids\tpremise\n"))
 
+    @pytest.mark.parametrize("field,value", [("id", 7), ("pattern_name", ["x"])])
+    def test_non_string_field_rejected_on_write(self, field, value):
+        rec = _rec("a", **{field: value})
+        name = "pattern" if field == "pattern_name" else field
+        message = f"record {rec.id!r}: field {name!r} must be a string, found {value!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            write_pairs([rec], io.StringIO(), fmt="tsv")
+
     @pytest.mark.parametrize("sep", ["\t", "\n"])
     def test_separator_characters_in_fields_rejected_on_write(self, sep):
         rec = _rec("a", premise=f"Der{sep}Arzt sieht den Kunden.")
@@ -588,6 +626,15 @@ class TestTsvFormat:
 
 
 class TestCommon:
+    @pytest.mark.parametrize("fmt", ["rows", "tsv"])
+    def test_label_its_hyp_kind_contradicts_rejected_on_write(self, fmt):
+        """read_pairs refuses such a row, so write_pairs refuses to write it."""
+        stream = io.StringIO()
+        with pytest.raises(DataFormatError, match=re.escape(
+                "record 'b': label 'entailed' contradicts hyp_kind 'h1_so', which is 'non-entailed'")):
+            write_pairs([_rec("a"), _rec("b", label=Label.ENTAILED)], stream, fmt=fmt)
+        assert stream.getvalue() == ""
+
     def test_duplicate_ids_rejected_on_write(self):
         with pytest.raises(DataFormatError, match="duplicate"):
             write_pairs([_rec("a"), _rec("a")], io.StringIO(), fmt="rows")
@@ -711,6 +758,10 @@ _FAILED_WRITES = {
     "duplicate-id": ("rows", _rec("r0"), DataFormatError),
     "rows-lone-surrogate-last": ("rows", _rec("z", premise="Der Arzt\ud800 sieht den Kunden."),
                                  UnicodeEncodeError),
+    "rows-metadata-null-last": ("rows", _rec("z", metadata=None), DataFormatError),
+    "tsv-non-string-last": ("tsv", _rec(7), TypeError),
+    "rows-contradicting-label-last": ("rows", _rec("z", label=Label.ENTAILED), DataFormatError),
+    "tsv-contradicting-label-last": ("tsv", _rec("z", label=Label.ENTAILED), DataFormatError),
 }
 
 

@@ -456,6 +456,17 @@ class TestRecordRoundTrip:
         with pytest.raises(DataFormatError, match=f"record {fem.id}: class sing_fem has no subject"):
             _read(fem, make_toy(fem_common=[]))
 
+    def test_a_verb_is_looked_up_by_lemma_in_its_government(self, toy_lex):
+        """Of a lemma listed twice the first entry wins; a lemma that is not a
+        string, or names a verb of another government only, is a miss."""
+        record = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)[0]
+        first = next(v for v in toy_lex.verbs_acc if v.lemma == record.metadata["verb_lemma"])
+        twice = replace(toy_lex, verbs_acc=(*toy_lex.verbs_acc, replace(first, form_3sg="x")))
+        assert _read(record, twice)[1][2] is first
+        for lemma in (["sehen"], 1, None, toy_lex.verbs_dat[0].lemma):
+            with pytest.raises(DataFormatError, match=re.escape(f"verb {lemma!r} not in the lexicon")):
+                _read(replace(record, metadata=dict(record.metadata, verb_lemma=lemma)), toy_lex)
+
     def test_a_pronoun_lemma_must_be_its_pronoun(self, toy_lex):
         record = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=1, per_pattern=1)[0]
         assert record.metadata["subject_kind"] == "pronoun"
