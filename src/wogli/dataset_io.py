@@ -246,8 +246,13 @@ def _row_lines(records):
             meta = _ROW_ENCODER.encode(m)
             keys = list(m) if type(m) is dict and {*map(type, m), *map(type, m.values())} <= _STR else None
             last = m
-        yield _row(_encode_str(r.id), _encode_str(r.subset), _encode_str(r.premise),
-                   _encode_str(r.hypothesis), _row_tail(_kind(r), r.pattern_name), meta)
+        try:
+            line = _row(_encode_str(r.id), _encode_str(r.subset), _encode_str(r.premise),
+                        _encode_str(r.hypothesis), _row_tail(_kind(r), r.pattern_name), meta)
+        except TypeError:  # json's message names neither the record nor the field, _tsv_line's both
+            _tsv_line(r)
+            raise
+        yield line
 
 
 def _tsv_lines(records):

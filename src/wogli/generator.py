@@ -108,6 +108,8 @@ class _Tables:
         self._memo = {}
 
     def _cached(self, key, build):
+        """The memo's entry for key, built on a miss. A per-row lookup tries
+        _memo.get first, keyed by strings: an Enum member hashes in Python."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -143,7 +145,8 @@ class _Tables:
 
     def verb(self, government: Government, lemma):
         """The government's verb with this lemma, the first if listed twice, or None."""
-        index = self._cached(("verb", government), lambda: {
+        key = ("verb", government._value_)
+        index = self._memo.get(key) or self._cached(key, lambda: {
             verb.lemma: verb for verb, _ in reversed(self.verbs(government))})
         return index.get(lemma) if isinstance(lemma, str) else None
 
@@ -166,8 +169,10 @@ class _Tables:
     def np(self, owner, role: str, meta: dict, where: str) -> NPSpec:
         """The spec that owner, a class or a ditransitive verb, draws in role
         and whose metadata there meta holds exactly; a miss names the first
-        field that differs from the nearest spec (most equal fields)."""
-        index = self._cached((owner, role), lambda: self._index(owner, role))
+        field that differs from the nearest spec (most equal fields). A
+        verb is one verb() returned, so that its lemma names it."""
+        key = (role, owner.lemma if role == "direct_object" else owner._value_)
+        index = self._memo.get(key) or self._cached(key, lambda: self._index(owner, role))
         got = tuple(map(meta.get, _META_KEYS[role]))
         try:
             return index[got]
@@ -415,8 +420,8 @@ def _read_record(record: PairRecord, tables: _Tables):
     if government is not Government.DITRANSITIVE and not meta.keys().isdisjoint(_META_KEYS["direct_object"]):
         raise DataFormatError(f"{where}: only ditransitive records have a direct object")
     try:
-        name = record.pattern_name
-        pattern = tables._cached((name, government), lambda: parse_pattern_name(name, government))
+        key = ("pattern", name := record.pattern_name, government._value_)
+        pattern = tables._memo.get(key) or tables._cached(key, lambda: parse_pattern_name(name, government))
     except ValueError as exc:
         raise DataFormatError(f"{where}: {exc}") from None
     verb = tables.verb(government, meta.get("verb_lemma"))

@@ -1236,3 +1236,174 @@ class TestOneRowMutations:
                 assert "error[" in message, (name, message)
             if "error[format]" in message:
                 assert row["id"] in message or "line 1" in message, (name, message)
+
+
+@pytest.fixture(scope="module")
+def usage_inputs(tmp_path_factory):
+    """Small valid inputs for every command: the toy lexicon, a pair file
+    drawn from it, predictions for its ids and a training TSV."""
+    root = tmp_path_factory.mktemp("usage")
+    (root / "toy.json").write_text(json.dumps(TOY_LEXICON), encoding="utf-8")
+    records = generate_set(GenerationSet.WOGLI, wogli.lexicon_from_text(json.dumps(TOY_LEXICON), "toy"),
+                           seed=3, per_pattern=2)
+    write_pairs(records, root / "gold.jsonl")
+    _write_predictions(root / "preds.tsv", records)
+    (root / "base.tsv").write_text("Ein Satz.\tNoch einer.\tentailment\n", encoding="utf-8")
+    return root
+
+
+class TestUsageContract:
+    """Every command's usage errors: exit 1 with one `wogli: ` line that
+    names the option at fault, before any input is read or output written,
+    and never a traceback. The wording is the parser's own and not pinned."""
+
+    # one valid call per command: its positional arguments and its options
+    CALLS = {
+        "generate": (["wogli"], {"--seed": "3", "--per-pattern": "2", "--lexicon": "{in}/toy.json",
+                                 "--out": "{out}/g.jsonl", "--format": "rows"}),
+        "derive": (["os-hard"], {"--from": "{in}/gold.jsonl", "--lexicon": "{in}/toy.json",
+                                 "--out": "{out}/h.jsonl", "--format": "rows"}),
+        "sample-augmentation": ([], {"--plan": "custom", "--seed": "5", "--in": "{in}/gold.jsonl",
+                                     "--per-pattern": "1", "--verb-min": "0", "--verb-max": "100",
+                                     "--out-aug": "{out}/a.jsonl", "--out-rest": "{out}/r.jsonl"}),
+        "merge": ([], {"--base": "{in}/base.tsv", "--aug": "{in}/gold.jsonl", "--ne-label": "neutral",
+                       "--seed": "1", "--out": "{out}/t.tsv"}),
+        "analyze": ([], {"--gold": "{in}/gold.jsonl", "--predictions": "{in}/preds.tsv", "--runs": "1",
+                         "--groups": "all", "--out": "{out}/report.jsonl"}),
+        "validate-lexicon": ([], {"--in": "{in}/toy.json", "--profile": "toy"}),
+    }
+    REQUIRED = [("generate", "--seed"), ("generate", "--out"), ("derive", "--from"), ("derive", "--out"),
+                ("sample-augmentation", "--plan"), ("sample-augmentation", "--in"),
+                ("sample-augmentation", "--out-aug"), ("sample-augmentation", "--out-rest"),
+                ("merge", "--base"), ("merge", "--aug"), ("merge", "--out"), ("analyze", "--gold"),
+                ("analyze", "--predictions"), ("analyze", "--runs"), ("validate-lexicon", "--in")]
+    CHOICES = [("generate", "--format"), ("derive", "--format"), ("sample-augmentation", "--plan"),
+               ("merge", "--ne-label"), ("analyze", "--groups"), ("validate-lexicon", "--profile")]
+    INTS = [("generate", "--seed"), ("generate", "--per-pattern"), ("sample-augmentation", "--seed"),
+            ("sample-augmentation", "--per-pattern"), ("sample-augmentation", "--verb-min"),
+            ("sample-augmentation", "--verb-max"), ("merge", "--seed"), ("analyze", "--runs")]
+    # an option the call passes, written as a prefix of its name
+    ABBREVIATIONS = [("generate", "--per-pattern", "--per"), ("derive", "--format", "--form"),
+                     ("sample-augmentation", "--per-pattern", "--per"), ("merge", "--ne-label", "--ne"),
+                     ("analyze", "--groups", "--gr"), ("validate-lexicon", "--profile", "--prof")]
+    INPUTS = [("generate", "--lexicon"), ("derive", "--from"), ("derive", "--lexicon"),
+              ("sample-augmentation", "--in"), ("merge", "--base"), ("merge", "--aug"),
+              ("analyze", "--gold"), ("analyze", "--predictions"), ("validate-lexicon", "--in")]
+    OUTPUTS = [("generate", "--out"), ("derive", "--out"), ("sample-augmentation", "--out-aug"),
+               ("sample-augmentation", "--out-rest"), ("merge", "--out"), ("analyze", "--out")]
+    # what each command calls once its arguments are parsed: (module, name)
+    ENTRIES = {"generate": ("wogli.cli", "load_lexicon"), "derive": ("wogli.cli", "load_lexicon"),
+               "sample-augmentation": ("wogli.augment", "_split_file"),
+               "merge": ("wogli.augment", "_merge_file"), "analyze": ("wogli.cli", "read_predictions"),
+               "validate-lexicon": ("wogli.cli", "load_lexicon")}
+
+    @staticmethod
+    def _argv(command, options, inputs, out):
+        positional, _ = TestUsageContract.CALLS[command]
+        pairs = [arg.format(**{"in": inputs, "out": out}) for item in options.items() for arg in item]
+        return [command, *positional, *pairs]
+
+    def _options(self, command):
+        return dict(self.CALLS[command][1])
+
+    @staticmethod
+    def _usage_error(argv, capsys, *named):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1, captured.err
+        # a blank line may come first, to end an interrupted terminal line
+        assert captured.err.lstrip("\n").startswith("wogli: ")
+        assert "Traceback" not in captured.err
+        for text in named:
+            assert text in captured.err
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_the_valid_call_exits_0(self, command, usage_inputs, tmp_path, capsys):
+        assert run(self._argv(command, self._options(command), usage_inputs, tmp_path)) == 0, \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", REQUIRED)
+    def test_a_missing_required_option(self, command, option, usage_inputs, tmp_path, capsys):
+        options = self._options(command)
+        del options[option]
+        self._usage_error(self._argv(command, options, usage_inputs, tmp_path), capsys, option)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option", CHOICES)
+    def test_a_bad_choice(self, command, option, usage_inputs, tmp_path, capsys):
+        options = self._options(command)
+        options[option] = "nonesuch"
+        self._usage_error(self._argv(command, options, usage_inputs, tmp_path), capsys, option, "nonesuch")
+
+    @pytest.mark.parametrize("command", ["generate", "derive"])
+    def test_a_bad_positional_choice(self, command, usage_inputs, tmp_path, capsys):
+        argv = self._argv(command, self._options(command), usage_inputs, tmp_path)
+        argv[1] = "nonesuch"
+        self._usage_error(argv, capsys, "nonesuch")
+
+    @pytest.mark.parametrize("value", ["x", "1.5", ""])
+    @pytest.mark.parametrize("command, option", INTS)
+    def test_a_non_integer(self, command, option, value, usage_inputs, tmp_path, capsys):
+        options = self._options(command)
+        options[option] = value
+        self._usage_error(self._argv(command, options, usage_inputs, tmp_path), capsys, option)
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_an_unknown_option(self, command, usage_inputs, tmp_path, capsys):
+        argv = self._argv(command, self._options(command), usage_inputs, tmp_path)
+        self._usage_error([*argv, "--frobnicate", "1"], capsys, "--frobnicate")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option, prefix", ABBREVIATIONS)
+    def test_an_abbreviated_option(self, command, option, prefix, usage_inputs, tmp_path, capsys):
+        options = {prefix if name == option else name: value
+                   for name, value in self._options(command).items()}
+        self._usage_error(self._argv(command, options, usage_inputs, tmp_path), capsys, prefix)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command, option", INPUTS)
+    def test_an_input_that_is_not_a_file(self, command, option, kind, usage_inputs, tmp_path, capsys):
+        options = self._options(command)
+        options[option] = str(tmp_path / "nonesuch") if kind == "missing" else str(usage_inputs)
+        out = tmp_path / "out"
+        out.mkdir()
+        self._usage_error(self._argv(command, options, usage_inputs, out), capsys, option)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option", OUTPUTS)
+    def test_an_output_that_is_a_directory(self, command, option, usage_inputs, tmp_path, capsys):
+        options = self._options(command)
+        options[option] = str(tmp_path)
+        self._usage_error(self._argv(command, options, usage_inputs, tmp_path), capsys, option)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_command_help(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "usage" in captured.out.lower()
+        for option in self.CALLS[command][1]:
+            assert option in captured.out
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_command_without_arguments(self, command, capsys):
+        self._usage_error([command], capsys)
+
+    def test_no_arguments_at_all(self, capsys):
+        err = self._usage_error([], capsys)
+        assert "usage" in err.lower() and "generate" in err
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_keyboard_interrupt(self, command, usage_inputs, tmp_path, monkeypatch, capsys):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        module, name = self.ENTRIES[command]
+        monkeypatch.setattr(f"{module}.{name}", interrupt)
+        self._usage_error(self._argv(command, self._options(command), usage_inputs, tmp_path),
+                          capsys, "wogli: aborted")
+        assert list(tmp_path.iterdir()) == []

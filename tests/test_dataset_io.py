@@ -149,6 +149,19 @@ class TestRowTypes:
         with pytest.raises(TypeError, match="must be a string"):
             write_pairs([_rec(7)], io.StringIO(), fmt="rows")
 
+    @pytest.mark.parametrize("field,value", [("pattern_name", ["x"]), ("premise", 3), ("id", 7),
+                                             ("hypothesis", None)])
+    def test_non_string_field_named_as_tsv_names_it(self, field, value):
+        """json's encoder names neither the record nor the field; the rows
+        writer raises the TSV writer's error, which names both."""
+        records = [_rec("a"), _rec("b", **{field: value})]
+        with pytest.raises(TypeError, match="field .* must be a string, found") as tsv:
+            write_pairs(records, io.StringIO(), fmt="tsv")
+        stream = io.StringIO()
+        with pytest.raises(TypeError, match=f"^{re.escape(str(tsv.value))}$"):
+            write_pairs(records, stream, fmt="rows")
+        assert stream.getvalue() == ""
+
     @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
     @pytest.mark.parametrize("metadata", [None, [["subject_lemma", "Arzt"]], "x"], ids=["null", "pairs", "string"])
     def test_metadata_that_is_not_a_dict_rejected_on_write(self, metadata, first):
@@ -762,6 +775,10 @@ _FAILED_WRITES = {
     "tsv-non-string-last": ("tsv", _rec(7), TypeError),
     "rows-contradicting-label-last": ("rows", _rec("z", label=Label.ENTAILED), DataFormatError),
     "tsv-contradicting-label-last": ("tsv", _rec("z", label=Label.ENTAILED), DataFormatError),
+    "rows-list-field-last": ("rows", _rec("z", pattern_name=["x"]), TypeError),
+    "rows-int-field-last": ("rows", _rec("z", premise=3), TypeError),
+    "tsv-list-field-last": ("tsv", _rec("z", pattern_name=["x"]), TypeError),
+    "tsv-int-field-last": ("tsv", _rec("z", premise=3), TypeError),
 }
 
 

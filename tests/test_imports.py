@@ -119,6 +119,16 @@ def test_the_cli_imports_only_what_generate_runs():
     assert _fresh_python(code).strip() == "[]"
 
 
+def test_the_cli_imports_only_the_standard_library():
+    # a site .pth file may preload a third-party module before the import,
+    # so only the modules the import adds are checked
+    code = ("import sys; before = set(sys.modules); import wogli.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = _fresh_python(code).split()
+    assert "wogli.cli" in added
+    assert [m for m in added if m.partition(".")[0] not in {*sys.stdlib_module_names, "wogli"}] == []
+
+
 def test_importing_the_package_imports_no_module():
     code = "import sys, wogli; print(sorted(m for m in sys.modules if m.startswith('wogli.')))"
     assert _fresh_python(code).strip() == "[]"
