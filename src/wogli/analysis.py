@@ -208,7 +208,9 @@ def build_report(
     kinds = [GroupSpec(kind.value, lambda r, k=kind: r.hyp_kind is k) for kind in HypKind]
     specs = [GroupSpec("all", lambda r: True), *kinds, *(s for _, pair in pairs for s in pair)]
     # one pass: records counted by the specs they match, the runs that got
-    # them right and their gold label; each combination of fields is classified once
+    # them right and whether gold entails; each combination of fields is
+    # classified once. The keys hold strings and bools, not enum members,
+    # whose hash runs in Python
     memo, cells, unjoined = {}, Counter(), dict(preds.labels)
     for record in gold:
         labels = unjoined.pop(record.id, None)
@@ -216,7 +218,7 @@ def build_report(
             if record.id in preds.labels:
                 raise DataFormatError(f"duplicate record id {record.id!r}")
             raise PredictionJoinError(f"no prediction for record {record.id!r}")
-        key = (record.hyp_kind, record.pattern_name,
+        key = (record.hyp_kind._value_, record.pattern_name,
                *map(record.metadata.get, _GROUP_FIELDS, _ABSENT))
         try:
             matched = memo[key]
@@ -224,19 +226,19 @@ def build_report(
             matched = tuple(i for i, spec in enumerate(specs) if spec.matches(record))
             with suppress(TypeError):
                 memo[key] = matched
-        cells[matched, tuple(map(is_, labels, repeat(record.label))), record.label] += 1
+        label = record.label
+        cells[matched, tuple(map(is_, labels, repeat(label))), label is Label.ENTAILED] += 1
     if unjoined:
         raise PredictionJoinError(
             f"{len(unjoined)} prediction id(s) not in the gold file, first {next(iter(unjoined))!r}"
         )
     runs = preds.runs
     n, k, voted = [0] * len(specs), [[0] * runs for _ in specs], [0] * len(specs)
-    for (matched, hits, label), count in cells.items():
+    for (matched, hits, entailed), count in cells.items():
         # the majority vote agrees with gold when most runs do; a tie goes to
         # not-entailed only when allowed
         right = sum(hits)
-        vote_hit = 2 * right > runs or (
-            2 * right == runs and tie_break_not_entailed and label is Label.NOT_ENTAILED)
+        vote_hit = 2 * right > runs or (2 * right == runs and tie_break_not_entailed and not entailed)
         for i in matched:
             n[i] += count
             voted[i] += count * vote_hit

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .core import (
     ArticleKind,
+    Case,
     Gender,
     Government,
     HypKind,
@@ -27,13 +28,15 @@ from .core import (
 from .dataset_io import _encode_str, _row, _row_tail
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon
-from .morphology import _ARTICLE_KINDS, _META_KEYS, NPSpec, compile_sentence
+from .morphology import _ARTICLE_KINDS, _CAPITALISED, _CASES, _META_KEYS, NPSpec, agree_verb, compile_sentence
 from .patterns import _STEM_RE, Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
 _REJECTION_MISS_BUDGET = 100_000
 # below this space size, enumerate instead of rejection-sampling
 _ENUMERATION_CUTOFF = 20_000
+# where NPSpec.texts holds a premise's capitalised nominative and its accusative
+_NOMINATIVE_FIRST, _ACCUSATIVE = _CAPITALISED + _CASES.index(Case.NOM), _CASES.index(Case.ACC)
 
 
 class GenerationSet(enum.Enum):
@@ -381,7 +384,9 @@ def _set_records(name, lex, seed, per_pattern, with_replacement, build: _Records
     repeats."""
     tables = _Tables(lex)
     drawn = set()  # base premises seen so far, when drawing with replacement
-    seen = set()  # pronoun-subject premises seen so far
+    # the pronoun-subject premises kept so far: a bit per (pronoun, verb form)
+    # head, and per object text the bits of the heads kept with it
+    heads, kept = {}, {}
     for i, pattern in enumerate(_patterns_for(name)):
         build.for_pattern(pattern, i)
         pairs = _sample_pattern(
@@ -398,11 +403,19 @@ def _set_records(name, lex, seed, per_pattern, with_replacement, build: _Records
                     continue
                 drawn.add(premise)
             if name is GenerationSet.P_SUBJECT:
-                draw = (draw[0].pronoun, *draw[1:])
-                premise = build.premise_of(*draw)
-                if premise in seen:
+                subject, obj, verb, _ = draw = (draw[0].pronoun, *draw[1:])
+                # the premise is "<Pronoun> <verb form> <object>.", and the
+                # pronoun and the verb form are one token each (load_lexicon
+                # refuses whitespace in a form), so the text splits into these
+                # parts one way only: two premises are equal exactly when their
+                # parts are, and the parts are strings the lexicon's specs hold
+                head = (subject.texts[_NOMINATIVE_FIRST], agree_verb(verb, subject.number))
+                bit = heads.setdefault(head, 1 << len(heads))
+                bits = kept.get(text := obj.texts[_ACCUSATIVE], 0)
+                if bits & bit:
                     continue
-                seen.add(premise)
+                kept[text] = bits | bit
+                premise = build.premise_of(*draw)
             yield from build.render(draw, premise, d)
 
 

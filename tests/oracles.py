@@ -4,6 +4,7 @@ The ambiguity oracle decides by enumerating lexicalizations what
 patterns.ambiguity_rule decides in closed form, and it justifies the 8
 accusative patterns the wogli set leaves out. accuracy, select and
 majority_vote rebuild build_report's rows one group at a time.
+p_subject_records keeps the pronoun-subject set's premises by their texts.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from wogli import (
     ArticleKind,
     ConstraintError,
     Gender,
+    GenerationSet,
     Government,
     HypKind,
     Label,
@@ -26,7 +28,10 @@ from wogli import (
     PredictionJoinError,
     PredictionSet,
     parse_pattern_name,
+    realize_premise,
+    sample_premises,
 )
+from wogli.generator import _Records
 from wogli.morphology import _ARTICLE_KINDS, compile_sentence
 
 _EXCLUDED_NAMES = (
@@ -148,3 +153,26 @@ def majority_vote(preds: PredictionSet, tie_break_not_entailed: bool = False) ->
                 "use an odd run count or allow tie-breaking"
             )
     return PredictionSet(runs=1, labels=out)
+
+
+def p_subject_records(lex: Lexicon, seed: int, per_pattern: int, with_replacement: bool = False) -> list:
+    """generate_set(P_SUBJECT, ...)'s records, its duplicates found by text:
+    of the base draws, drawn with replacement, only the first of each base
+    premise counts, and of those only the first of each pronoun premise."""
+    build = _Records(GenerationSet.P_SUBJECT, False)
+    records, drawn, seen, current = [], set(), set(), None
+    for inst in sample_premises(GenerationSet.P_SUBJECT, lex, seed, per_pattern, with_replacement):
+        pattern_index, draw_index = inst.seed_path
+        if pattern_index != current:
+            current = pattern_index
+            build.for_pattern(inst.pattern, pattern_index)
+        if with_replacement:
+            if (base := realize_premise(inst)) in drawn:
+                continue
+            drawn.add(base)
+        draw = (inst.subject.pronoun, inst.object, inst.verb, inst.direct_object)
+        premise = compile_sentence(inst.pattern.government.object_case)(*draw)
+        if premise not in seen:
+            seen.add(premise)
+            records += build.render(draw, premise, draw_index)
+    return records

@@ -11,7 +11,8 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from wogli import generator
 from wogli.morphology import PRONOUN, compile_sentence
 
 from conftest import TOY_LEXICON, UNDRAWABLE_ROWS, make_toy
+from oracles import p_subject_records
 
 
 def _noun(lex, lemma):
@@ -343,6 +345,81 @@ class TestGenerateSet:
         b = _draw(toy_lex, "sehen",
                   _np(toy_lex, "Kunde", kind=ArticleKind.DEM).pronoun, _np(toy_lex, "Autorin"))
         assert _say(a) == _say(b) == "Er sieht die Autorin."
+
+    def test_p_subject_keeps_the_earlier_draw_across_patterns(self, toy_lex, monkeypatch):
+        # a masculine name (pattern 0, pnoun_v_sing_masc) and a singular
+        # masculine noun (pattern 9, sing_masc_v_sing_masc) both become "Er":
+        # with the same verb and object, only the earlier draw's row is kept
+        peter, kunde = _np(toy_lex, "Peter", kind=ArticleKind.NONE), _np(toy_lex, "Kunde")
+        draws = {
+            0: [_draw(toy_lex, "hören", peter, _np(toy_lex, "Arzt")), _draw(toy_lex, "sehen", peter, kunde)],
+            9: [_draw(toy_lex, "sehen", _np(toy_lex, "Arzt", kind=ArticleKind.DEM), kunde),
+                _draw(toy_lex, "sehen", _np(toy_lex, "Arzt"), _np(toy_lex, "Kunde", kind=ArticleKind.INDEF))],
+        }
+
+        def sample(pattern, pattern_index, *args):
+            for d, draw in enumerate(draws.get(pattern_index, ())):
+                yield _say(draw), draw, d
+
+        def pronominal(draw):
+            return _say((draw[0].pronoun, *draw[1:]))
+
+        assert pronominal(draws[0][1]) == pronominal(draws[9][0]) == "Er sieht den Kunden."
+        monkeypatch.setattr(generator, "_sample_pattern", sample)
+        records = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=0, per_pattern=2)
+        assert [(r.id, r.pattern_name, r.premise) for r in records[::2]] == [
+            ("wogli-p-subject-p00-d00000-h1", "pnoun_v_sing_masc", "Er hört den Arzt."),
+            ("wogli-p-subject-p00-d00001-h1", "pnoun_v_sing_masc", "Er sieht den Kunden."),
+            ("wogli-p-subject-p09-d00001-h1", "sing_masc_v_sing_masc", "Er sieht einen Kunden."),
+        ]
+
+    @pytest.mark.parametrize("lexicon", ["bundled", "toy", "shared-name", "reduced"])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    def test_p_subject_matches_the_text_keyed_reference(self, lexicon, seed, with_replacement, lex):
+        """The set keys its dedup on a premise's parts; the reference keys it
+        on the premise's text. In shared-name, Peter is a masculine and a
+        feminine name: two object specs with one text. The toy lexicons and
+        the bench's reduced one (its accusative cuts) enumerate every pattern
+        and the bundled one rejection-samples every pattern, unless drawn
+        with replacement, which always rejection-samples."""
+        chosen, per_pattern = {
+            "bundled": (lex, 60),
+            "toy": (make_toy(), 16),
+            "shared-name": (make_toy(fem_proper=["Anna", "Peter"]), 16),
+            "reduced": (replace(lex, verbs_acc=lex.verbs_acc[:10], masc_common=lex.masc_common[:8],
+                                fem_common=lex.fem_common[:8], masc_proper=lex.masc_proper[:8],
+                                fem_proper=lex.fem_proper[:8]), 300),
+        }[lexicon]
+        enumerated = {generator._space_size(p, chosen, None) <= generator._ENUMERATION_CUTOFF
+                      for p in generator._patterns_for(GenerationSet.P_SUBJECT)}
+        assert enumerated == {lexicon != "bundled"}
+        got = generate_set(GenerationSet.P_SUBJECT, chosen, seed, per_pattern, with_replacement)
+        want = p_subject_records(chosen, seed, per_pattern, with_replacement)
+        assert len(got) < 2 * 17 * per_pattern  # some pronoun premises collide
+        assert _digest(got) == _digest(want)
+
+    def test_p_subject_dedup_memory_is_bounded_by_the_lexicon(self, lex):
+        # with a set of every kept premise's text, 2,000 draws per pattern
+        # instead of 500 grew the traced peak by about 3.2 MiB
+        def traced_peak(per_pattern):
+            build = generator._Records(GenerationSet.P_SUBJECT, False, encode=True)
+            rows = generator._set_records(GenerationSet.P_SUBJECT, lex, 0, per_pattern, False, build)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            deque(rows, maxlen=0)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            traced_peak(10)  # build the caches every run shares
+            small, large = traced_peak(500), traced_peak(2000)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert large - small < 0.5 * 2**20
 
     def test_os_hard_set(self, toy_lex):
         base = generate_set(GenerationSet.WOGLI, toy_lex, seed=9, per_pattern=2)
