@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .core import Label, PairRecord
 from .dataset_io import _copy_rows, _lines, _read_records, _records, _staged, _unique, _write_lines
 from .errors import ConstraintError, DataFormatError
-from .patterns import _premise_draw
+from .patterns import _STEM_RE, _premise_draw
 
 _SWAP_BUDGET = 10_000
 
@@ -113,7 +113,8 @@ def _group(record: PairRecord, groups: dict, share) -> _PremiseGroup:
                 f"record {record.id}: augmentation needs row-format input "
                 f"with a string {field} in its metadata"
             )
-    _premise_draw(record)  # its premise_id is stem-premise, and names its own draw of its own pattern
+    # its premise_id is stem-premise, and names its own draw of its own pattern
+    _premise_draw(record, stem, _STEM_RE.search(stem))
     if group is None:
         verb = record.metadata["verb_lemma"]
         group = groups[stem] = _PremiseGroup(

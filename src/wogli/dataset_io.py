@@ -307,16 +307,9 @@ def _tsv_row(line: str, lineno: int) -> dict:
     return dict(zip(TSV_HEADER, fields), metadata={})
 
 
-def _own(key: str, value: str) -> str:
-    """The share that shares nothing: every string stays the row's own."""
-    return value
-
-
-def _record_from_row(obj, lineno: int, share=_own) -> PairRecord:
+def _record_from_row(obj, lineno: int) -> PairRecord:
     """The record of one row: an object of string fields whose metadata, if
-    present, is an object and whose label is the one its hyp_kind implies.
-    Its subset, premise and pattern are share(value, value): read_pairs
-    passes one memo's setdefault, so equal strings become one object."""
+    present, is an object and whose label is the one its hyp_kind implies."""
     if type(obj) is not dict:
         raise DataFormatError(f"line {lineno}: expected a JSON object, found {json.dumps(obj)[:40]}")
     try:
@@ -335,9 +328,7 @@ def _record_from_row(obj, lineno: int, share=_own) -> PairRecord:
             f"line {lineno}: metadata must be an object, found {json.dumps(metadata)[:40]}"
         )
     label, kind = _label_kind(fields[4], fields[5], lineno)
-    rid, subset, premise, hypothesis = fields[:4]
-    return PairRecord(rid, share(subset, subset), share(premise, premise), hypothesis,
-                      label, kind, share(fields[6], fields[6]), metadata)
+    return PairRecord(*fields[:4], label, kind, fields[6], metadata)
 
 
 def _label_kind(label: str, hyp_kind: str, lineno: int) -> tuple[Label, HypKind]:
@@ -362,14 +353,23 @@ def read_pairs(source) -> list[PairRecord]:
     read once, and its first faulty line, a repeated id included, is the
     error.
     """
-    return list(_unique(_read_records(source, {}.setdefault), set()))
+    share = {}.setdefault  # only str values reach it: 1, True and 1.0 hash equal
+    records, last = [], None  # last: the reader's metadata dict of the current run
+    for r in _unique(_read_records(source), set()):
+        if r.metadata is not last:  # a run is one dict, not equal ones: {"n": 1} == {"n": True}
+            last = r.metadata
+            shared = {share(k, k): share(v, v) if type(v) is str else v for k, v in last.items()}
+        r.subset, r.premise = share(r.subset, r.subset), share(r.premise, r.premise)
+        r.pattern_name, r.metadata = share(r.pattern_name, r.pattern_name), shared.copy()
+        records.append(r)
+    return records
 
 
-def _read_records(source, share=_own):
+def _read_records(source):
     """The records of a pair file, each one read as it is consumed, ids
-    unchecked, their strings passed through share as _records passes them."""
+    unchecked, as _records reads them."""
     with closing(_lines(source)) as lines:
-        yield from _records(lines, share=share)
+        yield from _records(lines)
 
 
 def _rows(lines):
@@ -392,25 +392,23 @@ def _rows(lines):
     return True, ((n, line) for n, line in numbered if line)
 
 
-def _records(lines, canonical=None, share=_own):
+def _records(lines, canonical=None):
     """The records of a pair file's lines, each read as it is consumed, ids
     unchecked. A line _ROW_RE matches is read as its seven fields, strings of
     which only the label rule is checked, and its metadata text, decoded once
-    for a run of lines with one text (a premise's rows); each record gets its
-    own shallow copy. Any other line, or one whose metadata text holds a \\u
-    escape or is not one JSON object, goes through _json_row or _tsv_row and
-    _record_from_row. canonical, if given, is a list or bytearray that gets,
-    before each record is yielded, whether its row's line is the one _row_lines
-    writes for it: _ROW_RE matched it and its metadata text is its own
-    encoding, checked once per run; a non-empty text without a backslash whose
-    values are all strings holds them as they are, so is checked against their
-    plain join. Each subset, premise and pattern, and each metadata key and
-    string value, goes through share(value, value): the default keeps every
-    string the row's own, so a caller that keeps no record holds none of them,
-    and a memo's setdefault, which only str values reach (1, True and 1.0 would
-    hash equal), makes equal strings one object."""
+    for a run of lines with one text (a premise's rows), whose records all
+    get that one dict: they are to be read, not changed. Every other string
+    is the row's own, so a caller that keeps no record holds none of them.
+    Any other line, or one whose metadata text holds a \\u escape or is not
+    one JSON object, goes through _json_row or _tsv_row and _record_from_row.
+    canonical, if given, is a list or bytearray that gets, before each record
+    is yielded, whether its row's line is the one _row_lines writes for it:
+    _ROW_RE matched it and its metadata text is its own encoding, checked
+    once per run; a non-empty text without a backslash whose values are all
+    strings holds them as they are, so is checked against their plain
+    join."""
     tsv, rows = _rows(lines)
-    text = meta = keys = same = None  # keys: the last shared metadata's, through share; same: text encodes meta
+    text = meta = same = None  # same: text encodes meta
     for lineno, line in rows:
         match = None if tsv else _ROW_RE.fullmatch(line)
         if match is not None and match[8] != text:
@@ -419,25 +417,19 @@ def _records(lines, canonical=None, share=_own):
                 meta = None if "\\u" in text else json.loads(text)
             except json.JSONDecodeError:  # say '{"a": 1}, "b": {}': the line has a ninth key
                 meta = None
-            strings = type(meta) is dict and set(map(type, vals := meta.values())) <= _STR
             if canonical is None or meta is None:
                 same = False
-            elif strings and meta and "\\" not in text:
+            elif meta and "\\" not in text and set(map(type, meta.values())) <= _STR:
                 same = text == '{"' + '", "'.join(map('": "'.join, meta.items())) + '"}'
             else:
                 same = _ROW_ENCODER.encode(meta) == text
-            if strings:
-                if tuple(meta) != keys:  # JSON keys are strings; a pattern's premises repeat them
-                    keys = tuple(map(share, meta, meta))
-                meta = dict(zip(keys, map(share, vals, vals)))
         if match is None or meta is None:
             row = _tsv_row(line, lineno) if tsv else _json_row(line, lineno)
-            record, copy = _record_from_row(row, lineno, share), False
+            record, copy = _record_from_row(row, lineno), False
         else:
             rid, subset, premise, hypothesis, label, kind, pattern = match.group(1, 2, 3, 4, 5, 6, 7)
             label, kind = _label_kind(label, kind, lineno)
-            record, copy = PairRecord(rid, share(subset, subset), share(premise, premise), hypothesis,
-                                      label, kind, share(pattern, pattern), meta.copy()), same
+            record, copy = PairRecord(rid, subset, premise, hypothesis, label, kind, pattern, meta), same
         if canonical is not None:
             canonical.append(copy)
         yield record

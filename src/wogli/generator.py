@@ -258,16 +258,17 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
             continue
         drawn = (subject, obj, verb, None if things is None else rng.choice(things))
         premise = premise_of(*drawn)
-        if not with_replacement and premise in seen:
-            misses += 1
-            if misses > _REJECTION_MISS_BUDGET:
-                raise ExhaustionError(
-                    f"pattern {pattern.name}: could not find {per_pattern} distinct premises"
-                )
-            continue
+        if not with_replacement:
+            if premise in seen:
+                misses += 1
+                if misses > _REJECTION_MISS_BUDGET:
+                    raise ExhaustionError(
+                        f"pattern {pattern.name}: could not find {per_pattern} distinct premises"
+                    )
+                continue
+            seen.add(premise)
         yield premise, drawn, count
         count += 1
-        seen.add(premise)
 
 
 def _patterns_for(name: GenerationSet) -> list[Pattern]:
@@ -482,7 +483,7 @@ def _os_hard_records(records, lex: Lexicon, build: _Records):
                 f"record {record.id}: os-hard derivation needs accusative records, "
                 f"not subset {record.subset!r}"
             )
-        _premise_draw(record)
+        _premise_draw(record, stem, named)
         if first is not None:
             if first[0].rpartition("-")[0] == stem:  # another row of that premise
                 taken[seed_path] = first[0], share(suffixes := (*first[1], suffix), suffixes)

@@ -128,21 +128,19 @@ def _wogli_index() -> dict[str, int]:
     return {p.name: i for i, p in enumerate(wogli_patterns())}
 
 
-def _premise_draw(record) -> None:
+def _premise_draw(record, stem: str, match) -> None:
     """Check that an accusative record names its own draw: its premise_id
-    must be its id with the last "-" part replaced by "-premise", and end
-    in -pNN-dNNNNN-premise, where NN is the index of the record's pattern
-    among wogli_patterns(), so that _STEM_RE matches its id stem; anything
+    must be stem, its id without the last "-" part, then "-premise", and
+    match, _STEM_RE's search of stem, must find there -pNN-dNNNNN, where NN
+    is the index of the record's pattern among wogli_patterns(); anything
     else is a DataFormatError naming the record."""
     premise_id = record.metadata.get("premise_id")
-    stem = record.id.rpartition("-")[0]
     own = stem + "-premise"
     if premise_id != own:
         raise DataFormatError(f"record {record.id}: premise_id is {premise_id!r}, not {own!r}")
     index = _wogli_index().get(record.pattern_name)
     if index is None:
         raise DataFormatError(f"record {record.id}: {record.pattern_name!r} is not a wogli pattern")
-    match = _STEM_RE.search(stem)
     if match is None or int(match[1]) != index:
         raise DataFormatError(
             f"record {record.id}: premise_id {own!r} does not end in -p{index:02d}-dNNNNN-premise, "

@@ -1,8 +1,10 @@
 """Pair and prediction file round-trips, format sniffing, and error reporting."""
 
+import cProfile
 import io
 import json
 import os
+import pstats
 import random
 import re
 import stat
@@ -255,7 +257,14 @@ class TestMetadataRuns:
         records = [_rec("a-h1", metadata=first), _rec("a-h2", metadata=second)]
         buf = io.StringIO()
         write_pairs(records, buf, fmt="rows")
-        assert buf.getvalue() == "".join(_reference_line(r) for r in records)
+        text = buf.getvalue()
+        assert text == "".join(_reference_line(r) for r in records)
+        # read back, a run of metadata is one decoded dict, not equal ones:
+        # {"n": 1} == {"n": True}, and key order does not count in ==
+        for read in (read_pairs(io.StringIO(text)), list(dataset_io._records(text.splitlines()))):
+            again = io.StringIO()
+            write_pairs(read, again, fmt="rows")
+            assert again.getvalue() == text
 
     def test_shared_dict_mutated_between_writes(self):
         shared = {"subject_lemma": "Arzt", "verb_lemma": "sehen"}
@@ -384,6 +393,22 @@ class TestSharedStrings:
         assert own[0].premise == own[1].premise and own[0].premise is not own[1].premise
         for field in ("subset", "pattern_name"):
             assert len({id(getattr(r, field)) for r in own}) == len(own), field
+        assert own[0].metadata is own[1].metadata  # one premise's rows: one decoded dict
+        assert own[1].metadata is not own[2].metadata
+
+    def test_streaming_records_make_no_call_per_value(self, lex):
+        """_records calls no function of the package more than once a row
+        (and once more to finish): no string goes through a callback."""
+        buf = io.StringIO()
+        write_pairs(generate_set(GenerationSet.WOGLI, lex, 0, 60), buf)
+        lines = buf.getvalue().splitlines()[:2000]
+        package = os.path.dirname(dataset_io.__file__) + os.sep
+        for canonical in (None, bytearray()):
+            profile = cProfile.Profile()
+            assert len(profile.runcall(list, dataset_io._records(lines, canonical))) == 2000
+            calls = {f"{name}:{line}": stat[1] for (path, line, name), stat in pstats.Stats(profile).stats.items()
+                     if path.startswith(package)}
+            assert calls and max(calls.values()) <= 2001, calls
 
     def test_only_strings_are_shared(self):
         values = [1, "1", True, 1.0, "1", True, ["1"], None, "true"]
