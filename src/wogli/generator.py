@@ -119,12 +119,13 @@ class _Tables:
 
     def groups(self, cls) -> tuple[tuple, ...]:
         """The class's specs as drawn, one choice of group and one within it:
-        a name by gender then name, a common noun by noun then article kind."""
+        a name by gender then name, a common noun by noun then article kind.
+        Every group is non-empty."""
         def build():
-            if cls.is_proper:
+            if cls.is_proper:  # a gender with no names is no group: a draw of it would find none
                 return tuple(
                     tuple(NPSpec(n, g, Number.SG, ArticleKind.NONE) for n in self.lex.proper_nouns(g))
-                    for g in (Gender.MASC, Gender.FEM)
+                    for g in (Gender.MASC, Gender.FEM) if self.lex.proper_nouns(g)
                 )
             return tuple(
                 tuple(NPSpec(noun, cls.gender, cls.number, kind) for kind in _ARTICLE_KINDS[cls.number])
@@ -206,6 +207,49 @@ def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
     return _Tables(lex, compat).space(pattern)
 
 
+def _size(pool) -> tuple[int, int]:
+    """pool's size n and the k = n.bit_length() bits random.Random.choice
+    draws from it on CPython 3.10-3.13, redrawing while they read n or
+    more. An empty pool is an IndexError: it would draw 0 bits forever."""
+    n = len(pool)
+    if not n:
+        raise IndexError("cannot choose from an empty pool")
+    return n, n.bit_length()
+
+
+def _chooser(getrandbits, pool):
+    """A function that draws one item of pool as choice(pool) does on a
+    random.Random whose getrandbits this is."""
+    n, k = _size(pool)
+
+    def choose():
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return pool[r]
+
+    return choose
+
+
+def _group_chooser(getrandbits, groups):
+    """A function that draws one item of one of groups as choice(choice(groups))
+    does on a random.Random whose getrandbits this is, in one call."""
+    n, k = _size(groups)
+    sized = [(*_size(group), group) for group in groups]
+
+    def choose():
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        m, j, group = sized[r]
+        r = getrandbits(j)
+        while r >= m:
+            r = getrandbits(j)
+        return group[r]
+
+    return choose
+
+
 def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_replacement,
                     spaced_period=False):
     """Yield (premise, draw, draw index) for one pattern, a draw being the
@@ -243,20 +287,24 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
         for i, (premise, drawn) in enumerate(chosen):
             yield premise, drawn, i
         return
-    # a draw makes the RNG calls of drawing from the lexicon's pools: subject,
-    # verb, object (all again on a same-lemma pair of one class), direct object
-    subjects = tables.groups(pattern.subject)
-    objects = tables.groups(pattern.object)
-    verbs = tables.verbs(pattern.government)
+    # a draw makes the choices of drawing from the lexicon's pools: subject
+    # group and subject, verb, object group and object (all again on a
+    # same-lemma pair of one class), direct object
+    getrandbits = rng.getrandbits
+    subject_of = _group_chooser(getrandbits, tables.groups(pattern.subject))
+    object_of = _group_chooser(getrandbits, tables.groups(pattern.object))
+    verb_of = _chooser(getrandbits, [
+        (verb, None if things is None else _chooser(getrandbits, things))
+        for verb, things in tables.verbs(pattern.government)])
     seen = set()
     misses = count = 0
     while count < per_pattern:
-        subject = rng.choice(rng.choice(subjects))
-        verb, things = rng.choice(verbs)
-        obj = rng.choice(rng.choice(objects))
+        subject = subject_of()
+        verb, thing_of = verb_of()
+        obj = object_of()
         if same_class and subject.head.lemma == obj.head.lemma:
             continue
-        drawn = (subject, obj, verb, None if things is None else rng.choice(things))
+        drawn = (subject, obj, verb, None if thing_of is None else thing_of())
         premise = premise_of(*drawn)
         if not with_replacement:
             if premise in seen:
@@ -299,13 +347,21 @@ def sample_premises(
     ]
 
 
+class _Encoded(dict):
+    """A string -> its JSON string, encoded on first use and kept."""
+
+    def __missing__(self, text):
+        self[text] = encoded = _encode_str(text)
+        return encoded
+
+
 class _Records:
     """render(draw, premise, draw index): a set's rows of one premise, as
     PairRecords or, with encode, as the JSON lines write_pairs writes for
     them. What the set and the current pattern fix is worked out once, so
-    a line adds only its id, two encoded texts and its metadata to it.
-    rows counts the rows rendered. An id is the pattern's prefix, the draw
-    index and the hypothesis kind's suffix, so the ids are distinct as
+    a line adds only its draw index, two encoded texts and its metadata to
+    it. rows counts the rows rendered. An id is the pattern's prefix, the
+    draw index and the hypothesis kind's suffix, so the ids are distinct as
     long as no (pattern, draw index) is rendered twice; the callers see to
     that, and no id is kept."""
 
@@ -314,23 +370,35 @@ class _Records:
         self.spaced_period = spaced_period
         self.encode = encode
         self.rows = 0
+        self.per_premise = len(self.kinds)
         self.render = self._rows if encode else self._records
         self.subset_json = _encode_str(self.subset)
+        self.lemma_json = _Encoded()
 
     def for_pattern(self, pattern: Pattern, pattern_index: int) -> None:
         self.pattern_name = pattern.name
+        # ASCII with nothing JSON escapes: the subset label, the index and a suffix
         self.prefix = f"{self.subset}-p{pattern_index:02d}-d"
         case = pattern.government.object_case
         self.premise_of = compile_sentence(case, None, self.spaced_period)
         self.hypotheses = [
-            (kind, "-" + kind.value.split("_")[0], kind.label, compile_sentence(case, kind, self.spaced_period),
-             _row_tail(kind, pattern.name))
+            (kind, "-" + kind.value.split("_")[0], kind.label, compile_sentence(case, kind, self.spaced_period))
             for kind in self.kinds
         ]
+        # per hypothesis kind, _row's line cut where a row's own parts go, and
+        # the fixed parts of the id and premise_id put in: _rows adds the draw
+        # index, the encoded texts and the NPs' and verb's metadata
+        self.templates = []
+        for kind, suffix, _, hypothesis_of in self.hypotheses:
+            before_id, before_premise, before_hypothesis, before_meta, after_meta = _row(
+                "\0", self.subset_json, "\0", "\0", _row_tail(kind, pattern.name), "\0").split("\0")
+            self.templates.append((
+                hypothesis_of, f'{before_id}"{self.prefix}', f'{suffix}"{before_premise}', before_hypothesis,
+                f'{before_meta}{{"premise_id": "{self.prefix}', "}" + after_meta))
 
     def _records(self, draw, premise, draw_index):
         subject, obj, verb, thing = draw
-        self.rows += len(self.hypotheses)
+        self.rows += self.per_premise
         stem = f"{self.prefix}{draw_index:05d}"
         metadata = {"premise_id": f"{stem}-premise", **subject.metadata["subject"],
                     **obj.metadata["object"], "verb_lemma": verb.lemma}
@@ -341,22 +409,21 @@ class _Records:
         return [
             PairRecord(f"{stem}{suffix}", self.subset, premise, hypothesis_of(*draw),
                        label, kind, self.pattern_name, meta)
-            for (kind, suffix, label, hypothesis_of, _), meta in zip(self.hypotheses, owned)
+            for (kind, suffix, label, hypothesis_of), meta in zip(self.hypotheses, owned)
         ]
 
     def _rows(self, draw, premise, draw_index):
         subject, obj, verb, thing = draw
-        self.rows += len(self.hypotheses)
-        stem = f"{self.prefix}{draw_index:05d}"
+        self.rows += self.per_premise
+        d = f"{draw_index:05d}"
         text = _encode_str(premise)
-        # the metadata _records builds, in its key order
-        meta = (f'{{"premise_id": {_encode_str(stem + "-premise")}, {subject.fragments["subject"]}, '
-                f'{obj.fragments["object"]}, "verb_lemma": {_encode_str(verb.lemma)}'
-                f'{"" if thing is None else ", " + thing.fragments["direct_object"]}}}')
+        # the metadata _records builds after its premise_id, in its key order
+        meta = (f'{subject.fragments["subject"]}, {obj.fragments["object"]}, '
+                f'"verb_lemma": {self.lemma_json[verb.lemma]}'
+                f'{"" if thing is None else ", " + thing.fragments["direct_object"]}')
         return [
-            _row(_encode_str(stem + suffix), self.subset_json, text,
-                 _encode_str(hypothesis_of(*draw)), tail, meta)
-            for _, suffix, _, hypothesis_of, tail in self.hypotheses
+            f'{head}{d}{mid}{text}{between}{_encode_str(hypothesis_of(*draw))}{after}{d}-premise", {meta}{end}'
+            for hypothesis_of, head, mid, between, after, end in self.templates
         ]
 
 

@@ -210,6 +210,7 @@ def compile_sentence(object_case: Case, kind: HypKind | None = None, spaced_peri
     other_at = other_case if nominative_first else other_case + _CAPITALISED
     thing_at = _CASES.index(Case.ACC)
     end = " ." if spaced_period else "."
+    singular = Number.SG
 
     def sentence(subject: NPSpec, obj: NPSpec, verb: VerbEntry, thing: NPSpec | None = None) -> str:
         nominative, other = (subject, obj) if subject_nominative else (obj, subject)
@@ -217,7 +218,7 @@ def compile_sentence(object_case: Case, kind: HypKind | None = None, spaced_peri
         if other_text is None:
             render_np(other, object_case)  # raises the error that names the missing form
         first, second = (nominative_text, other_text) if nominative_first else (other_text, nominative_text)
-        verb_form = agree_verb(verb, nominative.number)
+        verb_form = verb.form_3sg if nominative.number is singular else verb.form_3pl  # as agree_verb
         if thing is None:
             return f"{first} {verb_form} {second}{end}"
         return f"{first} {verb_form} {second} {thing.texts[thing_at]}{end}"

@@ -71,6 +71,20 @@ class TestGenerate:
         assert code == 0
         assert out.read_text(encoding="utf-8").startswith("id\tsubset\t")
 
+    def test_names_of_one_gender_only(self, tmp_path):
+        # a lexicon with no feminine names passes the validation generate
+        # runs; every name drawn is masculine, and none is drawn from the
+        # empty feminine group
+        lexicon = tmp_path / "masc-names.tsv"
+        masc_only = dataclasses.replace(wogli.bundled_lexicon(), fem_proper=())
+        lexicon.write_text(wogli.serialize_lexicon(masc_only, "tsv"), encoding="utf-8")
+        code, out = _generate(str(lexicon), tmp_path, seed="0", per="5")
+        assert code == 0
+        names = [(r.metadata[f"{role}_gender"], r.metadata[f"{role}_lemma"]) for r in read_pairs(out)
+                 for role in ("subject", "object") if r.metadata[f"{role}_kind"] == "proper"]
+        masculine = {n.lemma for n in masc_only.masc_proper}
+        assert names and all(gender == "masc" and lemma in masculine for gender, lemma in names)
+
     def test_seed_is_required(self, tmp_path, toy_path, capsys):
         code = run(["generate", "wogli", "--lexicon", toy_path,
                     "--out", str(tmp_path / "x.jsonl")])

@@ -4,10 +4,13 @@ Golden sentences are frozen as byte-exact strings; the structural checks
 run on the small toy lexicon so failures stay readable.
 """
 
+import cProfile
 import hashlib
 import io
 import json
 import os
+import pstats
+import random
 import re
 import subprocess
 import sys
@@ -481,6 +484,73 @@ class TestGenerateSet:
             for _ in rows:
                 pass
         assert build.rows == 2 * 2  # the rows of draws 0 and 1
+
+
+# pool sizes: every size up to 4097, and each power of two with its neighbours
+_POOL_SIZES = st.one_of(
+    st.integers(1, 4097),
+    st.sampled_from([n for e in range(13) for n in (2 ** e - 1, 2 ** e, 2 ** e + 1) if n]),
+)
+# seeds as the generator spells them, and any other string
+_SEEDS = st.one_of(
+    st.builds("{}:{}:{}".format, st.integers(0, 10 ** 6),
+              st.sampled_from([g.value for g in Government]), st.integers(0, 40)),
+    st.text(max_size=20),
+)
+
+
+class TestOwnedChoice:
+    """The generator draws through its own choice over getrandbits; the
+    bytes stay those random.Random.choice gave on CPython 3.10-3.13."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, sizes=st.lists(_POOL_SIZES, min_size=1, max_size=6),
+           flat=_POOL_SIZES, draws=st.integers(1, 40))
+    def test_draws_match_random_choice(self, seed, sizes, flat, draws):
+        # as a rejection draw makes them: one item of one of a pool of
+        # groups, then one of a flat pool, and so on
+        ours, theirs = random.Random(seed), random.Random(seed)
+        groups, pool = [range(n) for n in sizes], range(flat)
+        nested = generator._group_chooser(ours.getrandbits, groups)
+        single = generator._chooser(ours.getrandbits, pool)
+        for _ in range(draws):
+            assert nested() == theirs.choice(theirs.choice(groups))
+            assert single() == theirs.choice(pool)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_an_empty_pool_is_an_error_not_an_endless_draw(self):
+        getrandbits = random.Random("0:accusative:0").getrandbits
+        with pytest.raises(IndexError, match="empty pool"):
+            generator._chooser(getrandbits, [])
+        with pytest.raises(IndexError, match="empty pool"):
+            generator._group_chooser(getrandbits, [])
+        with pytest.raises(IndexError, match="empty pool"):
+            generator._group_chooser(getrandbits, [[1, 2], []])
+
+    def test_seeded_getrandbits_stream_is_pinned(self):
+        """Seeding by string and getrandbits are all the draws still take
+        from random.Random: a Python that changes either fails here, by name."""
+        rng = random.Random("0:accusative:0")
+        assert [rng.getrandbits(k) for k in (1, 2, 3, 5, 6, 13, 32)] == [1, 0, 3, 2, 26, 5870, 1998545550]
+        assert random.Random("0:accusative:0").getrandbits(64) == 1806522913716932447
+
+    @pytest.mark.parametrize("name, budget", [(GenerationSet.WOGLI, 13.0), (GenerationSet.DITRANSITIVE, 15.5)])
+    def test_calls_per_row(self, lex, name, budget):
+        """A default-size set's encoded rows make at most budget calls a row,
+        counting every function and builtin the profiler sees (12.6 and
+        15.1 on Python 3.11, where drawing through random.Random.choice
+        made 28.5 and 32.9), and random.py only seeds one RNG per pattern."""
+        per_pattern = generator._SETS[name][3]
+        build = generator._Records(name, False, encode=True)
+        profile = cProfile.Profile()
+        rows = profile.runcall(list, generator._set_records(name, lex, 0, per_pattern, False, build))
+        stats = pstats.Stats(profile).stats
+        patterns = len(generator._patterns_for(name))
+        from_random = {func: stat[1] for (path, _, func), stat in stats.items()
+                       if os.path.basename(path) == "random.py"}
+        assert from_random == {"__init__": patterns, "seed": patterns}
+        calls = sum(stat[1] for stat in stats.values())
+        assert calls / len(rows) <= budget, calls / len(rows)
 
 
 class TestInvariants:
