@@ -41,16 +41,6 @@ def _file(must_exist: bool):
     return check
 
 
-def _load_checked_lexicon(path):
-    lex = load_lexicon(path if path is not None else default_lexicon_path())
-    problems = validate_lexicon(lex, ValidationProfile.TOY)
-    if problems:
-        head = "; ".join(problems[:3])
-        more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
-        raise LexiconError(f"lexicon rejected: {head}{more}")
-    return lex
-
-
 def _write_built(build: _Records, rendered, out) -> None:
     """Write what build renders: its JSON lines, or its records as TSV; the
     same bytes write_pairs writes for the records either way."""
@@ -63,14 +53,14 @@ def _generate(a):
     per_pattern = _SETS[name][3] if a.per_pattern is None else a.per_pattern
     if per_pattern < 1:
         raise _UsageError("--per-pattern must be positive")
-    lex = _load_checked_lexicon(a.lexicon)
+    lex = load_lexicon(a.lexicon or default_lexicon_path())
     # rows go from draws to disk a line at a time, JSON rows as encoded lines
     build = _Records(name, a.spaced_period, encode=a.fmt == "rows")
     _write_built(build, _set_records(name, lex, a.seed, per_pattern, a.with_replacement_dedup, build), a.out)
 
 
 def _derive(a):
-    lex = _load_checked_lexicon(a.lexicon)
+    lex = load_lexicon(a.lexicon or default_lexicon_path())
     # rows go from the input to disk as they are read; no list of either is built
     build = _Records(GenerationSet.OS_HARD, a.spaced_period, encode=a.fmt == "rows")
     with closing(_read_records(a.source)) as records:

@@ -27,7 +27,7 @@ from .core import (
 )
 from .dataset_io import _encode_str, _row, _row_tail
 from .errors import DataFormatError, ExhaustionError
-from .lexicon import Lexicon
+from .lexicon import Lexicon, _accepted
 from .morphology import _ARTICLE_KINDS, _CAPITALISED, _CASES, _META_KEYS, NPSpec, agree_verb, compile_sentence
 from .patterns import _STEM_RE, Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
 
@@ -103,10 +103,10 @@ def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
 class _Tables:
     """A lexicon compiled into specs: a table per argument class and
     government, each built the first time it is needed, so that every NP
-    form is rendered at most once per set of tables."""
+    form is rendered at most once per set of tables, from a lexicon the gate accepts."""
 
     def __init__(self, lex: Lexicon, compat=None):
-        self.lex = lex
+        self.lex = _accepted(lex)
         self.compat = compat
         self._memo = {}
 
@@ -148,10 +148,10 @@ class _Tables:
         return self._cached(government, build)
 
     def verb(self, government: Government, lemma):
-        """The government's verb with this lemma, the first if listed twice, or None."""
+        """The government's verb with this lemma, or None; the gate refuses a lemma listed twice."""
         key = ("verb", government._value_)
         index = self._memo.get(key) or self._cached(key, lambda: {
-            verb.lemma: verb for verb, _ in reversed(self.verbs(government))})
+            verb.lemma: verb for verb, _ in self.verbs(government)})
         return index.get(lemma) if isinstance(lemma, str) else None
 
     def verb_things(self, government: Government) -> list[tuple]:
@@ -255,6 +255,8 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
     """Yield (premise, draw, draw index) for one pattern, a draw being the
     (subject, object, verb, thing) its compiled sentence takes; premises are
     distinct unless drawn with replacement. Each premise is realized once, here."""
+    if per_pattern < 1:
+        raise ValueError("per_pattern must be positive")
     rng = random.Random(f"{seed}:{pattern.government.value}:{pattern_index}")
     premise_of = compile_sentence(pattern.government.object_case, None, spaced_period)
     same_class = pattern.subject is pattern.object
@@ -473,8 +475,8 @@ def _set_records(name, lex, seed, per_pattern, with_replacement, build: _Records
             if name is GenerationSet.P_SUBJECT:
                 subject, obj, verb, _ = draw = (draw[0].pronoun, *draw[1:])
                 # the premise is "<Pronoun> <verb form> <object>.", and the
-                # pronoun and the verb form are one token each (load_lexicon
-                # refuses whitespace in a form), so the text splits into these
+                # pronoun and the verb form are one token each (_Tables' lexicon
+                # gate refuses whitespace in a form), so the text splits into these
                 # parts one way only: two premises are equal exactly when their
                 # parts are, and the parts are strings the lexicon's specs hold
                 head = (subject.texts[_NOMINATIVE_FIRST], agree_verb(verb, subject.number))

@@ -12,7 +12,9 @@ or ill-typed fields, a lemma or form that is empty or holds whitespace,
 unknown values, misplaced categories, duplicate lemmas, a lemma or form
 that is exactly ``-``, a leading byte-order mark);
 rules a well-formed entry can still break live in ``validate_lexicon``, so
-that deliberately broken toy lexicons can be constructed and reported on.
+that broken toy lexicons can be built and reported on. Its TOY profile also
+reports loading's word and lemma rules, which only a lexicon built in code
+can break; generation and derive, library or CLI, refuse what it reports.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ _GOVERNMENT_ALIASES = {
     for alias in (tag.lower(), government.value)
 }
 _TSV_HEADER = "class\tlemma\tform2\tform3\tattrs"
+_WORDS = {"verb": ("lemma", "form_3sg", "form_3pl"), "noun": ("lemma", "plural_nom")}  # else the lemma only
 
 
 def load_lexicon(source) -> Lexicon:
@@ -332,10 +335,10 @@ def serialize_lexicon(lex: Lexicon, fmt: str = "json") -> str:
 
 
 def surface_forms(lex: Lexicon) -> set[str]:
-    """Distinct noun surfaces: common nouns over sg/pl x nom/acc, plus names."""
+    """Distinct noun surfaces: common nouns over sg/pl (those they have) x nom/acc, plus names."""
     forms = set()
     for noun in lex.masc_common + lex.fem_common:
-        for number in (Number.SG, Number.PL):
+        for number in (Number.SG, Number.PL) if noun.plural_nom else (Number.SG,):
             for case in (Case.NOM, Case.ACC):
                 forms.add(inflect_noun(noun, number, case))
     for name in lex.masc_proper + lex.fem_proper:
@@ -363,10 +366,22 @@ def _tables(lex: Lexicon, cls: str) -> list[tuple]:
 def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfile.FULL) -> list[str]:
     """Return human-readable violation messages; an empty list means valid.
 
-    TOY checks structure only; FULL additionally pins the inventory sizes
-    and the 181-surface-form budget of the shipped word lists.
+    TOY checks structure, loading's rules included; FULL also pins the
+    inventory sizes and the 181-surface-form budget of the shipped word lists.
     """
     report = []
+
+    for field, cls, _ in _INVENTORIES.values():  # loading's rules, for a lexicon built in code
+        lemmas = set()
+        for entry in getattr(lex, field):
+            if entry.lemma in lemmas:
+                report.append(f"{field}: lemma {entry.lemma!r} is listed twice")
+            lemmas.add(entry.lemma)
+            for name in _WORDS.get(cls, ("lemma",)):
+                try:
+                    _word(getattr(entry, name), name, field)
+                except LexiconError as exc:
+                    report.append(str(exc))
 
     for _, verbs, _ in _tables(lex, "verb"):
         for v in verbs:
@@ -409,6 +424,14 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
         if forms != 181:
             report.append(f"expected 181 distinct noun surface forms, found {forms}")
     return report
+
+
+def _accepted(lex: Lexicon) -> Lexicon:
+    """lex, if TOY validation finds nothing in it, else a LexiconError naming its first three findings."""
+    if problems := validate_lexicon(lex, ValidationProfile.TOY):
+        more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
+        raise LexiconError(f"lexicon rejected: {'; '.join(problems[:3])}{more}")
+    return lex
 
 
 def bundled_lexicon_path() -> Path:

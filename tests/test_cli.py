@@ -125,6 +125,19 @@ class TestGenerate:
         assert code == 2
         assert "error[lexicon] lexicon rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "derive"])
+    def test_the_lexicon_is_validated_once(self, command, toy_path, tmp_path, monkeypatch):
+        from wogli import lexicon
+        _, base = _generate(toy_path, tmp_path)
+        calls = []
+        validate = lexicon.validate_lexicon
+        monkeypatch.setattr(lexicon, "validate_lexicon", lambda *args: calls.append(args) or validate(*args))
+        out = str(tmp_path / "out.jsonl")
+        argv = {"generate": ["generate", "os-hard", "--seed", "3", "--per-pattern", "2"],
+                "derive": ["derive", "os-hard", "--from", str(base)]}[command]
+        assert run([*argv, "--lexicon", toy_path, "--out", out]) == 0
+        assert len(calls) == 1
+
     def test_exhaustion_is_a_domain_error(self, toy_path, tmp_path, capsys):
         code, _ = _generate(toy_path, tmp_path, per="10000")
         assert code == 2
@@ -329,6 +342,19 @@ class TestDerive:
         assert code == 2
         assert f"error[format] duplicate record id {json.loads(first)['id']!r}" in capsys.readouterr().err
         assert not out.exists()
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_failing_lexicon_gate_leaves_out_untouched(self, toy_path, tmp_path, capsys):
+        _, base = _generate(toy_path, tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(TOY_LEXICON, thing_nouns=[])), encoding="utf-8")
+        out = tmp_path / "hard.jsonl"
+        out.write_bytes(b"old bytes\n")
+        code = run(["derive", "os-hard", "--from", str(base), "--lexicon", str(bad), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("wogli: error[lexicon] lexicon rejected: "
+                                           "verb 'geben': no direct-object noun matches its category\n")
+        assert out.read_bytes() == b"old bytes\n"
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_tsv_source_lacks_metadata(self, toy_path, tmp_path, capsys):
@@ -733,6 +759,23 @@ class TestValidateLexicon:
         assert code == 0
         assert "lexicon ok" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("profile", ["toy", "full"])
+    def test_a_common_noun_without_a_plural(self, profile, tmp_path, capsys):
+        # full counts the noun's forms as well: the missing plural is a finding, not a ValueError
+        path = tmp_path / "no-plural.json"
+        masc = [{"lemma": "Arzt", "plural_nom": None}, TOY_LEXICON["masc_common"][1]]
+        path.write_text(json.dumps(dict(TOY_LEXICON, masc_common=masc)), encoding="utf-8")
+        assert run(["validate-lexicon", "--in", str(path), "--profile", profile]) == 2
+        captured = capsys.readouterr()
+        findings = captured.out.splitlines()
+        assert findings[0] == "masc_common: 'Arzt' lacks a plural form"
+        if profile == "full":
+            assert "expected 50 accusative verbs, found 2" in findings
+            assert "expected 181 distinct noun surface forms, found 11" in findings
+        else:
+            assert len(findings) == 1
+        assert captured.err == f"wogli: error[lexicon] {len(findings)} finding(s) in {path}\n"
 
     @pytest.mark.parametrize("profile", ["toy", "full"])
     @pytest.mark.parametrize("inventory,entry,what", [

@@ -33,6 +33,7 @@ from wogli import (
     Government,
     HypKind,
     Label,
+    LexiconError,
     MorphologyError,
     NPClass,
     NPSpec,
@@ -274,6 +275,80 @@ class TestSampling:
         assert len(out) == 17 * 60
         texts = {realize_premise(i) for i in out}
         assert len(texts) < len(out)  # tiny space, duplicates certain
+
+    @pytest.mark.parametrize("per_pattern, with_replacement", [(0, False), (-1, True)])
+    @pytest.mark.parametrize("name", list(GenerationSet))
+    def test_per_pattern_below_one_is_refused(self, toy_lex, name, per_pattern, with_replacement):
+        for entry_point in (generate_set, sample_premises):
+            with pytest.raises(ValueError, match="^per_pattern must be positive$"):
+                entry_point(name, toy_lex, 0, per_pattern, with_replacement)
+
+
+def _spaced_forms(lex):
+    # with forms "sieht den" / "sehen den" and a name "Arzt", "Er sieht den
+    # Arzt." is a premise of two draws, which p-subject's dedup would keep both of
+    verb = replace(lex.verbs_acc[0], lemma="ansehen", form_3sg="sieht den", form_3pl="sehen den")
+    arzt = replace(lex.masc_proper[0], lemma="Arzt")
+    return replace(lex, verbs_acc=(*lex.verbs_acc, verb), masc_proper=(*lex.masc_proper, arzt))
+
+
+def _no_thing_for_giving(lex):
+    # drawing a direct object for geben would end in a bare IndexError
+    giving = _verb(lex, Government.DITRANSITIVE, "geben").semantic_category
+    return replace(lex, thing_nouns=tuple(t for t in lex.thing_nouns if giving not in t.compatible_categories))
+
+
+def _equal_forms(lex):
+    # agreement would mark nothing: the verb would not tell a singular subject from a plural one
+    return replace(lex, verbs_acc=(replace(lex.verbs_acc[0], form_3pl=lex.verbs_acc[0].form_3sg),
+                                   *lex.verbs_acc[1:]))
+
+
+def _listed_twice(lex):
+    return replace(lex, verbs_acc=(*lex.verbs_acc, _verb(lex, Government.ACCUSATIVE, "sehen")))
+
+
+# bundled lexicons built in code that break a rule generation relies on,
+# each with the finding that names the rule
+_BROKEN = {
+    "form-with-a-space": (_spaced_forms, "verbs_acc: form_3sg 'sieht den' is empty or holds whitespace"),
+    "no-thing-for-a-verb": (_no_thing_for_giving, "verb 'geben': no direct-object noun matches its category"),
+    "equal-3sg-3pl": (_equal_forms, "verb 'warnen': 3sg and 3pl forms must differ"),
+    "lemma-listed-twice": (_listed_twice, "verbs_acc: lemma 'sehen' is listed twice"),
+}
+
+
+class TestLexiconGate:
+    """The library refuses every lexicon the CLI refuses: each entry point
+    builds a _Tables, which runs TOY validation on its lexicon first."""
+
+    @staticmethod
+    def _broken(lex, broken):
+        """The broken lexicon, and a pattern its error matches: the finding among the first three."""
+        build, finding = _BROKEN[broken]
+        return build(lex), rf"^lexicon rejected: (.*; )?{re.escape(finding)}"
+
+    @pytest.mark.parametrize("broken", _BROKEN)
+    @pytest.mark.parametrize("name", list(GenerationSet))
+    def test_generate_set(self, lex, broken, name):
+        bad, error = self._broken(lex, broken)
+        for with_replacement in (False, True):
+            with pytest.raises(LexiconError, match=error):
+                generate_set(name, bad, 0, 5, with_replacement)
+
+    @pytest.mark.parametrize("broken", _BROKEN)
+    @pytest.mark.parametrize("name", list(GenerationSet))
+    def test_sample_premises(self, lex, broken, name):
+        bad, error = self._broken(lex, broken)
+        with pytest.raises(LexiconError, match=error):
+            sample_premises(name, bad, 0, 5)
+
+    @pytest.mark.parametrize("broken", _BROKEN)
+    def test_derive_os_hard(self, lex, broken):
+        records = generate_set(GenerationSet.WOGLI, lex, 0, 1)
+        bad, error = self._broken(lex, broken)
+        with pytest.raises(LexiconError, match=error):
+            derive_os_hard(records, bad)
 
 
 class TestGenerateSet:
@@ -604,12 +679,15 @@ class TestRecordRoundTrip:
             _read(fem, make_toy(fem_common=[]))
 
     def test_a_verb_is_looked_up_by_lemma_in_its_government(self, toy_lex):
-        """Of a lemma listed twice the first entry wins; a lemma that is not a
-        string, or names a verb of another government only, is a miss."""
+        """A lexicon that lists a lemma twice is refused before any lookup; a
+        lemma that is not a string, or names a verb of another government
+        only, is a miss."""
         record = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)[0]
         first = next(v for v in toy_lex.verbs_acc if v.lemma == record.metadata["verb_lemma"])
         twice = replace(toy_lex, verbs_acc=(*toy_lex.verbs_acc, replace(first, form_3sg="x")))
-        assert _read(record, twice)[1][2] is first
+        with pytest.raises(LexiconError, match=re.escape(
+                f"lexicon rejected: verbs_acc: lemma {first.lemma!r} is listed twice")):
+            _read(record, twice)
         for lemma in (["sehen"], 1, None, toy_lex.verbs_dat[0].lemma):
             with pytest.raises(DataFormatError, match=re.escape(f"verb {lemma!r} not in the lexicon")):
                 _read(replace(record, metadata=dict(record.metadata, verb_lemma=lemma)), toy_lex)

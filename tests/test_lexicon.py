@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,44 @@ def test_full_profile_reports_counts(toy_lex):
     report = validate_lexicon(toy_lex, ValidationProfile.FULL)
     assert any("expected 50 accusative verbs, found 2" in line for line in report)
     assert any("181" in line for line in report)
+
+
+def test_surface_forms_of_a_noun_without_a_plural():
+    # a noun with no plural adds its singular forms only, so FULL counts the
+    # forms and reports the missing plural, as TOY does, instead of raising
+    arzt = {"lemma": "Arzt", "plural_nom": "Ärzte"}
+    toy = make_toy(masc_common=[arzt, TOY_LEXICON["masc_common"][1]])
+    without = make_toy(masc_common=[dict(arzt, plural_nom=None), TOY_LEXICON["masc_common"][1]])
+    assert surface_forms(toy) - surface_forms(without) == {"Ärzte"}
+    assert "Arzt" in surface_forms(without)
+    report = validate_lexicon(without, ValidationProfile.FULL)
+    assert "masc_common: 'Arzt' lacks a plural form" in report
+    assert "expected 181 distinct noun surface forms, found 11" in report
+
+
+def _first(**changes):
+    return lambda entries: (replace(entries[0], **changes), *entries[1:])
+
+
+def _twice(entries):
+    return (*entries, entries[0])
+
+
+@pytest.mark.parametrize("inventory,change,finding", [
+    ("verbs_acc", _first(form_3sg="sieht den"), "verbs_acc: form_3sg 'sieht den' is empty or holds whitespace"),
+    ("verbs_acc", _first(lemma="se hen"), "verbs_acc: lemma 'se hen' is empty or holds whitespace"),
+    ("fem_common", _first(plural_nom=""), "fem_common: plural_nom '' is empty or holds whitespace"),
+    ("masc_proper", _first(lemma="-"), "masc_proper: lemma '-' is the TSV mark of an empty cell"),
+    ("thing_nouns", _first(lemma="Ku\ud800chen"),
+     "thing_nouns: lemma 'Ku\\ud800chen' holds a lone surrogate (U+D800), which UTF-8 cannot encode"),
+    ("verbs_dat", _twice, "verbs_dat: lemma 'helfen' is listed twice"),
+    ("fem_proper", _twice, "fem_proper: lemma 'Anna' is listed twice"),
+], ids=["form-space", "lemma-space", "plural-empty", "name-dash", "lone-surrogate", "verb-twice", "name-twice"])
+@pytest.mark.parametrize("profile", list(ValidationProfile))
+def test_loading_rules_for_a_lexicon_built_in_code(toy_lex, inventory, change, finding, profile):
+    # loading refuses each of these; a lexicon built in code is reported on
+    lex = replace(toy_lex, **{inventory: change(getattr(toy_lex, inventory))})
+    assert finding in validate_lexicon(lex, profile)
 
 
 def test_full_profile_flags_missing_compatible_thing():
