@@ -29,7 +29,7 @@ from .dataset_io import _encode_str, _row, _row_tail
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon, _accepted
 from .morphology import _ARTICLE_KINDS, _CAPITALISED, _CASES, _META_KEYS, NPSpec, agree_verb, compile_sentence
-from .patterns import _STEM_RE, Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
+from .patterns import _STEM_RE, NPClass, Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
 
 # a premise draw that keeps missing unseen texts this often has no space left
 _REJECTION_MISS_BUDGET = 100_000
@@ -101,82 +101,59 @@ def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
 
 
 class _Tables:
-    """A lexicon compiled into specs: a table per argument class and
-    government, each built the first time it is needed, so that every NP
-    form is rendered at most once per set of tables, from a lexicon the gate accepts."""
+    """A lexicon the gate accepts, compiled into specs once, so that every
+    NP form is rendered at most once per set of tables. Per argument class:
+    groups, its specs as drawn (one choice of group and one within it: a
+    name by gender then name, a common noun by noun then article kind; no
+    group is empty), and slots, the same specs in one list. Per government:
+    verbs, (verb, its compatible thing specs or None) per verb; verb_things,
+    (verb, thing spec or None) per verb and direct object; and by_lemma,
+    keyed by the government's value, its verbs by lemma. What only the read
+    side needs is filled on a miss: indexes, np's per (role, owner), and
+    patterns, the patterns of the records read, keyed by strings, as an
+    Enum member hashes in Python."""
 
-    def __init__(self, lex: Lexicon, compat=None):
-        self.lex = _accepted(lex)
-        self.compat = compat
-        self._memo = {}
-
-    def _cached(self, key, build):
-        """The memo's entry for key, built on a miss. A per-row lookup tries
-        _memo.get first, keyed by strings: an Enum member hashes in Python."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def groups(self, cls) -> tuple[tuple, ...]:
-        """The class's specs as drawn, one choice of group and one within it:
-        a name by gender then name, a common noun by noun then article kind.
-        Every group is non-empty."""
-        def build():
-            if cls.is_proper:  # a gender with no names is no group: a draw of it would find none
-                return tuple(
-                    tuple(NPSpec(n, g, Number.SG, ArticleKind.NONE) for n in self.lex.proper_nouns(g))
-                    for g in (Gender.MASC, Gender.FEM) if self.lex.proper_nouns(g)
-                )
-            return tuple(
-                tuple(NPSpec(noun, cls.gender, cls.number, kind) for kind in _ARTICLE_KINDS[cls.number])
-                for noun in self.lex.common_nouns(cls.gender)
-            )
-        return self._cached(cls, build)
-
-    def slots(self, cls) -> list[NPSpec]:
-        """All lexicalizations of the class, in canonical order."""
-        return [spec for group in self.groups(cls) for spec in group]
-
-    def verbs(self, government: Government) -> tuple:
-        """(verb, its compatible thing specs or None) per verb of the government."""
-        def build():
-            if government is not Government.DITRANSITIVE:
-                return tuple((verb, None) for verb in self.lex.verbs(government))
-            compat = self.compat or _compatible_things(self.lex)
-            things = {t: NPSpec(t, t.gender, t.number, ArticleKind.DEF) for t in self.lex.thing_nouns}
-            return tuple((v, tuple(things[t] for t in compat[v.lemma])) for v in self.lex.verbs_ditrans)
-        return self._cached(government, build)
-
-    def verb(self, government: Government, lemma):
-        """The government's verb with this lemma, or None; the gate refuses a lemma listed twice."""
-        key = ("verb", government._value_)
-        index = self._memo.get(key) or self._cached(key, lambda: {
-            verb.lemma: verb for verb, _ in self.verbs(government)})
-        return index.get(lemma) if isinstance(lemma, str) else None
-
-    def verb_things(self, government: Government) -> list[tuple]:
-        """(verb, thing spec or None) per verb and direct object, in canonical order."""
-        return [
-            (verb, thing)
-            for verb, things in self.verbs(government)
-            for thing in ((None,) if things is None else things)
-        ]
+    def __init__(self, lex: Lexicon):
+        lex = _accepted(lex)
+        # a gender with no names is no group: a draw of it would find none
+        names = tuple(tuple(NPSpec(n, g, Number.SG, ArticleKind.NONE) for n in lex.proper_nouns(g))
+                      for g in (Gender.MASC, Gender.FEM) if lex.proper_nouns(g))
+        self.groups = {cls: names if cls.is_proper else tuple(
+            tuple(NPSpec(noun, cls.gender, cls.number, kind) for kind in _ARTICLE_KINDS[cls.number])
+            for noun in lex.common_nouns(cls.gender)) for cls in NPClass}
+        self.slots = {cls: [spec for group in groups for spec in group] for cls, groups in self.groups.items()}
+        fits = {}  # a category's value -> the specs of the things that fit it, in lexicon order
+        for t in lex.thing_nouns:
+            spec = NPSpec(t, t.gender, t.number, ArticleKind.DEF)
+            for category in t.compatible_categories:
+                fits.setdefault(category._value_, []).append(spec)
+        self.verbs = {government: tuple(
+            (v, tuple(fits[v.semantic_category._value_]) if government is Government.DITRANSITIVE else None)
+            for v in lex.verbs(government)) for government in Government}
+        self.verb_things = {government: [
+            (verb, thing) for verb, things in verbs for thing in ((None,) if things is None else things)
+        ] for government, verbs in self.verbs.items()}
+        self.by_lemma = {government._value_: {verb.lemma: verb for verb, _ in verbs}
+                         for government, verbs in self.verbs.items()}
+        self.indexes, self.patterns = {}, {}
 
     def space(self, pattern: Pattern) -> int:
-        subjects, objects = self.slots(pattern.subject), self.slots(pattern.object)
+        subjects, objects = self.slots[pattern.subject], self.slots[pattern.object]
         pairs = len(subjects) * len(objects)
         if pattern.subject is pattern.object:
             lemmas = Counter(spec.lemma for spec in subjects)
             pairs -= sum(lemmas[spec.lemma] for spec in objects)
-        return pairs * len(self.verb_things(pattern.government))
+        return pairs * len(self.verb_things[pattern.government])
 
     def np(self, owner, role: str, meta: dict, where: str) -> NPSpec:
         """The spec that owner, a class or a ditransitive verb, draws in role
         and whose metadata there meta holds exactly; a miss names the first
         field that differs from the nearest spec (most equal fields). A
-        verb is one verb() returned, so that its lemma names it."""
+        verb is one of by_lemma's, so that its lemma names it."""
         key = (role, owner.lemma if role == "direct_object" else owner._value_)
-        index = self._memo.get(key) or self._cached(key, lambda: self._index(owner, role))
+        index = self.indexes.get(key)
+        if index is None:
+            index = self.indexes[key] = self._index(owner, role)
         got = tuple(map(meta.get, _META_KEYS[role]))
         try:
             return index[got]
@@ -195,16 +172,18 @@ class _Tables:
         """owner's specs in role, a subject's with their pronouns, by the
         metadata values each writes there, in table order."""
         if role == "direct_object":
-            specs = dict(self.verbs(Government.DITRANSITIVE))[owner]
+            specs = dict(self.verbs[Government.DITRANSITIVE])[owner]
         else:
-            specs = self.slots(owner)
+            specs = self.slots[owner]
             if role == "subject":
-                specs += [spec.pronoun for spec in specs]
+                specs = specs + [spec.pronoun for spec in specs]
         return {tuple(spec.metadata[role].values()): spec for spec in specs}
 
 
 def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
-    return _Tables(lex, compat).space(pattern)
+    """pattern's lexicalization space; compat is unused, and kept for the
+    bench's workloads.sampling_paths, which passes it."""
+    return _Tables(lex).space(pattern)
 
 
 def _size(pool) -> tuple[int, int]:
@@ -272,9 +251,9 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
     if enumerate_all:
         distinct = {}
         for subject, (verb, thing), obj in itertools.product(
-            tables.slots(pattern.subject),
-            tables.verb_things(pattern.government),
-            tables.slots(pattern.object),
+            tables.slots[pattern.subject],
+            tables.verb_things[pattern.government],
+            tables.slots[pattern.object],
         ):
             if same_class and subject.head.lemma == obj.head.lemma:
                 continue
@@ -293,11 +272,11 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
     # group and subject, verb, object group and object (all again on a
     # same-lemma pair of one class), direct object
     getrandbits = rng.getrandbits
-    subject_of = _group_chooser(getrandbits, tables.groups(pattern.subject))
-    object_of = _group_chooser(getrandbits, tables.groups(pattern.object))
+    subject_of = _group_chooser(getrandbits, tables.groups[pattern.subject])
+    object_of = _group_chooser(getrandbits, tables.groups[pattern.object])
     verb_of = _chooser(getrandbits, [
         (verb, None if things is None else _chooser(getrandbits, things))
-        for verb, things in tables.verbs(pattern.government)])
+        for verb, things in tables.verbs[pattern.government]])
     seen = set()
     misses = count = 0
     while count < per_pattern:
@@ -502,14 +481,16 @@ def _read_record(record: PairRecord, tables: _Tables):
     government = _SUBSET_GOVERNMENT.get(record.subset, Government.ACCUSATIVE)
     if government is not Government.DITRANSITIVE and not meta.keys().isdisjoint(_META_KEYS["direct_object"]):
         raise DataFormatError(f"{where}: only ditransitive records have a direct object")
-    try:
-        key = ("pattern", name := record.pattern_name, government._value_)
-        pattern = tables._memo.get(key) or tables._cached(key, lambda: parse_pattern_name(name, government))
-    except ValueError as exc:
-        raise DataFormatError(f"{where}: {exc}") from None
-    verb = tables.verb(government, meta.get("verb_lemma"))
+    pattern = tables.patterns.get(key := (record.pattern_name, government._value_))
+    if pattern is None:
+        try:
+            pattern = tables.patterns[key] = parse_pattern_name(record.pattern_name, government)
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from None
+    lemma = meta.get("verb_lemma")
+    verb = tables.by_lemma[government._value_].get(lemma) if isinstance(lemma, str) else None
     if verb is None:
-        raise DataFormatError(f"{where}: verb {meta.get('verb_lemma')!r} not in the lexicon")
+        raise DataFormatError(f"{where}: verb {lemma!r} not in the lexicon")
     subject = tables.np(pattern.subject, "subject", meta, where)
     obj = tables.np(pattern.object, "object", meta, where)
     if pattern.subject is pattern.object and subject.lemma == obj.lemma:

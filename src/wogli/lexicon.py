@@ -40,7 +40,7 @@ from .core import (
 )
 from .dataset_io import _BOM, _stream_lines, _undecodable
 from .errors import LexiconError
-from .morphology import Case, inflect_noun
+from .morphology import _ARTICLES, _CASES, _PRONOUNS, Case, inflect_noun
 
 
 class ValidationProfile(enum.Enum):
@@ -336,14 +336,17 @@ def serialize_lexicon(lex: Lexicon, fmt: str = "json") -> str:
 
 def surface_forms(lex: Lexicon) -> set[str]:
     """Distinct noun surfaces: common nouns over sg/pl (those they have) x nom/acc, plus names."""
-    forms = set()
-    for noun in lex.masc_common + lex.fem_common:
-        for number in (Number.SG, Number.PL) if noun.plural_nom else (Number.SG,):
-            for case in (Case.NOM, Case.ACC):
-                forms.add(inflect_noun(noun, number, case))
-    for name in lex.masc_proper + lex.fem_proper:
-        forms.add(name.lemma)
-    return forms
+    nouns = lex.masc_common + lex.fem_common + lex.masc_proper + lex.fem_proper
+    return {form for noun in nouns for form in _noun_forms(noun, (Case.NOM, Case.ACC))}
+
+
+def _noun_forms(entry, cases=_CASES) -> list[str]:
+    """The forms of a noun generation can write in cases: a common noun's
+    in each number it has, a name's or a thing's lemma."""
+    if not isinstance(entry, NounEntry) or entry.kind is NounKind.PROPER:
+        return [entry.lemma]
+    numbers = (Number.SG, Number.PL) if entry.plural_nom else (Number.SG,)
+    return [inflect_noun(entry, number, case) for number in numbers for case in cases]
 
 
 _FULL_COUNTS = (
@@ -404,6 +407,22 @@ def validate_lexicon(lex: Lexicon, profile: ValidationProfile = ValidationProfil
                 report.append(
                     f"{inventory}: {n.lemma!r} weak declension is restricted to masculine nouns"
                 )
+
+    # so that no name in a premise reads as an article or a pronoun (the
+    # first letter of a premise is capitalised), nor any noun as a verb
+    closed = {word: what for what, table in (("article", _ARTICLES), ("pronoun", _PRONOUNS))
+              for forms in table.values() for word in forms}
+    for inventory, names, _ in _tables(lex, "pnoun"):
+        for n in names:
+            if (word := n.lemma.lower()) in closed:
+                report.append(f"{inventory}: name {n.lemma!r} spells the {closed[word]} {word!r}")
+    verb_forms = {form: v.lemma for _, verbs, _ in _tables(lex, "verb") for v in verbs
+                  for form in (v.form_3sg, v.form_3pl)}
+    for inventory, entries, _ in [*_tables(lex, "noun"), *_tables(lex, "pnoun"), *_tables(lex, "thing")]:
+        for entry in entries:
+            for form in dict.fromkeys(_noun_forms(entry)):
+                if form in verb_forms:
+                    report.append(f"{inventory}: {entry.lemma!r} has the form {form!r} of verb {verb_forms[form]!r}")
 
     for t in lex.thing_nouns:
         if not t.compatible_categories:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through the run() entry point."""
 
 import contextlib
+import cProfile
 import dataclasses
 import io
 import json
@@ -647,6 +648,57 @@ def _write_predictions(path, records, runs=1, flip=()):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@pytest.fixture(scope="module")
+def read_inputs(tmp_path_factory):
+    """What the read side's commands read, a fifth of the bench's sizes: the
+    6,800 rows of `generate wogli --seed 0 --per-pattern 200`, three
+    prediction runs over their ids (a third of them wrong), and the 6,798
+    rows of `generate wogli --seed 92 --per-pattern 200
+    --with-replacement-dedup`."""
+    root = tmp_path_factory.mktemp("read-calls")
+    lex = wogli.bundled_lexicon()
+    gold = generate_set(GenerationSet.WOGLI, lex, seed=0, per_pattern=200)
+    write_pairs(gold, root / "gold.jsonl")
+    _write_predictions(root / "preds.tsv", gold, runs=3, flip={r.id for r in gold[::3]})
+    base = generate_set(GenerationSet.WOGLI, lex, seed=92, per_pattern=200, with_replacement=True)
+    write_pairs(base, root / "base.jsonl")
+    return root
+
+
+class TestReadCallsPerRow:
+    """Each command that reads pair files makes at most budget calls per
+    row read, counting every function and builtin cProfile sees in one
+    in-process run; a first run, not profiled, imports and caches what
+    every run shares. Each budget is less than one call per row above the
+    count on Python 3.11, so one more call per row read fails it."""
+
+    @pytest.mark.parametrize("command, budget", [
+        ("derive os-hard", 42.0),  # 41.55 on Python 3.11
+        ("sample-augmentation --plan 1037", 63.2),  # 62.73
+        ("sample-augmentation --plan 102", 59.6),  # 59.16
+        ("analyze --runs 3", 38.4),  # 38.00
+    ])
+    def test_calls_per_row(self, read_inputs, command, budget):
+        gold, base = read_inputs / "gold.jsonl", read_inputs / "base.jsonl"
+        argv, source = {
+            "derive os-hard": (["--from", gold, "--out", read_inputs / "hard.jsonl"], gold),
+            "sample-augmentation --plan 1037": (["--in", base, "--out-aug", read_inputs / "aug1037.jsonl",
+                                                 "--out-rest", read_inputs / "rest1037.jsonl"], base),
+            "sample-augmentation --plan 102": (["--in", base, "--out-aug", read_inputs / "aug102.jsonl",
+                                                "--out-rest", read_inputs / "rest102.jsonl"], base),
+            "analyze --runs 3": (["--gold", gold, "--predictions", read_inputs / "preds.tsv",
+                                  "--out", read_inputs / "report.jsonl"], gold),
+        }[command]
+        argv = [*command.split(), *map(str, argv)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+            profile = cProfile.Profile()
+            assert profile.runcall(run, argv) == 0
+        calls = sum(entry.callcount for entry in profile.getstats())
+        rows = len(source.read_text(encoding="utf-8").splitlines())
+        assert calls / rows <= budget, calls / rows
+
+
 class TestAnalyze:
     def test_report_and_rows(self, toy_path, tmp_path, capsys):
         _, gold = _generate(toy_path, tmp_path)
@@ -776,6 +828,21 @@ class TestValidateLexicon:
         else:
             assert len(findings) == 1
         assert captured.err == f"wogli: error[lexicon] {len(findings)} finding(s) in {path}\n"
+
+    def test_names_and_nouns_that_read_as_other_words(self, tmp_path, capsys):
+        # a name that spells an article or a pronoun, and a noun form that is a verb form
+        path = tmp_path / "collisions.json"
+        masc = [{"lemma": "Arzt", "plural_nom": "sehen"}, TOY_LEXICON["masc_common"][1]]
+        path.write_text(json.dumps(dict(TOY_LEXICON, masc_common=masc, fem_proper=["Die", "Sie"])),
+                        encoding="utf-8")
+        assert run(["validate-lexicon", "--in", str(path), "--profile", "toy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "fem_proper: name 'Die' spells the article 'die'",
+            "fem_proper: name 'Sie' spells the pronoun 'sie'",
+            "masc_common: 'Arzt' has the form 'sehen' of verb 'sehen'",
+        ]
+        assert captured.err == f"wogli: error[lexicon] 3 finding(s) in {path}\n"
 
     @pytest.mark.parametrize("profile", ["toy", "full"])
     @pytest.mark.parametrize("inventory,entry,what", [

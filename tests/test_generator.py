@@ -5,6 +5,7 @@ run on the small toy lexicon so failures stay readable.
 """
 
 import cProfile
+import gc
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +43,8 @@ from wogli import (
     NumberClass,
     agree_verb,
     classify_number,
+    derive_h1,
+    derive_h2,
     derive_os_hard,
     extended_patterns,
     generate_set,
@@ -308,6 +312,17 @@ def _listed_twice(lex):
     return replace(lex, verbs_acc=(*lex.verbs_acc, _verb(lex, Government.ACCUSATIVE, "sehen")))
 
 
+def _name_spells_an_article(lex):
+    # a name that, capitalised at the start of a premise, reads as the article "Der"
+    return replace(lex, masc_proper=(*lex.masc_proper, replace(lex.masc_proper[0], lemma="Der")))
+
+
+def _noun_form_spells_a_verb(lex):
+    # a verb form that is also a noun form, here the dative plural of Arzt
+    verb = replace(lex.verbs_dat[0], lemma="ärzten", form_3sg="ärztet", form_3pl="Ärzten")
+    return replace(lex, verbs_dat=(*lex.verbs_dat, verb))
+
+
 # bundled lexicons built in code that break a rule generation relies on,
 # each with the finding that names the rule
 _BROKEN = {
@@ -315,6 +330,9 @@ _BROKEN = {
     "no-thing-for-a-verb": (_no_thing_for_giving, "verb 'geben': no direct-object noun matches its category"),
     "equal-3sg-3pl": (_equal_forms, "verb 'warnen': 3sg and 3pl forms must differ"),
     "lemma-listed-twice": (_listed_twice, "verbs_acc: lemma 'sehen' is listed twice"),
+    "name-spells-an-article": (_name_spells_an_article, "masc_proper: name 'Der' spells the article 'der'"),
+    "noun-form-spells-a-verb": (_noun_form_spells_a_verb,
+                                "masc_common: 'Arzt' has the form 'Ärzten' of verb 'ärzten'"),
 }
 
 
@@ -628,6 +646,20 @@ class TestOwnedChoice:
         assert calls / len(rows) <= budget, calls / len(rows)
 
 
+@pytest.mark.parametrize("spaced", [False, True])
+@pytest.mark.parametrize("name", [GenerationSet.WOGLI, GenerationSet.DATIVE, GenerationSet.DITRANSITIVE])
+def test_public_derivations_match_the_set(lex, name, spaced):
+    """realize_premise, derive_h1 and derive_h2 of sample_premises' draws
+    are the premises and hypotheses generate_set writes, in order."""
+    draws = sample_premises(name, lex, seed=3, per_pattern=4)
+    records = generate_set(name, lex, seed=3, per_pattern=4, spaced_period=spaced)
+    assert len(records) == 2 * len(draws)
+    for inst, first, second in zip(draws, records[::2], records[1::2]):
+        assert realize_premise(inst, spaced) == first.premise == second.premise, first.id
+        assert derive_h1(inst, spaced) == first.hypothesis, first.id
+        assert derive_h2(inst, spaced) == second.hypothesis, second.id
+
+
 class TestInvariants:
     @pytest.mark.parametrize("name", [
         GenerationSet.WOGLI, GenerationSet.P_SUBJECT, GenerationSet.DATIVE,
@@ -691,6 +723,12 @@ class TestRecordRoundTrip:
         for lemma in (["sehen"], 1, None, toy_lex.verbs_dat[0].lemma):
             with pytest.raises(DataFormatError, match=re.escape(f"verb {lemma!r} not in the lexicon")):
                 _read(replace(record, metadata=dict(record.metadata, verb_lemma=lemma)), toy_lex)
+
+    def test_a_pattern_name_that_is_not_canonical(self, toy_lex):
+        record = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)[0]
+        with pytest.raises(DataFormatError) as info:
+            _read(replace(record, pattern_name="zzz"), toy_lex)
+        assert str(info.value) == f"record {record.id}: not a canonical pattern name: 'zzz'"
 
     def test_a_pronoun_lemma_must_be_its_pronoun(self, toy_lex):
         record = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=1, per_pattern=1)[0]
@@ -831,12 +869,12 @@ class TestRecordRoundTrip:
 
 def test_compiled_slots_match_render_np(lex):
     tables = generator._Tables(lex)
-    specs = [spec for cls in NPClass for spec in tables.slots(cls)]
+    specs = [spec for cls in NPClass for spec in tables.slots[cls]]
     # one pronoun spec per gender and number, told apart by identity
     pronouns = list({id(spec.pronoun): spec.pronoun for spec in specs}.values())
     assert len(pronouns) == 4
     specs += pronouns
-    specs += [thing for _, thing in tables.verb_things(Government.DITRANSITIVE)]
+    specs += [thing for _, thing in tables.verb_things[Government.DITRANSITIVE]]
     heads = {spec.head for spec in specs}
     assert heads >= {*lex.masc_common, *lex.fem_common, *lex.masc_proper, *lex.fem_proper}
     assert heads >= {*lex.thing_nouns}
@@ -851,6 +889,24 @@ def test_compiled_slots_match_render_np(lex):
                 render_np(spec, Case.DAT)
 
 
+def test_tables_go_with_their_last_reference(lex):
+    """_Tables holds no reference cycle, the read side's tables included,
+    so reference counting frees it without the cycle collector."""
+    record = generate_set(GenerationSet.DITRANSITIVE, lex, seed=0, per_pattern=1)[0]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tables = generator._Tables(lex)
+        generator._read_record(record, tables)
+        assert tables.indexes and tables.patterns
+        freed = weakref.ref(tables)
+        del tables
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_every_spec_owns_its_metadata_and_pronoun(lex):
     """The reader finds every spec of the bundled lexicon by its own
     metadata: each class spec as a subject and as an object of its class,
@@ -860,7 +916,7 @@ def test_every_spec_owns_its_metadata_and_pronoun(lex):
     tables = generator._Tables(lex)
     pronouns = {}
     for cls in NPClass:
-        for spec in tables.slots(cls):
+        for spec in tables.slots[cls]:
             assert list(spec.metadata) == ["subject", "object"]
             for role, meta in spec.metadata.items():
                 assert tables.np(cls, role, dict(meta), "spec") is spec, (spec, role)
@@ -874,7 +930,7 @@ def test_every_spec_owns_its_metadata_and_pronoun(lex):
     for pronoun in pronouns.values():
         assert pronoun.pronoun is pronoun
     things = set()
-    for verb, specs in tables.verbs(Government.DITRANSITIVE):
+    for verb, specs in tables.verbs[Government.DITRANSITIVE]:
         for thing in specs:
             assert list(thing.metadata) == ["direct_object"]
             meta = dict(thing.metadata["direct_object"])
@@ -912,9 +968,9 @@ def test_compiled_sentences_match_token_layout(lex):
     checked = errors = 0
     for pattern in patterns:
         case = pattern.government.object_case
-        subjects, objects = tables.slots(pattern.subject), tables.slots(pattern.object)
+        subjects, objects = tables.slots[pattern.subject], tables.slots[pattern.object]
         subjects = subjects + [spec.pronoun for spec in subjects[:8]]
-        verb_things = tables.verb_things(pattern.government)
+        verb_things = tables.verb_things[pattern.government]
         for i in range(max(len(subjects), len(objects), len(verb_things))):
             subject, obj = subjects[i % len(subjects)], objects[i * 7 % len(objects)]
             verb, thing = verb_things[i % len(verb_things)]

@@ -368,6 +368,13 @@ def test_reader_errors_name_their_place(text, where, message):
      "masc_common: 'Arzt' lacks a plural form"),
     ({"thing_nouns": [{"lemma": "Brief", "gender": "masc", "number": "sg", "categories": ["sending"]}]},
      "verb 'geben': no direct-object noun matches its category"),
+    ({"fem_proper": ["Anna", "DIESE"]}, "fem_proper: name 'DIESE' spells the article 'diese'"),
+    ({"masc_proper": ["Peter", "Ihn"]}, "masc_proper: name 'Ihn' spells the pronoun 'ihn'"),
+    ({"masc_common": [{"lemma": "Arzt", "plural_nom": "hören"}]},
+     "masc_common: 'Arzt' has the form 'hören' of verb 'hören'"),
+    ({"fem_proper": ["Anna", "hilft"]}, "fem_proper: 'hilft' has the form 'hilft' of verb 'helfen'"),
+    ({"thing_nouns": [{"lemma": "gibt", "gender": "masc", "number": "sg", "categories": ["giving"]}]},
+     "thing_nouns: 'gibt' has the form 'gibt' of verb 'geben'"),
 ])
 def test_validation_rules(overrides, message):
     assert message in validate_lexicon(make_toy(**overrides), ValidationProfile.TOY)
