@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "analysis": (
-        "AccuracyResult", "GroupSpec", "ZTestResult", "build_report", "definiteness_groups",
-        "gender_groups", "number_groups", "two_proportion_ztest",
+        "GroupSpec", "ZTestResult", "build_report", "definiteness_groups", "gender_groups",
+        "number_groups", "two_proportion_ztest",
     ),
     "augment": (
         "AugmentationPlan", "merge_training", "plan_102", "plan_1037", "sample_augmentation",

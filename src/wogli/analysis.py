@@ -114,38 +114,6 @@ def gender_groups(role: str, kind: str) -> tuple[GroupSpec, GroupSpec]:
 
 
 @dataclass(frozen=True)
-class AccuracyResult:
-    group: str
-    n: int
-    runs: int
-    k: tuple[int, ...]
-    per_run: tuple[float, ...]
-    mean: float
-    sd: float
-
-
-def _spread(values, sample: bool) -> float:
-    if len(values) < 2:
-        return 0.0
-    return statistics.stdev(values) if sample else statistics.pstdev(values)
-
-
-def _accuracy_result(name: str, n: int, runs: int, k, sample_sd: bool) -> AccuracyResult:
-    if n == 0:
-        return AccuracyResult(name, 0, runs, (), (), float("nan"), float("nan"))
-    per_run = tuple(count / n for count in k)
-    return AccuracyResult(
-        group=name,
-        n=n,
-        runs=runs,
-        k=tuple(k),
-        per_run=per_run,
-        mean=statistics.fmean(per_run),
-        sd=_spread(per_run, sample_sd),
-    )
-
-
-@dataclass(frozen=True)
 class ZTestResult:
     z: float
     p_value: float
@@ -247,18 +215,19 @@ def build_report(
 
     rows = []
     lines = [f"records: {n[0]}  runs: {runs}"]
+    spread = statistics.stdev if sample_sd else statistics.pstdev
     for i, spec in enumerate(specs):
-        if spec in kinds and not n[i]:
-            continue  # a hypothesis kind the gold file lacks gets no row
-        result = _accuracy_result(spec.name, n[i], runs, k[i], sample_sd)
-        empty = result.n == 0  # an empty group reports null statistics
-        rows.append(
-            {"kind": "accuracy", "group": result.group, "n": result.n,
-             "runs": result.runs, "k": list(result.k),
-             "accuracy": None if empty else result.mean, "sd": None if empty else result.sd}
-        )
-        lines.append(f"{result.group:<36} n=0" if empty else
-                     f"{result.group:<36} n={result.n:<7} acc={result.mean:.4f} sd={result.sd:.4f}")
+        if not n[i]:  # an empty group reports null statistics, a hypothesis kind the gold file lacks no row
+            if spec not in kinds:
+                rows.append({"kind": "accuracy", "group": spec.name, "n": 0, "runs": runs, "k": [],
+                             "accuracy": None, "sd": None})
+                lines.append(f"{spec.name:<36} n=0")
+            continue
+        per_run = [hits / n[i] for hits in k[i]]
+        mean, sd = statistics.fmean(per_run), spread(per_run) if runs > 1 else 0.0
+        rows.append({"kind": "accuracy", "group": spec.name, "n": n[i], "runs": runs, "k": k[i],
+                     "accuracy": mean, "sd": sd})
+        lines.append(f"{spec.name:<36} n={n[i]:<7} acc={mean:.4f} sd={sd:.4f}")
 
     for label, (group_a, group_b) in pairs:
         a, b = specs.index(group_a), specs.index(group_b)

@@ -456,9 +456,6 @@ class PredictionSet:
     runs: int
     labels: dict[str, tuple[Label, ...]]
 
-    def ids(self):
-        return self.labels.keys()
-
 
 def read_predictions(source, runs: int) -> PredictionSet:
     """Parse a prediction TSV (header id/run/label) into a PredictionSet.

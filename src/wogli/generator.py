@@ -22,7 +22,6 @@ from .core import (
     HypKind,
     Number,
     PairRecord,
-    ThingNounEntry,
     VerbEntry,
 )
 from .dataset_io import _encode_str, _row, _row_tail
@@ -91,13 +90,6 @@ def derive_h1(inst: PremiseInstance, spaced_period: bool = False) -> str:
 def derive_h2(inst: PremiseInstance, spaced_period: bool = False) -> str:
     """Surface reorder (entailed): object first, everything keeps its marking."""
     return _render(inst, HypKind.H2_OS, spaced_period)
-
-
-def _compatible_things(lex: Lexicon) -> dict[str, list[ThingNounEntry]]:
-    return {
-        verb.lemma: [t for t in lex.thing_nouns if verb.semantic_category in t.compatible_categories]
-        for verb in lex.verbs_ditrans
-    }
 
 
 class _Tables:
@@ -180,10 +172,16 @@ class _Tables:
         return {tuple(spec.metadata[role].values()): spec for spec in specs}
 
 
-def _space_size(pattern: Pattern, lex: Lexicon, compat) -> int:
-    """pattern's lexicalization space; compat is unused, and kept for the
-    bench's workloads.sampling_paths, which passes it."""
-    return _Tables(lex).space(pattern)
+def _compatible_things(lex: Lexicon) -> _Tables:
+    """lex's tables, which the bench's workloads.sampling_paths builds once
+    and passes to each _space_size call."""
+    return _Tables(lex)
+
+
+def _space_size(pattern: Pattern, lex: Lexicon, compat: _Tables) -> int:
+    """pattern's lexicalization space in compat, lex's tables; lex is
+    unused, and kept for the bench, which passes it."""
+    return compat.space(pattern)
 
 
 def _size(pool) -> tuple[int, int]:

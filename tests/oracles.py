@@ -10,9 +10,9 @@ p_subject_records keeps the pronoun-subject set's premises by their texts.
 import itertools
 import math
 import statistics
+from dataclasses import dataclass
 
 from wogli import (
-    AccuracyResult,
     ArticleKind,
     ConstraintError,
     Gender,
@@ -111,6 +111,17 @@ def is_ambiguous(pattern: Pattern, lex: Lexicon) -> bool:
 def select(group, records) -> list:
     """The records a GroupSpec matches, in their order."""
     return [r for r in records if group.matches(r)]
+
+
+@dataclass(frozen=True)
+class AccuracyResult:
+    group: str
+    n: int
+    runs: int
+    k: tuple[int, ...]
+    per_run: tuple[float, ...]
+    mean: float
+    sd: float
 
 
 def accuracy(gold, preds: PredictionSet, group=None, sample_sd: bool = False) -> AccuracyResult:

@@ -552,6 +552,34 @@ class TestReportAgainstReference:
                 labels[f"{r.id}-unknown"] = (NE,) * runs
         self._check(gold, PredictionSet(runs, labels), groups, tie_break, sample_sd)
 
+    @pytest.mark.parametrize("groups", ["all", "definiteness", "number", "gender"])
+    @pytest.mark.parametrize("sample_sd", [False, True])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_text_lines_follow_the_rows(self, groups, sample_sd, runs):
+        """The text is the header and one line per row, each formatted from
+        its row; the second gold file has no masculine proper subject, so
+        the gender family has an empty group, printed as n=0."""
+        no_masc_names = [r for r in _REPORT_GOLD if (r.metadata["subject_kind"],
+                                                     r.metadata["subject_gender"]) != ("proper", "masc")]
+        for gold in (_REPORT_GOLD, no_masc_names):
+            preds = self._preds(gold, runs, 4)
+            self._check(gold, preds, groups, sample_sd=sample_sd)
+            text, rows = build_report(gold, preds, groups, sample_sd=sample_sd)
+            lines = [f"records: {len(gold)}  runs: {runs}"]
+            for row in rows:
+                if row["kind"] == "ztest":
+                    lines.append(f"{row['comparison']}: {row['group_a']} vs {row['group_b']}  "
+                                 f"z={row['z']:.4f} p={row['p_value']:.6g}")
+                elif row["n"]:
+                    lines.append(f"{row['group']:<36} n={row['n']:<7} "
+                                 f"acc={row['accuracy']:.4f} sd={row['sd']:.4f}")
+                else:
+                    lines.append(f"{row['group']:<36} n=0")
+            assert text == "\n".join(lines) + "\n"
+            empty = [row["group"] for row in rows if row.get("n") == 0]
+            assert empty == (["gender:subject-proper-masc"]
+                             if gold is no_masc_names and groups in ("all", "gender") else [])
+
     def test_error_order_follows_the_file(self):
         # a bad pattern early (number family) and a missing field late
         # (definiteness family): the early record's fault is the error

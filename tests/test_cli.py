@@ -3,6 +3,7 @@
 import contextlib
 import cProfile
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -716,6 +717,22 @@ class TestAnalyze:
         overall = next(r for r in rows if r.get("group") == "all")
         assert overall["k"] == [len(records) - 1]
         assert any(r["kind"] == "ztest" for r in rows)
+
+    def test_printed_report_is_pinned(self, toy_path, tmp_path, capsys):
+        # every group family and z-test line on 3 runs: each run is wrong on
+        # two rows in five, and so is the majority vote
+        _, gold = _generate(toy_path, tmp_path)
+        flip = {"entailed": "non-entailed", "non-entailed": "entailed"}
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("id\trun\tlabel\n" + "".join(
+            f"{r.id}\t{i}\t{flip[r.label.value] if (7 * n + i) % 5 < 2 else r.label.value}\n"
+            for n, r in enumerate(read_pairs(gold)) for i in range(3)), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["analyze", "--gold", str(gold), "--predictions", str(preds), "--runs", "3",
+                    "--out", str(tmp_path / "report.jsonl")]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "7571ccb8446530b331fb4fcb9983ca8ab4328cae69b9242e185653297565b3bf")
 
     def test_report_rows_replace_the_file(self, toy_path, tmp_path):
         # a new file takes the name: a hard link to the old report keeps its bytes

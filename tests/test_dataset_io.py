@@ -998,7 +998,7 @@ class TestPredictions:
             ("b", 0, "entailed"), ("b", 1, "entailed"),
         ])), runs=2)
         assert preds.runs == 2
-        assert set(preds.ids()) == {"a", "b"}
+        assert set(preds.labels) == {"a", "b"}
         assert preds.labels["a"] == (Label.ENTAILED, Label.NOT_ENTAILED)
 
     def test_three_way_labels_collapse(self):
@@ -1048,7 +1048,7 @@ class TestPredictions:
         preds = read_predictions(io.StringIO(_pred_text([
             ("not-a-gold-id", 0, "entailed"),
         ])), runs=1)
-        assert set(preds.ids()) == {"not-a-gold-id"}
+        assert set(preds.labels) == {"not-a-gold-id"}
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import hashlib
 import io
 import json
 import os
-import pstats
 import random
 import re
 import subprocess
@@ -487,7 +486,8 @@ class TestGenerateSet:
                                 fem_common=lex.fem_common[:8], masc_proper=lex.masc_proper[:8],
                                 fem_proper=lex.fem_proper[:8]), 300),
         }[lexicon]
-        enumerated = {generator._space_size(p, chosen, None) <= generator._ENUMERATION_CUTOFF
+        compat = generator._compatible_things(chosen)
+        enumerated = {generator._space_size(p, chosen, compat) <= generator._ENUMERATION_CUTOFF
                       for p in generator._patterns_for(GenerationSet.P_SUBJECT)}
         assert enumerated == {lexicon != "bundled"}
         got = generate_set(GenerationSet.P_SUBJECT, chosen, seed, per_pattern, with_replacement)
@@ -630,19 +630,23 @@ class TestOwnedChoice:
     @pytest.mark.parametrize("name, budget", [(GenerationSet.WOGLI, 13.0), (GenerationSet.DITRANSITIVE, 15.5)])
     def test_calls_per_row(self, lex, name, budget):
         """A default-size set's encoded rows make at most budget calls a row,
-        counting every function and builtin the profiler sees (12.6 and
-        15.1 on Python 3.11, where drawing through random.Random.choice
-        made 28.5 and 32.9), and random.py only seeds one RNG per pattern."""
+        counting every function and builtin the profiler sees (12.7 and
+        15.1 on Python 3.10 and 3.11, 12.1 and 14.4 on 3.12 and 3.13),
+        and random.py only seeds one RNG per pattern. The profile's own
+        entries are summed: pstats merges the code objects that share a
+        label, as every dataclass __init__ is <string>:2."""
         per_pattern = generator._SETS[name][3]
         build = generator._Records(name, False, encode=True)
         profile = cProfile.Profile()
         rows = profile.runcall(list, generator._set_records(name, lex, 0, per_pattern, False, build))
-        stats = pstats.Stats(profile).stats
+        entries = profile.getstats()
         patterns = len(generator._patterns_for(name))
-        from_random = {func: stat[1] for (path, _, func), stat in stats.items()
-                       if os.path.basename(path) == "random.py"}
+        from_random = Counter()
+        for entry in entries:  # a builtin's code is a string
+            if not isinstance(entry.code, str) and os.path.basename(entry.code.co_filename) == "random.py":
+                from_random[entry.code.co_name] += entry.callcount
         assert from_random == {"__init__": patterns, "seed": patterns}
-        calls = sum(stat[1] for stat in stats.values())
+        calls = sum(entry.callcount for entry in entries)
         assert calls / len(rows) <= budget, calls / len(rows)
 
 
@@ -905,6 +909,31 @@ def test_tables_go_with_their_last_reference(lex):
     finally:
         if enabled:
             gc.enable()
+
+
+# the bench's reduced lexicon (REDUCED_CUTS in perfbench/workloads.py): the
+# first verbs of each government and nouns of each inventory, every thing noun
+_REDUCED_CUTS = {"verbs_acc": 10, "verbs_dat": 6, "verbs_ditrans": 6,
+                 "masc_common": 8, "fem_common": 8, "masc_proper": 8, "fem_proper": 8}
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_the_bench_sweep_compiles_the_tables_once(lex, reduced, monkeypatch):
+    """The bench sizes each pattern's space as _space_size(pattern, lex,
+    _compatible_things(lex)): the tables, gate included, are built once
+    for the whole sweep, and each size is theirs."""
+    if reduced:
+        lex = replace(lex, **{name: getattr(lex, name)[:n] for name, n in _REDUCED_CUTS.items()})
+    patterns = [p for name in (GenerationSet.WOGLI, GenerationSet.DATIVE, GenerationSet.DITRANSITIVE)
+                for p in generator._patterns_for(name)]
+    tables = generator._Tables(lex)
+    want = [tables.space(p) for p in patterns]
+    calls = []
+    accepted = generator._accepted
+    monkeypatch.setattr(generator, "_accepted", lambda lex: calls.append(lex) or accepted(lex))
+    compat = generator._compatible_things(lex)
+    assert [generator._space_size(p, lex, compat) for p in patterns] == want
+    assert calls == [lex]
 
 
 def test_every_spec_owns_its_metadata_and_pronoun(lex):
