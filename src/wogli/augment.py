@@ -19,8 +19,9 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 from .core import Label, PairRecord
-from .dataset_io import _copy_rows, _lines, _read_records, _records, _staged, _unique, _write_lines
+from .dataset_io import _copy_rows, _lines, _records, _staged, _unique, _write_lines
 from .errors import ConstraintError, DataFormatError
+from .generator import _SUBSET_GOVERNMENT
 from .patterns import _STEM_RE, _premise_draw
 
 _SWAP_BUDGET = 10_000
@@ -107,6 +108,9 @@ def _group(record: PairRecord, groups: dict, share) -> _PremiseGroup:
     group = groups.get(stem)
     if group is not None and suffix in group.suffixes:
         raise DataFormatError(f"duplicate record id {record.id!r}")
+    if record.subset in _SUBSET_GOVERNMENT:
+        raise DataFormatError(f"record {record.id}: augmentation needs accusative records, "
+                              f"not subset {record.subset!r}")
     for field in ("premise_id", "verb_lemma"):
         if type(record.metadata.get(field)) is not str:
             raise DataFormatError(
@@ -233,8 +237,9 @@ def sample_augmentation(records, plan: AugmentationPlan) -> tuple[list[PairRecor
 
     Strata are the input's patterns; each contributes exactly
     plan.premises_per_pattern premises. All records of one premise travel
-    together, in input order on both sides. A record that repeats an
-    earlier one's id is a DataFormatError.
+    together, in input order on both sides. A record of a dative or
+    ditransitive subset, or one that repeats an earlier one's id, is a
+    DataFormatError.
     """
     groups: dict[str, _PremiseGroup] = {}
     share = {}.setdefault
@@ -355,8 +360,8 @@ def _merge_file(base_source, aug_source, ne_label: str, seed: int, dest):
     it, a repeated id included, and each of its records is kept as a
     training row tuple; each base row is kept as its line and written as
     it is, and only the tuples are checked for a tab or line break."""
-    with closing(_read_records(aug_source)) as records:
-        aug = list(_training_rows(_unique(records, set()), ne_label))
+    with closing(_lines(aug_source)) as lines:
+        aug = list(_training_rows(_unique(_records(lines), set()), ne_label))
     rows = _merged(base_source, aug, seed)
     size = _write_lines(dest, (row + "\n" if type(row) is str else _training_line(row) for row in rows))
     return len(rows), size

@@ -12,7 +12,7 @@ import os
 import sys
 from contextlib import closing
 
-from .dataset_io import _read_records, _tsv_lines, _write_lines, read_predictions
+from .dataset_io import _lines, _records, _tsv_lines, _write_lines, read_predictions
 from .errors import LexiconError, WogliError
 from .generator import _SETS, GenerationSet, _os_hard_records, _Records, _set_records
 from .lexicon import ValidationProfile, default_lexicon_path, load_lexicon, validate_lexicon
@@ -63,8 +63,8 @@ def _derive(a):
     lex = load_lexicon(a.lexicon or default_lexicon_path())
     # rows go from the input to disk as they are read; no list of either is built
     build = _Records(GenerationSet.OS_HARD, a.spaced_period, encode=a.fmt == "rows")
-    with closing(_read_records(a.source)) as records:
-        _write_built(build, _os_hard_records(records, lex, build), a.out)
+    with closing(_lines(a.source)) as lines:
+        _write_built(build, _os_hard_records(_records(lines), lex, build), a.out)
 
 
 def _sample_augmentation(a):
@@ -103,8 +103,8 @@ def _analyze(a):
     if a.runs < 1:
         raise _UsageError("--runs must be positive")
     preds = read_predictions(a.predictions, a.runs)
-    with closing(_read_records(a.gold)) as records:  # the gold rows are counted as they are read
-        text, rows = build_report(records, preds, a.groups, a.tie_break_ne, a.sample_sd)
+    with closing(_lines(a.gold)) as lines:  # the gold rows are counted as they are read
+        text, rows = build_report(_records(lines), preds, a.groups, a.tie_break_ne, a.sample_sd)
     sys.stdout.write(text)
     if a.out is not None:
         _write_lines(a.out, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))

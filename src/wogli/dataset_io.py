@@ -355,21 +355,15 @@ def read_pairs(source) -> list[PairRecord]:
     """
     share = {}.setdefault  # only str values reach it: 1, True and 1.0 hash equal
     records, last = [], None  # last: the reader's metadata dict of the current run
-    for r in _unique(_read_records(source), set()):
-        if r.metadata is not last:  # a run is one dict, not equal ones: {"n": 1} == {"n": True}
-            last = r.metadata
-            shared = {share(k, k): share(v, v) if type(v) is str else v for k, v in last.items()}
-        r.subset, r.premise = share(r.subset, r.subset), share(r.premise, r.premise)
-        r.pattern_name, r.metadata = share(r.pattern_name, r.pattern_name), shared.copy()
-        records.append(r)
-    return records
-
-
-def _read_records(source):
-    """The records of a pair file, each one read as it is consumed, ids
-    unchecked, as _records reads them."""
     with closing(_lines(source)) as lines:
-        yield from _records(lines)
+        for r in _unique(_records(lines), set()):
+            if r.metadata is not last:  # a run is one dict, not equal ones: {"n": 1} == {"n": True}
+                last = r.metadata
+                shared = {share(k, k): share(v, v) if type(v) is str else v for k, v in last.items()}
+            r.subset, r.premise = share(r.subset, r.subset), share(r.premise, r.premise)
+            r.pattern_name, r.metadata = share(r.pattern_name, r.pattern_name), shared.copy()
+            records.append(r)
+    return records
 
 
 def _rows(lines):

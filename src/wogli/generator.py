@@ -9,6 +9,7 @@ premise draws as the base accusative set.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from collections import Counter
@@ -28,7 +29,7 @@ from .dataset_io import _encode_str, _row, _row_tail
 from .errors import DataFormatError, ExhaustionError
 from .lexicon import Lexicon, _accepted
 from .morphology import _ARTICLE_KINDS, _CAPITALISED, _CASES, _META_KEYS, NPSpec, agree_verb, compile_sentence
-from .patterns import _STEM_RE, NPClass, Pattern, _premise_draw, extended_patterns, parse_pattern_name, wogli_patterns
+from .patterns import _STEM_RE, NPClass, Pattern, _inventory, _premise_draw
 
 # a premise draw that keeps missing unseen texts this often has no space left
 _REJECTION_MISS_BUDGET = 100_000
@@ -101,9 +102,7 @@ class _Tables:
     verbs, (verb, its compatible thing specs or None) per verb; verb_things,
     (verb, thing spec or None) per verb and direct object; and by_lemma,
     keyed by the government's value, its verbs by lemma. What only the read
-    side needs is filled on a miss: indexes, np's per (role, owner), and
-    patterns, the patterns of the records read, keyed by strings, as an
-    Enum member hashes in Python."""
+    side needs is filled on a miss: indexes, np's per (role, owner)."""
 
     def __init__(self, lex: Lexicon):
         lex = _accepted(lex)
@@ -127,7 +126,7 @@ class _Tables:
         ] for government, verbs in self.verbs.items()}
         self.by_lemma = {government._value_: {verb.lemma: verb for verb, _ in verbs}
                          for government, verbs in self.verbs.items()}
-        self.indexes, self.patterns = {}, {}
+        self.indexes = {}
 
     def space(self, pattern: Pattern) -> int:
         subjects, objects = self.slots[pattern.subject], self.slots[pattern.object]
@@ -299,8 +298,7 @@ def _sample_pattern(pattern, pattern_index, tables, seed, per_pattern, with_repl
 
 
 def _patterns_for(name: GenerationSet) -> list[Pattern]:
-    government = _SETS[name][1]
-    return wogli_patterns() if government is Government.ACCUSATIVE else extended_patterns(government)
+    return [pattern for _, pattern in _inventory(_SETS[name][1]._value_).values()]
 
 
 def sample_premises(
@@ -326,14 +324,6 @@ def sample_premises(
     ]
 
 
-class _Encoded(dict):
-    """A string -> its JSON string, encoded on first use and kept."""
-
-    def __missing__(self, text):
-        self[text] = encoded = _encode_str(text)
-        return encoded
-
-
 class _Records:
     """render(draw, premise, draw index): a set's rows of one premise, as
     PairRecords or, with encode, as the JSON lines write_pairs writes for
@@ -352,7 +342,7 @@ class _Records:
         self.per_premise = len(self.kinds)
         self.render = self._rows if encode else self._records
         self.subset_json = _encode_str(self.subset)
-        self.lemma_json = _Encoded()
+        self.lemma_json = functools.cache(_encode_str)
 
     def for_pattern(self, pattern: Pattern, pattern_index: int) -> None:
         self.pattern_name = pattern.name
@@ -398,7 +388,7 @@ class _Records:
         text = _encode_str(premise)
         # the metadata _records builds after its premise_id, in its key order
         meta = (f'{subject.fragments["subject"]}, {obj.fragments["object"]}, '
-                f'"verb_lemma": {self.lemma_json[verb.lemma]}'
+                f'"verb_lemma": {self.lemma_json(verb.lemma)}'
                 f'{"" if thing is None else ", " + thing.fragments["direct_object"]}')
         return [
             f'{head}{d}{mid}{text}{between}{_encode_str(hypothesis_of(*draw))}{after}{d}-premise", {meta}{end}'
@@ -470,8 +460,8 @@ _SUBSET_GOVERNMENT = {s: g for s, g, _, _ in _SETS.values() if g is not Governme
 
 
 def _read_record(record: PairRecord, tables: _Tables):
-    """(pattern, draw) behind a record, from its metadata: each NP must be
-    one its pattern's class, or its verb, draws."""
+    """(pattern, draw) behind a record, from its metadata: its set must draw
+    its pattern, and its pattern's classes, or its verb, each NP."""
     meta = record.metadata
     where = f"record {record.id}"
     if not meta:
@@ -479,12 +469,10 @@ def _read_record(record: PairRecord, tables: _Tables):
     government = _SUBSET_GOVERNMENT.get(record.subset, Government.ACCUSATIVE)
     if government is not Government.DITRANSITIVE and not meta.keys().isdisjoint(_META_KEYS["direct_object"]):
         raise DataFormatError(f"{where}: only ditransitive records have a direct object")
-    pattern = tables.patterns.get(key := (record.pattern_name, government._value_))
-    if pattern is None:
-        try:
-            pattern = tables.patterns[key] = parse_pattern_name(record.pattern_name, government)
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from None
+    drawn = _inventory(government._value_).get(record.pattern_name)
+    if drawn is None:
+        raise DataFormatError(f"{where}: {record.pattern_name!r} is not a pattern {government.value} sets draw")
+    pattern = drawn[1]
     lemma = meta.get("verb_lemma")
     verb = tables.by_lemma[government._value_].get(lemma) if isinstance(lemma, str) else None
     if verb is None:
@@ -508,40 +496,40 @@ def derive_os_hard(records: list[PairRecord], lex: Lexicon, spaced_period: bool 
 
 def _os_hard_records(records, lex: Lexicon, build: _Records):
     """derive_os_hard's rows as build renders them, each premise's built as
-    they are consumed. taken holds, per draw, the first id that names it
-    and a shared tuple of the suffixes of its premise's ids so far; no
-    other id is kept. A row that repeats an earlier id is the duplicate
-    error before any other check of it: every earlier row named a draw (or
-    the error would have been its), and a row whose id stem names no draw
+    they are consumed. taken holds, per draw, the id stem of the premise
+    that names it and a shared tuple of the suffixes of its ids so far; no
+    id is kept. A row that repeats an earlier id is the duplicate error
+    before any other check of it: every earlier row named a draw (or the
+    error would have been its), and a row whose id stem names no draw
     repeats none of theirs. Each draw of taken is rendered once, so the
     output ids are distinct."""
     tables = _Tables(lex)
-    taken = {}  # seed path -> (the first id that names it, the suffixes of its premise's ids)
+    taken = {}  # seed path -> (the id stem of its premise, the suffixes of that premise's ids)
     share = {}.setdefault
     current = None  # the (pattern, index) build was last set up for
     for record in records:
         stem, _, suffix = record.id.rpartition("-")
         named = _STEM_RE.search(stem)  # it matches for every row _premise_draw passes
         seed_path = named and (int(named[1]), int(named[2]))
-        first = taken.get(seed_path)
-        if first is not None and suffix in first[1] and first[0].rpartition("-")[0] == stem:
+        owner, suffixes = taken.get(seed_path, (stem, ()))
+        if owner == stem and suffix in suffixes:
             raise DataFormatError(f"duplicate record id {record.id!r}")
         if record.subset in _SUBSET_GOVERNMENT:
             raise DataFormatError(
                 f"record {record.id}: os-hard derivation needs accusative records, "
                 f"not subset {record.subset!r}"
             )
+        if not record.metadata:
+            raise DataFormatError(f"record {record.id}: os-hard derivation needs row-format input, with metadata")
         _premise_draw(record, stem, named)
-        if first is not None:
-            if first[0].rpartition("-")[0] == stem:  # another row of that premise
-                taken[seed_path] = first[0], share(suffixes := (*first[1], suffix), suffixes)
-                continue
-            # under another subset: its derived ids would repeat that premise's
+        if owner != stem:  # under another subset: its derived ids would repeat that premise's
             raise DataFormatError(
                 f"record {record.id}: premise {record.metadata['premise_id']!r} has the draw "
-                f"p{seed_path[0]:02d}-d{seed_path[1]:05d} of record {first[0]}, another premise"
+                f"p{seed_path[0]:02d}-d{seed_path[1]:05d} of record {owner}-{suffixes[0]}, another premise"
             )
-        taken[seed_path] = record.id, share(suffixes := (suffix,), suffixes)
+        taken[seed_path] = stem, share(grown := (*suffixes, suffix), grown)
+        if suffixes:  # another row of that premise
+            continue
         pattern, draw = _read_record(record, tables)
         if (pattern, seed_path[0]) != current:
             current = (pattern, seed_path[0])

@@ -124,8 +124,11 @@ _STEM_RE = re.compile(r"-p([0-9]{2})-d([0-9]{5,})$")
 
 
 @cache
-def _wogli_index() -> dict[str, int]:
-    return {p.name: i for i, p in enumerate(wogli_patterns())}
+def _inventory(government: str) -> dict[str, tuple[int, Pattern]]:
+    """The patterns a set of the government with this value draws, by name:
+    (index, pattern). Keyed by the value, as an Enum member hashes in Python."""
+    patterns = wogli_patterns() if government == "accusative" else extended_patterns(Government(government))
+    return {p.name: (i, p) for i, p in enumerate(patterns)}
 
 
 def _premise_draw(record, stem: str, match) -> None:
@@ -138,12 +141,12 @@ def _premise_draw(record, stem: str, match) -> None:
     own = stem + "-premise"
     if premise_id != own:
         raise DataFormatError(f"record {record.id}: premise_id is {premise_id!r}, not {own!r}")
-    index = _wogli_index().get(record.pattern_name)
-    if index is None:
+    drawn = _inventory("accusative").get(record.pattern_name)  # (index, pattern)
+    if drawn is None:
         raise DataFormatError(f"record {record.id}: {record.pattern_name!r} is not a wogli pattern")
-    if match is None or int(match[1]) != index:
+    if match is None or int(match[1]) != drawn[0]:
         raise DataFormatError(
-            f"record {record.id}: premise_id {own!r} does not end in -p{index:02d}-dNNNNN-premise, "
+            f"record {record.id}: premise_id {own!r} does not end in -p{drawn[0]:02d}-dNNNNN-premise, "
             f"as a draw of pattern {record.pattern_name} does"
         )
 

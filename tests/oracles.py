@@ -28,10 +28,8 @@ from wogli import (
     PredictionJoinError,
     PredictionSet,
     parse_pattern_name,
-    realize_premise,
-    sample_premises,
 )
-from wogli.generator import _Records
+from wogli.generator import _patterns_for, _Records, _sample_pattern, _Tables
 from wogli.morphology import _ARTICLE_KINDS, compile_sentence
 
 _EXCLUDED_NAMES = (
@@ -170,20 +168,19 @@ def p_subject_records(lex: Lexicon, seed: int, per_pattern: int, with_replacemen
     """generate_set(P_SUBJECT, ...)'s records, its duplicates found by text:
     of the base draws, drawn with replacement, only the first of each base
     premise counts, and of those only the first of each pronoun premise."""
-    build = _Records(GenerationSet.P_SUBJECT, False)
-    records, drawn, seen, current = [], set(), set(), None
-    for inst in sample_premises(GenerationSet.P_SUBJECT, lex, seed, per_pattern, with_replacement):
-        pattern_index, draw_index = inst.seed_path
-        if pattern_index != current:
-            current = pattern_index
-            build.for_pattern(inst.pattern, pattern_index)
-        if with_replacement:
-            if (base := realize_premise(inst)) in drawn:
-                continue
-            drawn.add(base)
-        draw = (inst.subject.pronoun, inst.object, inst.verb, inst.direct_object)
-        premise = compile_sentence(inst.pattern.government.object_case)(*draw)
-        if premise not in seen:
-            seen.add(premise)
-            records += build.render(draw, premise, draw_index)
+    build, tables = _Records(GenerationSet.P_SUBJECT, False), _Tables(lex)
+    records, drawn, seen = [], set(), set()
+    for i, pattern in enumerate(_patterns_for(GenerationSet.P_SUBJECT)):
+        build.for_pattern(pattern, i)
+        for base, (subject, *rest), draw_index in _sample_pattern(
+                pattern, i, tables, seed, per_pattern, with_replacement):
+            if with_replacement:
+                if base in drawn:
+                    continue
+                drawn.add(base)
+            draw = (subject.pronoun, *rest)
+            premise = compile_sentence(pattern.government.object_case)(*draw)
+            if premise not in seen:
+                seen.add(premise)
+                records += build.render(draw, premise, draw_index)
     return records

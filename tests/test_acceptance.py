@@ -45,10 +45,8 @@ from wogli import (
     parse_pattern_name,
     plan_102,
     plan_1037,
-    realize_premise,
     render_np,
     sample_augmentation,
-    sample_premises,
     surface_forms,
     two_proportion_ztest,
     wogli_patterns,
@@ -56,6 +54,7 @@ from wogli import (
 )
 from wogli import dataset_io
 from wogli.cli import run
+from wogli.generator import _patterns_for, _sample_pattern, _Tables
 from wogli.morphology import compile_sentence
 
 from oracles import accuracy, excluded_patterns, is_ambiguous, majority_vote, select
@@ -249,12 +248,12 @@ class TestC4Sizes:
         )
         assert len(hard_rep) == 16_971
 
+        tables = _Tables(lex)
         for seed in range(10):
-            draws = sample_premises(
-                GenerationSet.WOGLI, lex, seed=seed, per_pattern=1000, with_replacement=True
-            )
+            draws = [premise for i, pattern in enumerate(_patterns_for(GenerationSet.WOGLI))
+                     for premise, _, _ in _sample_pattern(pattern, i, tables, seed, 1000, True)]
             assert len(draws) == 17_000
-            unique = len({realize_premise(d) for d in draws})
+            unique = len(set(draws))
             assert 16_900 <= unique <= 17_000, seed
         print("ACCEPTANCE 4: PASS  exact sizes and the with-replacement premise band")
 

@@ -361,10 +361,13 @@ class TestDerive:
 
     def test_tsv_source_lacks_metadata(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, "--format", "tsv")
-        code = run(["derive", "os-hard", "--from", str(base),
-                    "--lexicon", toy_path, "--out", str(tmp_path / "hard.jsonl")])
+        out = tmp_path / "hard.jsonl"
+        code = run(["derive", "os-hard", "--from", str(base), "--lexicon", toy_path, "--out", str(out)])
         assert code == 2
-        assert "error[format]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "wogli: error[format] record wogli-p00-d00000-h1: os-hard derivation needs "
+            "row-format input, with metadata\n")
+        assert not out.exists()
 
 
 class TestSampleAugmentation:
@@ -437,6 +440,25 @@ class TestSampleAugmentation:
                     "--out-aug", str(tmp_path / "a.jsonl"),
                     "--out-rest", str(tmp_path / "r.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "p00-p02"])
+    @pytest.mark.parametrize("setname", ["dative", "ditransitive"])
+    def test_a_file_of_another_government_is_rejected(self, setname, cut, toy_path, tmp_path, capsys):
+        # p00-p02 have the names, and so the indexes, of accusative patterns
+        _, source = _generate(toy_path, tmp_path, setname=setname, seed="0")
+        if cut:
+            rows = source.read_text(encoding="utf-8").splitlines(keepends=True)[:12]
+            assert {json.loads(row)["pattern"] for row in rows} == {
+                "pnoun_v_sing_masc", "pnoun_v_plural_masc", "pnoun_v_plural_fem"}
+            source.write_text("".join(rows), encoding="utf-8")
+        out_aug, out_rest = tmp_path / "aug.jsonl", tmp_path / "rest.jsonl"
+        code = run(["sample-augmentation", "--plan", "custom", "--in", str(source), "--per-pattern", "1",
+                    "--verb-min", "0", "--verb-max", "9", "--out-aug", str(out_aug), "--out-rest", str(out_rest)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"wogli: error[format] record wogli-{setname}-p00-d00000-h1: augmentation needs "
+            f"accusative records, not subset 'wogli-{setname}'\n")
+        assert not out_aug.exists() and not out_rest.exists()
 
     def test_preset_plan_short_input(self, toy_path, tmp_path, capsys):
         _, base = _generate(toy_path, tmp_path, per="3")
@@ -674,10 +696,10 @@ class TestReadCallsPerRow:
     count on Python 3.11, so one more call per row read fails it."""
 
     @pytest.mark.parametrize("command, budget", [
-        ("derive os-hard", 42.0),  # 41.55 on Python 3.11
+        ("derive os-hard", 40.5),  # 40.01 on Python 3.11
         ("sample-augmentation --plan 1037", 63.2),  # 62.73
         ("sample-augmentation --plan 102", 59.6),  # 59.16
-        ("analyze --runs 3", 38.4),  # 38.00
+        ("analyze --runs 3", 37.4),  # 36.97
     ])
     def test_calls_per_row(self, read_inputs, command, budget):
         gold, base = read_inputs / "gold.jsonl", read_inputs / "base.jsonl"
@@ -1221,11 +1243,9 @@ class TestRepeatedIds:
         got = self._error(command, [*records[:3], bad(first)], toy_path, toy_lex, tmp_path, capsys)
         assert got == f"duplicate record id {first.id!r}"
         # the same fault under an id of its own is an error of that row's own
-        # (augmentation reads no subset)
         fresh = bad(_renamed(first, "wogli-p00-d00099"))
-        if not (fault == "subset" and command.startswith("sample")):
-            got = self._error(command, [*records[:3], fresh], toy_path, toy_lex, tmp_path, capsys)
-            assert got.startswith(f"record {fresh.id}")
+        got = self._error(command, [*records[:3], fresh], toy_path, toy_lex, tmp_path, capsys)
+        assert got.startswith(f"record {fresh.id}")
 
     @pytest.mark.parametrize("command", ["derive", "derive_os_hard"])
     def test_the_same_draw_under_another_prefix(self, command, records, toy_path, toy_lex, tmp_path, capsys):

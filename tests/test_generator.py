@@ -732,7 +732,17 @@ class TestRecordRoundTrip:
         record = generate_set(GenerationSet.WOGLI, toy_lex, seed=1, per_pattern=1)[0]
         with pytest.raises(DataFormatError) as info:
             _read(replace(record, pattern_name="zzz"), toy_lex)
-        assert str(info.value) == f"record {record.id}: not a canonical pattern name: 'zzz'"
+        assert str(info.value) == f"record {record.id}: 'zzz' is not a pattern accusative sets draw"
+
+    def test_a_pattern_its_set_never_draws(self, toy_lex):
+        # one of the 8 accusative patterns ambiguity_rule drops, which dative sets draw
+        record = next(r for r in generate_set(GenerationSet.DATIVE, toy_lex, seed=1, per_pattern=1)
+                      if r.pattern_name == "sing_fem_v_sing_fem")
+        relabelled = replace(record, subset="wogli",
+                             metadata=dict(record.metadata, verb_lemma=toy_lex.verbs_acc[0].lemma))
+        with pytest.raises(DataFormatError) as info:
+            _read(relabelled, toy_lex)
+        assert str(info.value) == f"record {record.id}: 'sing_fem_v_sing_fem' is not a pattern accusative sets draw"
 
     def test_a_pronoun_lemma_must_be_its_pronoun(self, toy_lex):
         record = generate_set(GenerationSet.P_SUBJECT, toy_lex, seed=1, per_pattern=1)[0]
@@ -902,7 +912,7 @@ def test_tables_go_with_their_last_reference(lex):
     try:
         tables = generator._Tables(lex)
         generator._read_record(record, tables)
-        assert tables.indexes and tables.patterns
+        assert tables.indexes
         freed = weakref.ref(tables)
         del tables
         assert freed() is None
